@@ -34,7 +34,6 @@ from .kinematics import (
     BETA_VALIDITY_LIMIT,
     KinematicsResult,
     aperture_flux,
-    coupling_factor,
     kinematics_non_optimized,
     kinematics_optimized,
     optimal_sail_diameter,
@@ -71,7 +70,7 @@ from .scenario import (
 )
 from .units import C, from_si, parse_quantity, to_si
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ArraySpec", "BETA_VALIDITY_LIMIT", "BoundaryOptimumError", "C",
@@ -82,7 +81,7 @@ __all__ = [
     "ShotEnergy", "SpeedMaxResult", "Stage", "StagePlan", "SweepSpec",
     "TechCurve", "UnitError", "ValidationError", "a1_for_budget",
     "aperture_flux", "closed_form_optimum", "cost_components",
-    "cost_scaling_exponents", "coupling_factor", "designation_label",
+    "cost_scaling_exponents", "designation_label",
     "dump_scenario", "energy_per_shot", "energy_used_lifetime", "from_si",
     "golden_section", "kinematics_non_optimized", "kinematics_optimized",
     "load_scenario", "maximize_speed_fixed_cost", "minimize_cost_numeric",

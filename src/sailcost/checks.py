@@ -18,13 +18,13 @@ from .kinematics import (
 )
 from .optimize import (
     SearchSpec,
+    constrained_cost,
     maximize_speed_fixed_cost,
     minimize_cost_numeric,
     second_derivative_at,
 )
 from .params import ArraySpec, CostMetrics, Payload, SailSpec
 from .roadmap import stage_cost_ratio
-from .units import C
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,6 @@ def check_curvature(draws: int = 50, seed: int = 20240818) -> CheckResult:
     rng = random.Random(seed)
     worst_fd = 0.0
     all_positive = True
-    from .optimize import constrained_cost
-
     for _ in range(draws):
         beta, payload, sail, metrics, geom = _random_case(rng)
         design = closed_form_optimum(

@@ -7,11 +7,11 @@ Output is deterministic byte-for-byte unless --metadata is given.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 
+from . import model
 from .checks import run_all
 from .costs import cost_components, closed_form_optimum
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
@@ -19,19 +19,21 @@ from .errors import SailcostError, ValidationError
 from .kinematics import (
     kinematics_non_optimized,
     kinematics_optimized,
+    kinematics_optimized_at,
     strength_limited_geometry,
 )
-from .optimize import maximize_speed_fixed_cost
+from .optimize import constrained_design, maximize_speed_fixed_cost
 from .roadmap import plan_stages
 from .scenario import (
     SweepSpec,
     apply_overrides,
     build_scenario,
     parse_entries,
+    parse_number,
+    parse_sweep_value,
     scenario_with,
     write_results,
 )
-from .units import parse_quantity
 
 OUTPUT_DIR_ENV = "SAILCOST_OUTPUT_DIR"
 
@@ -70,7 +72,11 @@ def _breakdown_doc(breakdown):
     }
 
 
-def _result_doc(scenario, aperture, power, breakdown, kin, shot):
+def _result_doc(scenario, aperture, power, breakdown, kin):
+    shot = energy_per_shot(
+        kin.beta, kin.total_mass, scenario.sail.coupling,
+        scenario.metrics.storage_efficiency,
+    )
     return {
         "scenario": scenario.name,
         "mode": scenario.mode,
@@ -97,31 +103,26 @@ def _solve_kinematics(scenario):
     if scenario.mode == "optimized":
         if sail.diameter is not None:
             raise ValidationError("optimized mode derives sail.D; remove it")
-        return sail, kinematics_optimized(array, sail, payload)
+        return kinematics_optimized(array, sail, payload)
     if scenario.mode == "strength-limited":
         diameter, thickness = strength_limited_geometry(array.power, sail, payload)
         sized = replace(sail, diameter=diameter, thickness=thickness)
-        return sized, kinematics_non_optimized(array, sized, payload)
+        return kinematics_non_optimized(array, sized, payload)
     if sail.diameter is None:
         raise ValidationError("non-optimized mode requires sail.D")
-    return sail, kinematics_non_optimized(array, sail, payload)
+    return kinematics_non_optimized(array, sail, payload)
 
 
 def _cmd_solve(args):
     scenario = _load(args)
-    sail, kin = _solve_kinematics(scenario)
+    kin = _solve_kinematics(scenario)
     array = scenario.array
     breakdown = cost_components(
         array.power, kin.accel_time, array.aperture, scenario.metrics,
         array.beam_fraction, array.shape_factor,
     )
-    shot = energy_per_shot(
-        kin.beta, kin.total_mass, sail.coupling, scenario.metrics.storage_efficiency
-    )
-    _emit(
-        [_result_doc(scenario, array.aperture, array.power, breakdown, kin, shot)],
-        "json", args,
-    )
+    doc = _result_doc(scenario, array.aperture, array.power, breakdown, kin)
+    _emit([doc], "json", args)
     return 0
 
 
@@ -143,16 +144,13 @@ def _optimize_design(scenario, beta):
 
 
 def _design_doc(scenario, design):
+    """Result document of an OptimumDesign or a SpeedMaxResult."""
     array = scenario.array
-    sized = replace(array, aperture=design.aperture, power=design.power)
-    kin = kinematics_optimized(sized, scenario.sail, scenario.payload)
-    shot = energy_per_shot(
-        kin.beta, kin.total_mass, scenario.sail.coupling,
-        scenario.metrics.storage_efficiency,
+    kin = kinematics_optimized_at(
+        design.power, design.aperture, scenario.sail, scenario.payload,
+        array.wavelength, array.diffraction_factor, array.shape_factor,
     )
-    return _result_doc(
-        scenario, design.aperture, design.power, design.breakdown, kin, shot
-    )
+    return _result_doc(scenario, design.aperture, design.power, design.breakdown, kin)
 
 
 def _cmd_optimize(args):
@@ -167,23 +165,17 @@ def _cmd_max_speed(args):
     scenario = _load(args)
     if scenario.budget_target is None:
         raise ValidationError("max-speed requires a target.budget scenario")
+    _emit([_design_doc(scenario, _max_speed_design(scenario))], "json", args)
+    return 0
+
+
+def _max_speed_design(scenario):
     array = scenario.array
-    result = maximize_speed_fixed_cost(
+    return maximize_speed_fixed_cost(
         scenario.budget_target, scenario.payload, scenario.sail,
         array.wavelength, array.diffraction_factor, array.shape_factor,
         array.beam_fraction, scenario.metrics,
     )
-    sized = replace(array, aperture=result.aperture, power=result.power)
-    kin = kinematics_optimized(sized, scenario.sail, scenario.payload)
-    shot = energy_per_shot(
-        kin.beta, kin.total_mass, scenario.sail.coupling,
-        scenario.metrics.storage_efficiency,
-    )
-    _emit(
-        [_result_doc(scenario, result.aperture, result.power, result.breakdown, kin, shot)],
-        "json", args,
-    )
-    return 0
 
 
 def _cmd_energy(args):
@@ -206,7 +198,7 @@ def _cmd_energy(args):
         if scenario.array.power is None:
             raise ValidationError("lifetime energy cost requires array.P0")
         total, per_watt = energy_used_lifetime(
-            scenario.array.power / scenario.array.beam_fraction,
+            scenario.array.optical_power,
             args.lifetime_hours,
             scenario.metrics.energy_usd_per_joule,
             args.wall_plug,
@@ -221,7 +213,7 @@ _SWEEP_ROW_KEYS = ("d_m", "P0_W", "C1", "C2", "C3", "C4", "C_T", "F_ap")
 
 
 def _sweep_row(scenario, aperture, power, breakdown):
-    flux = power / (scenario.array.shape_factor * aperture**2)
+    flux = model.aperture_flux(power, scenario.array.shape_factor, aperture)
     return dict(zip(
         _SWEEP_ROW_KEYS,
         (aperture, power, breakdown.laser, breakdown.optics, breakdown.energy,
@@ -232,17 +224,8 @@ def _sweep_row(scenario, aperture, power, breakdown):
 def _cmd_sweep(args):
     scenario = _load(args)
     axis = args.axis
-    dimension = None
-    from .scenario import _SCHEMA  # sweep endpoints share the field schema
-
-    if axis not in _SCHEMA:
-        raise ValidationError(f"unknown sweep axis {axis!r}")
-    kind = _SCHEMA[axis][0]
-    if kind == "number":
-        start, stop = float(args.start), float(args.stop)
-    else:
-        start = parse_quantity(args.start, kind, field=f"sweep.from ({axis})")
-        stop = parse_quantity(args.stop, kind, field=f"sweep.to ({axis})")
+    start = parse_sweep_value(axis, args.start, f"sweep.from ({axis})")
+    stop = parse_sweep_value(axis, args.stop, f"sweep.to ({axis})")
     sweep = SweepSpec(
         axis=axis, start=start, stop=stop, points=args.points,
         scale="log" if args.log else "linear",
@@ -250,42 +233,24 @@ def _cmd_sweep(args):
     rows = []
     for value in sweep.grid():
         point = scenario_with(scenario, axis, value)
-        if point.beta_target is not None:
-            if axis == "array.d":
-                row = _fixed_aperture_row(point, value)
-            else:
-                design = _optimize_design(point, point.beta_target)
-                row = _sweep_row(point, design.aperture, design.power, design.breakdown)
-        else:
+        if point.beta_target is None:
+            design = _max_speed_design(point)
+            row = _sweep_row(point, design.aperture, design.power, design.breakdown)
+        elif axis == "array.d":
             array = point.array
-            result = maximize_speed_fixed_cost(
-                point.budget_target, point.payload, point.sail,
-                array.wavelength, array.diffraction_factor, array.shape_factor,
-                array.beam_fraction, point.metrics,
+            power, breakdown = constrained_design(
+                value, point.beta_target, point.payload, point.sail, array.wavelength,
+                array.diffraction_factor, array.shape_factor, array.beam_fraction, point.metrics,
             )
-            row = _sweep_row(point, result.aperture, result.power, result.breakdown)
+            row = _sweep_row(point, value, power, breakdown)
+        else:
+            design = _optimize_design(point, point.beta_target)
+            row = _sweep_row(point, design.aperture, design.power, design.breakdown)
         if axis != "array.d":
             row = {axis: value, **row}
         rows.append(row)
     _emit(rows, "csv", args)
     return 0
-
-
-def _fixed_aperture_row(scenario, aperture):
-    from .kinematics import required_power
-
-    array = replace(scenario.array, aperture=aperture)
-    power = required_power(
-        scenario.beta_target, array, scenario.sail, scenario.payload
-    )
-    kin = kinematics_optimized(
-        replace(array, power=power), scenario.sail, scenario.payload
-    )
-    breakdown = cost_components(
-        power, kin.accel_time, aperture, scenario.metrics,
-        array.beam_fraction, array.shape_factor,
-    )
-    return _sweep_row(scenario, aperture, power, breakdown)
 
 
 def _cmd_roadmap(args):
@@ -294,7 +259,7 @@ def _cmd_roadmap(args):
         raise ValidationError("roadmap requires a target.budget scenario")
     if scenario.curve is None:
         raise ValidationError("roadmap requires a [techcurve] block")
-    designations = [float(x) for x in args.stages.split(",")]
+    designations = [parse_number(x, "--stages") for x in args.stages.split(",")]
     plan = plan_stages(
         designations, scenario.budget_target, scenario.curve,
         scenario.payload, scenario.sail, scenario.array.wavelength,

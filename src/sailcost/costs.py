@@ -9,11 +9,12 @@ twice the optics cost.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from . import model
 from .errors import DegenerateOptimumError, DomainError
-from .kinematics import kinematics_optimized, required_power
-from .params import ArraySpec, CostMetrics, Payload, SailSpec
+from .kinematics import kinematics_optimized_at, required_power_at
+from .params import CostMetrics, Payload, SailSpec, check_array
 from .units import C
 
 
@@ -74,7 +75,7 @@ def reduced_coefficients(
 ) -> tuple[float, float, float]:
     """Coefficients (speed_coeff, optics_coeff, beta_coeff) of the
     one-dimensional cost objective along the physics constraint."""
-    mass_term = math.sqrt(sail.shape_factor * sail.thickness * sail.density * payload.mass)
+    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
     speed_coeff = (
         metrics.laser_usd_per_watt
         / beam_fraction
@@ -88,7 +89,8 @@ def reduced_coefficients(
 def shot_beam_energy(beta: float, payload: Payload, sail: SailSpec) -> float:
     """Main-beam energy through the acceleration, optimized regime:
     2 * beta * m0 * c^2 / eta (equals P0*t0)."""
-    return 2 * beta * payload.mass * C**2 / sail.coupling
+    # beta * (2 m0) equals 2 * beta * m0 exactly: doubling never rounds.
+    return model.beam_energy(beta, 2 * payload.mass, sail.coupling)
 
 
 def cost_components(
@@ -106,19 +108,17 @@ def cost_components(
     if beam_fraction <= 0:
         raise DomainError(f"eps_b must be > 0 (got {beam_fraction!r})")
     beam_energy = 0.0 if accel_time is None else power * accel_time
+    return _breakdown(power, aperture, beam_energy, metrics, beam_fraction, array_shape)
+
+
+def _breakdown(power, aperture, beam_energy, metrics, beam_fraction, array_shape):
     return CostBreakdown(
-        laser=metrics.laser_usd_per_watt * power / beam_fraction,
-        optics=metrics.optics_usd_per_m2 * array_shape * aperture**2,
-        energy=metrics.shots * metrics.energy_usd_per_joule * beam_energy,
-        storage=metrics.storage_usd_per_joule * beam_energy / metrics.storage_efficiency,
-    )
-
-
-def _energy_storage_cost(beta, payload, sail, metrics):
-    e_gamma = shot_beam_energy(beta, payload, sail)
-    return (
-        metrics.shots * metrics.energy_usd_per_joule * e_gamma,
-        metrics.storage_usd_per_joule * e_gamma / metrics.storage_efficiency,
+        laser=model.laser_cost(metrics.laser_usd_per_watt, power, beam_fraction),
+        optics=model.optics_cost(metrics.optics_usd_per_m2, array_shape, aperture),
+        energy=model.energy_cost(metrics.shots, metrics.energy_usd_per_joule, beam_energy),
+        storage=model.storage_cost(
+            metrics.storage_usd_per_joule, beam_energy, metrics.storage_efficiency
+        ),
     )
 
 
@@ -147,38 +147,22 @@ def closed_form_optimum(
             "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a "
             "boundary otherwise - use the bounded numeric search"
         )
-    mass_term = math.sqrt(sail.shape_factor * sail.thickness * sail.density * payload.mass)
-    geom = wavelength * diffraction_factor / (array_shape * sail.coupling) * mass_term
+    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
+    geom = model.cost_geometry(
+        wavelength, diffraction_factor, array_shape, sail.coupling, mass_term
+    )
     ratio = metrics.laser_usd_per_watt / (beam_fraction * metrics.optics_usd_per_m2)
     aperture = C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3)
-
-    array = ArraySpec(
-        wavelength=wavelength,
-        diffraction_factor=diffraction_factor,
-        shape_factor=array_shape,
-        beam_fraction=beam_fraction,
-        aperture=aperture,
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture)
+    power = required_power_at(beta, aperture, sail, payload, wavelength, diffraction_factor)
+    breakdown = _breakdown(
+        power, aperture, shot_beam_energy(beta, payload, sail), metrics,
+        beam_fraction, array_shape,
     )
-    power = required_power(beta, array, sail, payload)
-    energy, storage = _energy_storage_cost(beta, payload, sail, metrics)
-    breakdown = CostBreakdown(
-        laser=metrics.laser_usd_per_watt * power / beam_fraction,
-        optics=metrics.optics_usd_per_m2 * array_shape * aperture**2,
-        energy=energy,
-        storage=storage,
-    )
-    speed_coeff, optics_coeff, beta_coeff = reduced_coefficients(
+    coefficients = reduced_coefficients(
         sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
-    return OptimumDesign(
-        aperture=aperture,
-        power=power,
-        breakdown=breakdown,
-        method="closed-form",
-        speed_coeff=speed_coeff,
-        optics_coeff=optics_coeff,
-        beta_coeff=beta_coeff,
-    )
+    return OptimumDesign(aperture, power, breakdown, "closed-form", *coefficients)
 
 
 def cost_scaling_exponents() -> dict[str, dict[str, float]]:
@@ -216,12 +200,9 @@ def a1_for_budget(
     xi = xi_arr = math.pi / 4
     eta = 2.0
     alpha_d = 1.22
-    aperture = math.sqrt(total_usd / (3 * optics_usd_per_m2 * xi_arr))
-    geom = (
-        wavelength
-        * alpha_d
-        / (xi_arr * eta)
-        * math.sqrt(xi * thickness * density * payload_mass)
+    aperture = model.budget_aperture(total_usd, optics_usd_per_m2, xi_arr)
+    geom = model.cost_geometry(
+        wavelength, alpha_d, xi_arr, eta, model.mass_term(xi, thickness, density, payload_mass)
     )
     return (
         beam_fraction
@@ -229,11 +210,6 @@ def a1_for_budget(
         * aperture**3
         / (C**3 * beta**2 * geom)
     )
-
-
-def with_diameter(sail: SailSpec, diameter: float) -> SailSpec:
-    """Copy of the sail spec with an explicit diameter."""
-    return replace(sail, diameter=diameter)
 
 
 def optimum_kinematics(
@@ -246,12 +222,9 @@ def optimum_kinematics(
     beam_fraction: float,
 ):
     """Kinematics at an optimal design point (optimized sail regime)."""
-    array = ArraySpec(
-        wavelength=wavelength,
-        diffraction_factor=diffraction_factor,
-        shape_factor=array_shape,
-        beam_fraction=beam_fraction,
-        aperture=design.aperture,
-        power=design.power,
+    check_array(
+        wavelength, diffraction_factor, array_shape, beam_fraction, design.aperture, design.power
     )
-    return kinematics_optimized(array, sail, payload)
+    return kinematics_optimized_at(
+        design.power, design.aperture, sail, payload, wavelength, diffraction_factor, array_shape
+    )

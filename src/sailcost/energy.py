@@ -4,9 +4,8 @@ grid energy over the system lifetime and storage capacity per shot.
 
 from dataclasses import dataclass
 
+from . import model
 from .errors import DomainError
-from .costs import CostBreakdown
-from .params import CostMetrics
 from .units import C
 
 
@@ -36,7 +35,7 @@ def energy_per_shot(
         raise DomainError(f"beta must be in [0, 1) (got {beta!r})")
     if not 0 < storage_efficiency <= 1:
         raise DomainError(f"eps_storage must be in (0, 1] (got {storage_efficiency!r})")
-    beam = beta * total_mass * C**2 / coupling
+    beam = model.beam_energy(beta, total_mass, coupling)
     kinetic = 0.5 * total_mass * C**2 * beta**2
     return ShotEnergy(
         beam_energy=beam,
@@ -70,30 +69,3 @@ def energy_used_lifetime(
         )
     per_watt = lifetime_hours * 3600.0 * usd_per_joule / wall_plug_efficiency
     return optical_power * per_watt, per_watt
-
-
-def total_cost_with_energy(
-    power: float,
-    aperture: float,
-    accel_time: float | None,
-    metrics: CostMetrics,
-    beam_fraction: float,
-    array_shape: float,
-) -> CostBreakdown:
-    """Full breakdown including amortized grid energy over the shot count
-    and per-shot storage: C3 = N_shot * a3 * E and C4 = a4 * E / eps,
-    with E = P0 * t0.
-
-    The energy terms do not depend on the array size at fixed target
-    speed and payload, so the cost-minimizing array size is unchanged by
-    including them.
-    """
-    if beam_fraction <= 0:
-        raise DomainError(f"eps_b must be > 0 (got {beam_fraction!r})")
-    beam_energy = 0.0 if accel_time is None else power * accel_time
-    return CostBreakdown(
-        laser=metrics.laser_usd_per_watt * power / beam_fraction,
-        optics=metrics.optics_usd_per_m2 * array_shape * aperture**2,
-        energy=metrics.shots * metrics.energy_usd_per_joule * beam_energy,
-        storage=metrics.storage_usd_per_joule * beam_energy / metrics.storage_efficiency,
-    )

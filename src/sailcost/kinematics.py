@@ -9,65 +9,19 @@ No relativistic correction is applied.
 """
 
 import math
-import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError, NumericRangeError
-from .params import ArraySpec, Payload, SailSpec
+from . import model
+from .errors import DomainError
+from .model import BETA_VALIDITY_LIMIT, KinematicsResult
+from .params import ArraySpec, Payload, SailSpec, _require
 from .units import C
-
-BETA_VALIDITY_LIMIT = 0.5
-
-
-@dataclass(frozen=True)
-class KinematicsResult:
-    """Outcome at the spot-equals-sail point.
-
-    accel_time is None when the beam power is zero (no acceleration ever
-    ends, so there is no finite time to report).
-    """
-
-    speed: float            # v at spot-equals-sail [m/s]
-    beta: float             # v/c
-    accel_time: float | None  # time to that point [s]
-    accel_distance: float   # distance where spot equals sail [m]
-    coast_speed: float      # diffraction-limited speed at infinity [m/s]
-    mean_accel: float       # speed / accel_time [m/s^2]; 0 when no thrust
-    aperture_flux: float    # main-beam power / array area [W/m^2]
-    total_mass: float       # sail + payload [kg]
-
-    @property
-    def no_thrust(self) -> bool:
-        return self.accel_time is None
-
-
-def coupling_factor(sail: SailSpec) -> float:
-    """Momentum coupling 2*eps_r + (1 - eps_r)*alpha."""
-    return sail.coupling
-
-
-def _check_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise NumericRangeError(f"{name} is non-finite; inputs out of numeric range")
-    return value
-
-
-def _warn_beta(beta: float) -> None:
-    if beta >= 1:
-        raise DomainError(f"beta = {beta:.4g} >= 1: beyond any validity of the model")
-    if beta >= BETA_VALIDITY_LIMIT:
-        warnings.warn(
-            f"beta = {beta:.4g} >= {BETA_VALIDITY_LIMIT}: non-relativistic "
-            "model is inaccurate here",
-            stacklevel=3,
-        )
 
 
 def aperture_flux(array: ArraySpec) -> float:
     """Main-beam power spread over the array area, P0 / (xi_arr d^2)."""
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for aperture flux")
-    return array.power / (array.shape_factor * array.aperture**2)
+    return model.aperture_flux(array.power, array.shape_factor, array.aperture)
 
 
 def kinematics_non_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> KinematicsResult:
@@ -76,36 +30,15 @@ def kinematics_non_optimized(array: ArraySpec, sail: SailSpec, payload: Payload)
         raise DomainError("sail.D required for the non-optimized kinematics")
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    p0, d_arr = array.power, array.aperture
-    dia = sail.diameter
-    eta = sail.coupling
-    m_total = sail.mass + payload.mass
-    spot_term = d_arr * dia / (array.wavelength * array.diffraction_factor)
-
-    l0 = _check_finite("L0", spot_term / 2)
-    flux = aperture_flux(array)
-    if p0 == 0:
-        return KinematicsResult(0.0, 0.0, None, l0, 0.0, 0.0, flux, m_total)
-
-    v0 = _check_finite("v0", math.sqrt(p0 * eta * spot_term / (C * m_total)))
-    t0 = _check_finite("t0", math.sqrt(C * spot_term * m_total / (p0 * eta)))
-    beta = v0 / C
-    _warn_beta(beta)
-    return KinematicsResult(
-        speed=v0,
-        beta=beta,
-        accel_time=t0,
-        accel_distance=l0,
-        coast_speed=math.sqrt(2) * v0,
-        mean_accel=v0 / t0,
-        aperture_flux=flux,
-        total_mass=m_total,
+    return model.launch(
+        array.power, array.aperture, sail.diameter, sail.mass + payload.mass,
+        array.wavelength, array.diffraction_factor, sail.coupling, array.shape_factor,
     )
 
 
 def optimal_sail_diameter(sail: SailSpec, payload: Payload) -> float:
     """Diameter at which sail mass equals payload mass: sqrt(m0/(xi h rho))."""
-    return math.sqrt(payload.mass / (sail.shape_factor * sail.thickness * sail.density))
+    return model.optimal_sail_diameter(sail.shape_factor, sail.thickness, sail.density, payload.mass)
 
 
 def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> KinematicsResult:
@@ -114,12 +47,28 @@ def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> 
     The sail diameter is derived, not given; the result agrees exactly
     with the general path evaluated at that diameter.
     """
+    return kinematics_optimized_at(
+        array.power, array.aperture, sail, payload,
+        array.wavelength, array.diffraction_factor, array.shape_factor,
+    )
+
+
+def kinematics_optimized_at(
+    power, aperture, sail: SailSpec, payload: Payload, wavelength, diffraction_factor,
+    array_shape,
+) -> KinematicsResult:
+    """``kinematics_optimized`` at a point whose array fields are validated floats."""
     if sail.diameter is not None:
         raise DomainError("sail.D must be absent in the optimized regime (it is derived)")
-    from dataclasses import replace
-
-    sized = replace(sail, diameter=optimal_sail_diameter(sail, payload))
-    return kinematics_non_optimized(array, sized, payload)
+    if power is None or aperture is None:
+        raise DomainError("array.P0 and array.d required for kinematics")
+    diameter = optimal_sail_diameter(sail, payload)
+    _require(diameter > 0, "sail.D", "D > 0", diameter)
+    total_mass = model.sail_mass(sail.shape_factor, diameter, sail.thickness, sail.density)
+    return model.launch(
+        power, aperture, diameter, total_mass + payload.mass,
+        wavelength, diffraction_factor, sail.coupling, array_shape,
+    )
 
 
 def required_power(
@@ -130,22 +79,25 @@ def required_power(
     Inverse of the optimized speed equation:
     P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0).
     """
+    return required_power_at(
+        beta_target, array.aperture, sail, payload, array.wavelength, array.diffraction_factor
+    )
+
+
+def required_power_at(
+    beta_target, aperture, sail: SailSpec, payload: Payload, wavelength, diffraction_factor
+) -> float:
+    """``required_power`` for an array whose fields are validated floats."""
     if beta_target < 0:
         raise DomainError(f"beta target must be >= 0 (got {beta_target!r})")
     if beta_target > 0:
-        _warn_beta(beta_target)
-    if array.aperture is None:
+        model.warn_beta(beta_target)
+    if aperture is None:
         raise DomainError("array.d required to compute the required power")
-    mass_term = math.sqrt(
-        sail.shape_factor * sail.thickness * sail.density * payload.mass
+    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
+    return model.required_power(
+        beta_target, wavelength, diffraction_factor, sail.coupling, aperture, mass_term
     )
-    p0 = (
-        beta_target**2
-        * (2 * C**3 * array.wavelength * array.diffraction_factor)
-        / (sail.coupling * array.aperture)
-        * mass_term
-    )
-    return _check_finite("P0", p0)
 
 
 def strength_limited_geometry(
@@ -167,7 +119,7 @@ def strength_limited_geometry(
     s = sail.stress_factor
     diameter = 4 * payload.mass * C * s_y / (sail.density * s * power * eta)
     thickness = s * power * eta / (math.pi * diameter * C * s_y)
-    return _check_finite("D", diameter), _check_finite("h", thickness)
+    return model.check_finite("D", diameter), model.check_finite("h", thickness)
 
 
 def strength_limited_beta(array: ArraySpec, sail: SailSpec) -> float:

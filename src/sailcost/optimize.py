@@ -6,6 +6,7 @@ cost), the fixed-budget speed maximum, and the analytic cost curvature.
 import math
 from dataclasses import dataclass
 
+from . import model
 from .errors import (
     BoundaryOptimumError,
     ConvergenceError,
@@ -17,10 +18,10 @@ from .costs import (
     OptimumDesign,
     cost_components,
     reduced_coefficients,
-    shot_beam_energy,
 )
-from .kinematics import kinematics_optimized, required_power
-from .params import ArraySpec, CostMetrics, Payload, SailSpec
+from .kinematics import kinematics_optimized_at, required_power_at
+from .params import CostMetrics, Payload, SailSpec, check_array
+from .units import C
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 
@@ -110,24 +111,26 @@ def constrained_cost(
 ) -> CostBreakdown:
     """Cost of hitting the target speed with a given array size; the beam
     power follows from the physics constraint."""
-    array = ArraySpec(
-        wavelength=wavelength,
-        diffraction_factor=diffraction_factor,
-        shape_factor=array_shape,
-        beam_fraction=beam_fraction,
-        aperture=aperture,
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture)
+    return constrained_design(
+        aperture, beta, payload, sail, wavelength, diffraction_factor,
+        array_shape, beam_fraction, metrics,
+    )[1]
+
+
+def constrained_design(
+    aperture, beta, payload: Payload, sail: SailSpec, wavelength, diffraction_factor,
+    array_shape, beam_fraction, metrics: CostMetrics,
+) -> tuple[float, CostBreakdown]:
+    """Beam power and cost breakdown along the physics path (power, then
+    kinematics, then costs) for array fields the caller has validated."""
+    power = required_power_at(beta, aperture, sail, payload, wavelength, diffraction_factor)
+    kin = kinematics_optimized_at(
+        power, aperture, sail, payload, wavelength, diffraction_factor, array_shape
     )
-    power = required_power(beta, array, sail, payload)
-    kin = kinematics_optimized(array_with_power(array, power), sail, payload)
-    return cost_components(
+    return power, cost_components(
         power, kin.accel_time, aperture, metrics, beam_fraction, array_shape
     )
-
-
-def array_with_power(array: ArraySpec, power: float) -> ArraySpec:
-    from dataclasses import replace
-
-    return replace(array, power=power)
 
 
 def minimize_cost_numeric(
@@ -153,30 +156,15 @@ def minimize_cost_numeric(
 
     lo, hi = _bracket(objective, search.d_min, search.d_max)
     aperture = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
-    array = ArraySpec(
-        wavelength=wavelength,
-        diffraction_factor=diffraction_factor,
-        shape_factor=array_shape,
-        beam_fraction=beam_fraction,
-        aperture=aperture,
-    )
-    power = required_power(beta, array, sail, payload)
+    power = required_power_at(beta, aperture, sail, payload, wavelength, diffraction_factor)
     breakdown = constrained_cost(
         aperture, beta, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics,
     )
-    speed_coeff, optics_coeff, beta_coeff = reduced_coefficients(
+    coefficients = reduced_coefficients(
         sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
-    return OptimumDesign(
-        aperture=aperture,
-        power=power,
-        breakdown=breakdown,
-        method="numeric",
-        speed_coeff=speed_coeff,
-        optics_coeff=optics_coeff,
-        beta_coeff=beta_coeff,
-    )
+    return OptimumDesign(aperture, power, breakdown, "numeric", *coefficients)
 
 
 def maximize_speed_fixed_cost(
@@ -200,20 +188,15 @@ def maximize_speed_fixed_cost(
         )
     if metrics.laser_usd_per_watt <= 0 or metrics.optics_usd_per_m2 <= 0:
         raise DomainError("fixed-budget speed maximum needs a1 > 0 and a2 > 0")
-    aperture = math.sqrt(total_usd / (3 * metrics.optics_usd_per_m2 * array_shape))
-    optics_cost = metrics.optics_usd_per_m2 * array_shape * aperture**2
+    aperture = model.budget_aperture(total_usd, metrics.optics_usd_per_m2, array_shape)
+    optics_cost = model.optics_cost(metrics.optics_usd_per_m2, array_shape, aperture)
     power = beam_fraction * (total_usd - optics_cost) / metrics.laser_usd_per_watt
-    array = ArraySpec(
-        wavelength=wavelength,
-        diffraction_factor=diffraction_factor,
-        shape_factor=array_shape,
-        beam_fraction=beam_fraction,
-        aperture=aperture,
-        power=power,
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture, power)
+    kin = kinematics_optimized_at(
+        power, aperture, sail, payload, wavelength, diffraction_factor, array_shape
     )
-    kin = kinematics_optimized(array, sail, payload)
     breakdown = CostBreakdown(
-        laser=metrics.laser_usd_per_watt * power / beam_fraction,
+        laser=model.laser_cost(metrics.laser_usd_per_watt, power, beam_fraction),
         optics=optics_cost,
     )
     return SpeedMaxResult(
@@ -256,9 +239,7 @@ def speed_curve_fixed_cost(
 ) -> float:
     """beta^2 attainable at a given array size under a fixed budget; the
     independent scan used to verify the speed maximum."""
-    mass_term = math.sqrt(sail.shape_factor * sail.thickness * sail.density * payload.mass)
-    from .units import C
-
+    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
     numer = sail.coupling * (
         total_usd * aperture - metrics.optics_usd_per_m2 * array_shape * aperture**3
     )

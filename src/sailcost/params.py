@@ -6,8 +6,9 @@ downstream can assume the documented invariants.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from . import model
 from .errors import ValidationError
 
 
@@ -60,7 +61,21 @@ class SailSpec:
         """Sail mass xi * D^2 * h * rho; requires the diameter."""
         if self.diameter is None:
             raise ValidationError("sail.D: diameter required to compute sail mass")
-        return self.shape_factor * self.diameter**2 * self.thickness * self.density
+        return model.sail_mass(self.shape_factor, self.diameter, self.thickness, self.density)
+
+
+def check_array(
+    wavelength, diffraction_factor, shape_factor, beam_fraction, aperture=None, power=None
+) -> None:
+    """The ArraySpec field checks, for callers holding the fields as floats."""
+    _require(wavelength > 0, "array.lambda", "lambda > 0", wavelength)
+    _require(diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", diffraction_factor)
+    _require(shape_factor > 0, "array.xi_arr", "xi_arr > 0", shape_factor)
+    _require(0 < beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", beam_fraction)
+    if aperture is not None:
+        _require(aperture > 0, "array.d", "d > 0", aperture)
+    if power is not None:
+        _require(power >= 0, "array.P0", "P0 >= 0", power)
 
 
 @dataclass(frozen=True)
@@ -80,14 +95,7 @@ class ArraySpec:
     power: float | None = None
 
     def __post_init__(self):
-        _require(self.wavelength > 0, "array.lambda", "lambda > 0", self.wavelength)
-        _require(self.diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", self.diffraction_factor)
-        _require(self.shape_factor > 0, "array.xi_arr", "xi_arr > 0", self.shape_factor)
-        _require(0 < self.beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", self.beam_fraction)
-        if self.aperture is not None:
-            _require(self.aperture > 0, "array.d", "d > 0", self.aperture)
-        if self.power is not None:
-            _require(self.power >= 0, "array.P0", "P0 >= 0", self.power)
+        check_array(**vars(self))
 
     @property
     def optical_power(self) -> float:

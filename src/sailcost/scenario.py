@@ -161,6 +161,27 @@ def apply_overrides(
     return merged
 
 
+def parse_number(raw: str, where: str) -> float:
+    """A finite bare number; ``where`` names the input in the error."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValidationError(f"{where}: expected a bare number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: non-finite value {raw!r}")
+    return value
+
+
+def parse_sweep_value(axis: str, raw: str, where: str) -> float:
+    """A sweep endpoint for field ``axis``: a bare number or a quantity."""
+    if axis not in _SCHEMA:
+        raise ValidationError(f"unknown sweep axis {axis!r}")
+    kind = _SCHEMA[axis][0]
+    if kind == "number":
+        return parse_number(raw, where)
+    return parse_quantity(raw, kind, field=where)
+
+
 def _value(entries, key):
     kind, default = _SCHEMA[key]
     if key not in entries:
@@ -170,10 +191,7 @@ def _value(entries, key):
     if kind == "string":
         return raw
     if kind == "number":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"{where}: expected a bare number, got {raw!r}") from None
+        return parse_number(raw, where)
     if kind == "reserved-zero":
         try:
             num = float(raw)

@@ -61,29 +61,25 @@ def units_for(dimension: str) -> set[str]:
     return {tag for tag, (dim, _) in _UNITS.items() if dim == dimension}
 
 
-def dimension_of(unit: str) -> str:
+def _lookup(unit: str) -> tuple[str, float]:
     try:
-        return _UNITS[unit][0]
+        return _UNITS[unit]
     except KeyError:
         raise UnitError(f"unknown unit tag {unit!r}") from None
+
+
+def dimension_of(unit: str) -> str:
+    return _lookup(unit)[0]
 
 
 def to_si(value: float, unit: str) -> float:
     """Convert a value in ``unit`` to the canonical unit of its dimension."""
-    try:
-        factor = _UNITS[unit][1]
-    except KeyError:
-        raise UnitError(f"unknown unit tag {unit!r}") from None
-    return value * factor
+    return value * _lookup(unit)[1]
 
 
 def from_si(value: float, unit: str) -> float:
     """Convert a canonical-unit value back to ``unit``."""
-    try:
-        factor = _UNITS[unit][1]
-    except KeyError:
-        raise UnitError(f"unknown unit tag {unit!r}") from None
-    return value / factor
+    return value / _lookup(unit)[1]
 
 
 def parse_quantity(text: str, dimension: str, field: str = "") -> float:

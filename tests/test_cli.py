@@ -10,6 +10,7 @@ from sailcost.cli import main
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 EX1 = os.path.join(FIXTURES, "example1.scn")
 EX2 = os.path.join(FIXTURES, "example2.scn")
+EX3 = os.path.join(FIXTURES, "example3.scn")
 
 
 def _run(capsys, *argv):
@@ -160,6 +161,21 @@ def test_error_contract_on_stderr(capsys):
     assert code == 1 and err.startswith("unit_error: ")
     code, _, err = _run(capsys, "optimize", "/no/such/file.scn")
     assert code == 1 and err.startswith("io_error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", EX1, "--axis", "sail.eps_r", "--from", "abc", "--to", "1", "--points", "3"),
+        ("sweep", EX1, "--axis", "sail.eps_r", "--from", "0.5", "--to", "inf", "--points", "3"),
+        ("roadmap", EX3, "--stages", "1,x"),
+        ("optimize", EX1, "--set", "metrics.a3=1e-8 usd/J", "--set", "metrics.N_shot=inf"),
+    ],
+)
+def test_bad_flag_values_are_validation_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("validation_error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_2():

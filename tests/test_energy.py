@@ -2,12 +2,8 @@ import math
 
 import pytest
 
-from sailcost.energy import (
-    energy_per_shot,
-    energy_used_lifetime,
-    storage_cost,
-    total_cost_with_energy,
-)
+from sailcost.costs import cost_components
+from sailcost.energy import energy_per_shot, energy_used_lifetime, storage_cost
 from sailcost.errors import DomainError
 from sailcost.params import CostMetrics
 from sailcost.units import C
@@ -90,7 +86,7 @@ def test_domain_checks():
 
 def test_total_cost_with_energy_breakdown():
     metrics = CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, 0.5, 100.0)
-    b = total_cost_with_energy(1e11, 1e4, 140.0, metrics, 1.0, math.pi / 4)
+    b = cost_components(1e11, 140.0, 1e4, metrics, 1.0, math.pi / 4)
     beam_energy = 1e11 * 140.0
     assert b.energy == pytest.approx(100 * 1.4e-8 * beam_energy, rel=1e-14)
     assert b.storage == pytest.approx(2.8e-5 * beam_energy / 0.5, rel=1e-14)

@@ -14,12 +14,28 @@ from sailcost.optimize import (
     second_derivative_at,
     speed_curve_fixed_cost,
 )
-from sailcost.params import CostMetrics, Payload, SailSpec
+from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = Payload(mass=1e-3)
 XI = math.pi / 4
 GEOM = (1e-6, 1.22, XI, 1.0)
+
+
+def test_oracle_paths_build_no_parameter_records(monkeypatch):
+    """Records validated at the API boundary are not rebuilt inside the
+    numeric oracle or the closed form."""
+    metrics = CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, shots=10.0)
+    built = []
+    for cls in (SailSpec, ArraySpec, Payload, CostMetrics):
+        def counted(record, original=cls.__post_init__):
+            built.append(type(record).__name__)
+            original(record)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    minimize_cost_numeric(0.2, PAYLOAD, SAIL, *GEOM, metrics)
+    closed_form_optimum(0.2, PAYLOAD, SAIL, *GEOM, metrics)
+    assert built == []
 
 
 def test_golden_section_on_quadratic():

@@ -114,6 +114,21 @@ def test_field_validation_points_at_field():
         _scenario(bad)
 
 
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        (["metrics.N_shot=inf"], ValidationError),
+        (["sail.xi=inf"], ValidationError),
+        (["techcurve.a1_base=100 usd/W", "techcurve.halving_months=nan"], ValidationError),
+        (["sail.h=inf um"], UnitError),
+        (["metrics.a5=nan"], ValidationError),
+    ],
+)
+def test_non_finite_values_rejected_for_every_field_kind(overrides, error):
+    with pytest.raises(error):
+        build_scenario(apply_overrides(parse_entries(MINIMAL), overrides))
+
+
 def test_overrides_merge_and_revalidate():
     entries = apply_overrides(parse_entries(MINIMAL), ["metrics.a1=0.1 usd/W"])
     assert build_scenario(entries).metrics.laser_usd_per_watt == 0.1
