@@ -11,7 +11,6 @@ import os
 import sys
 from dataclasses import replace
 
-from . import model
 from .checks import run_all
 from .costs import cost_components, closed_form_optimum
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
@@ -22,7 +21,7 @@ from .kinematics import (
     kinematics_optimized_at,
     strength_limited_geometry,
 )
-from .optimize import constrained_design, maximize_speed_fixed_cost
+from .optimize import maximize_speed_fixed_cost, require_cost_mode, sweep_lines
 from .roadmap import plan_stages
 from .scenario import (
     SweepSpec,
@@ -31,8 +30,8 @@ from .scenario import (
     parse_entries,
     parse_number,
     parse_sweep_value,
-    scenario_with,
     write_results,
+    write_text,
 )
 
 OUTPUT_DIR_ENV = "SAILCOST_OUTPUT_DIR"
@@ -54,12 +53,14 @@ def _destination(args):
     return path
 
 
-def _emit(records, fmt, args):
+def _emit(doc, args):
+    """Write one JSON result document, with the generation time on request."""
+    records = [doc]
     if args.metadata:
         from datetime import datetime, timezone
 
-        records = records + [{"generated_at": datetime.now(timezone.utc).isoformat()}]
-    write_results(records, fmt, _destination(args))
+        records.append({"generated_at": datetime.now(timezone.utc).isoformat()})
+    write_results(records, "json", _destination(args))
 
 
 def _breakdown_doc(breakdown):
@@ -122,7 +123,7 @@ def _cmd_solve(args):
         array.beam_fraction, array.shape_factor,
     )
     doc = _result_doc(scenario, array.aperture, array.power, breakdown, kin)
-    _emit([doc], "json", args)
+    _emit(doc, args)
     return 0
 
 
@@ -133,8 +134,7 @@ def _require_beta_target(scenario, command):
 
 
 def _optimize_design(scenario, beta):
-    if scenario.mode != "optimized":
-        raise ValidationError("cost optimization is defined in optimized mode")
+    require_cost_mode(scenario.mode)
     array = scenario.array
     return closed_form_optimum(
         beta, scenario.payload, scenario.sail, array.wavelength,
@@ -157,7 +157,7 @@ def _cmd_optimize(args):
     scenario = _load(args)
     beta = _require_beta_target(scenario, "optimize")
     design = _optimize_design(scenario, beta)
-    _emit([_design_doc(scenario, design)], "json", args)
+    _emit(_design_doc(scenario, design), args)
     return 0
 
 
@@ -165,20 +165,23 @@ def _cmd_max_speed(args):
     scenario = _load(args)
     if scenario.budget_target is None:
         raise ValidationError("max-speed requires a target.budget scenario")
-    _emit([_design_doc(scenario, _max_speed_design(scenario))], "json", args)
-    return 0
-
-
-def _max_speed_design(scenario):
     array = scenario.array
-    return maximize_speed_fixed_cost(
+    design = maximize_speed_fixed_cost(
         scenario.budget_target, scenario.payload, scenario.sail,
         array.wavelength, array.diffraction_factor, array.shape_factor,
         array.beam_fraction, scenario.metrics,
     )
+    _emit(_design_doc(scenario, design), args)
+    return 0
 
 
 def _cmd_energy(args):
+    wall_plug = parse_number(args.wall_plug, "--wall-plug")
+    hours = args.lifetime_hours
+    if hours is not None:
+        hours = parse_number(hours, "--lifetime-hours")
+        if hours < 0:
+            raise ValidationError(f"--lifetime-hours: must be >= 0 (got {hours!r})")
     scenario = _load(args)
     beta = _require_beta_target(scenario, "energy")
     total_mass = 2 * scenario.payload.mass  # optimized regime
@@ -194,31 +197,19 @@ def _cmd_energy(args):
         "launch_efficiency": shot.launch_efficiency,
         "storage_cost_usd": storage_cost(shot, scenario.metrics.storage_usd_per_joule),
     }
-    if args.lifetime_hours is not None:
+    if hours is not None:
         if scenario.array.power is None:
             raise ValidationError("lifetime energy cost requires array.P0")
         total, per_watt = energy_used_lifetime(
             scenario.array.optical_power,
-            args.lifetime_hours,
+            hours,
             scenario.metrics.energy_usd_per_joule,
-            args.wall_plug,
+            wall_plug,
         )
         doc["lifetime_energy_usd"] = total
         doc["lifetime_usd_per_optical_watt"] = per_watt
-    _emit([doc], "json", args)
+    _emit(doc, args)
     return 0
-
-
-_SWEEP_ROW_KEYS = ("d_m", "P0_W", "C1", "C2", "C3", "C4", "C_T", "F_ap")
-
-
-def _sweep_row(scenario, aperture, power, breakdown):
-    flux = model.aperture_flux(power, scenario.array.shape_factor, aperture)
-    return dict(zip(
-        _SWEEP_ROW_KEYS,
-        (aperture, power, breakdown.laser, breakdown.optics, breakdown.energy,
-         breakdown.storage, breakdown.total, flux),
-    ))
 
 
 def _cmd_sweep(args):
@@ -230,26 +221,8 @@ def _cmd_sweep(args):
         axis=axis, start=start, stop=stop, points=args.points,
         scale="log" if args.log else "linear",
     )
-    rows = []
-    for value in sweep.grid():
-        point = scenario_with(scenario, axis, value)
-        if point.beta_target is None:
-            design = _max_speed_design(point)
-            row = _sweep_row(point, design.aperture, design.power, design.breakdown)
-        elif axis == "array.d":
-            array = point.array
-            power, breakdown = constrained_design(
-                value, point.beta_target, point.payload, point.sail, array.wavelength,
-                array.diffraction_factor, array.shape_factor, array.beam_fraction, point.metrics,
-            )
-            row = _sweep_row(point, value, power, breakdown)
-        else:
-            design = _optimize_design(point, point.beta_target)
-            row = _sweep_row(point, design.aperture, design.power, design.breakdown)
-        if axis != "array.d":
-            row = {axis: value, **row}
-        rows.append(row)
-    _emit(rows, "csv", args)
+    lines = sweep_lines(scenario, axis, sweep.grid())
+    write_text("\n".join(lines) + "\n", _destination(args))
     return 0
 
 
@@ -277,7 +250,7 @@ def _cmd_roadmap(args):
         }
         for stage in plan.stages
     ]
-    _emit(rows, "csv", args)
+    write_results(rows, "csv", _destination(args))
     return 0
 
 
@@ -297,10 +270,6 @@ def _add_common(parser, scenario_required=True):
             help="override a scenario field (e.g. 'metrics.a1=0.1 usd/W')",
         )
     parser.add_argument("-o", "--output", help="output path (default stdout)")
-    parser.add_argument(
-        "--metadata", action="store_true",
-        help="append a generation-time record (off by default for determinism)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,10 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=doc)
         _add_common(p)
+        p.add_argument(
+            "--metadata", action="store_true",
+            help="append a generation-time record (off by default for determinism)",
+        )
         p.set_defaults(func=func)
         if name == "energy":
-            p.add_argument("--lifetime-hours", type=float, help="laser lifetime for grid-energy cost")
-            p.add_argument("--wall-plug", type=float, default=0.5, help="wall-plug efficiency")
+            p.add_argument("--lifetime-hours", help="laser lifetime for grid-energy cost")
+            p.add_argument("--wall-plug", default="0.5", help="wall-plug efficiency")
 
     p = sub.add_parser("sweep", help="sweep one field, emit a CSV table")
     _add_common(p)

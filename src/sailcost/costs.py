@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from . import model
-from .errors import DegenerateOptimumError, DomainError
-from .kinematics import kinematics_optimized_at, required_power_at
+from .errors import DomainError
+from .kinematics import kinematics_optimized_at
 from .params import CostMetrics, Payload, SailSpec, check_array
 from .units import C
 
@@ -108,18 +108,11 @@ def cost_components(
     if beam_fraction <= 0:
         raise DomainError(f"eps_b must be > 0 (got {beam_fraction!r})")
     beam_energy = 0.0 if accel_time is None else power * accel_time
-    return _breakdown(power, aperture, beam_energy, metrics, beam_fraction, array_shape)
-
-
-def _breakdown(power, aperture, beam_energy, metrics, beam_fraction, array_shape):
-    return CostBreakdown(
-        laser=model.laser_cost(metrics.laser_usd_per_watt, power, beam_fraction),
-        optics=model.optics_cost(metrics.optics_usd_per_m2, array_shape, aperture),
-        energy=model.energy_cost(metrics.shots, metrics.energy_usd_per_joule, beam_energy),
-        storage=model.storage_cost(
-            metrics.storage_usd_per_joule, beam_energy, metrics.storage_efficiency
-        ),
-    )
+    return CostBreakdown(*model.cost_terms(
+        power, aperture, beam_energy, beam_fraction, array_shape,
+        metrics.laser_usd_per_watt, metrics.optics_usd_per_m2, metrics.energy_usd_per_joule,
+        metrics.storage_usd_per_joule, metrics.storage_efficiency, metrics.shots,
+    ))
 
 
 def closed_form_optimum(
@@ -140,29 +133,19 @@ def closed_form_optimum(
     storage costs are a d-independent addition, so they appear in the
     breakdown but do not move the optimum.
     """
-    if not 0 < beta < 1:
-        raise DomainError(f"beta must be in (0, 1) (got {beta!r})")
-    if metrics.laser_usd_per_watt == 0 or metrics.optics_usd_per_m2 == 0:
-        raise DegenerateOptimumError(
-            "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a "
-            "boundary otherwise - use the bounded numeric search"
-        )
-    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
-    geom = model.cost_geometry(
-        wavelength, diffraction_factor, array_shape, sail.coupling, mass_term
-    )
-    ratio = metrics.laser_usd_per_watt / (beam_fraction * metrics.optics_usd_per_m2)
-    aperture = C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3)
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture)
-    power = required_power_at(beta, aperture, sail, payload, wavelength, diffraction_factor)
-    breakdown = _breakdown(
-        power, aperture, shot_beam_energy(beta, payload, sail), metrics,
-        beam_fraction, array_shape,
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
+    aperture, power, *terms = model.cost_optimum(
+        beta, payload.mass, sail.thickness, sail.density, sail.shape_factor, sail.coupling,
+        wavelength, diffraction_factor, array_shape, beam_fraction,
+        metrics.laser_usd_per_watt, metrics.optics_usd_per_m2, metrics.energy_usd_per_joule,
+        metrics.storage_usd_per_joule, metrics.storage_efficiency, metrics.shots,
     )
     coefficients = reduced_coefficients(
         sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
-    return OptimumDesign(aperture, power, breakdown, "closed-form", *coefficients)
+    return OptimumDesign(
+        aperture, power, CostBreakdown(*terms), "closed-form", *coefficients
+    )
 
 
 def cost_scaling_exponents() -> dict[str, dict[str, float]]:

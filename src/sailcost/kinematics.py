@@ -13,7 +13,7 @@ import math
 from . import model
 from .errors import DomainError
 from .model import BETA_VALIDITY_LIMIT, KinematicsResult
-from .params import ArraySpec, Payload, SailSpec, _require
+from .params import ArraySpec, Payload, SailSpec
 from .units import C
 
 
@@ -58,16 +58,11 @@ def kinematics_optimized_at(
     array_shape,
 ) -> KinematicsResult:
     """``kinematics_optimized`` at a point whose array fields are validated floats."""
-    if sail.diameter is not None:
-        raise DomainError("sail.D must be absent in the optimized regime (it is derived)")
     if power is None or aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    diameter = optimal_sail_diameter(sail, payload)
-    _require(diameter > 0, "sail.D", "D > 0", diameter)
-    total_mass = model.sail_mass(sail.shape_factor, diameter, sail.thickness, sail.density)
-    return model.launch(
-        power, aperture, diameter, total_mass + payload.mass,
-        wavelength, diffraction_factor, sail.coupling, array_shape,
+    return model.optimized_launch(
+        power, aperture, sail.diameter, payload.mass, sail.thickness, sail.density,
+        sail.shape_factor, sail.coupling, wavelength, diffraction_factor, array_shape,
     )
 
 
@@ -88,10 +83,6 @@ def required_power_at(
     beta_target, aperture, sail: SailSpec, payload: Payload, wavelength, diffraction_factor
 ) -> float:
     """``required_power`` for an array whose fields are validated floats."""
-    if beta_target < 0:
-        raise DomainError(f"beta target must be >= 0 (got {beta_target!r})")
-    if beta_target > 0:
-        model.warn_beta(beta_target)
     if aperture is None:
         raise DomainError("array.d required to compute the required power")
     mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)

@@ -1,16 +1,24 @@
 """The model's closed forms on plain floats, each written once: the
-physics path (power, then kinematics, then costs) and every formula more
-than one function evaluates; only the momentum coupling stays a property,
-``SailSpec.coupling``.  Arguments are SI floats the caller has validated:
-the public functions check their records once and call these, so no
-internal path rebuilds or revalidates a parameter record.
+physics path (power, then kinematics, then costs), every formula more
+than one function evaluates, and one function for each sweep path (the
+closed-form cost optimum, a fixed array size, a fixed budget).
+Arguments are SI floats the caller has validated: the public functions
+check their records once and call these, and a sweep checks each swept
+value with the float checks of ``params``, so no internal path rebuilds
+or revalidates a parameter record.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericRangeError
+from .errors import (
+    DegenerateOptimumError,
+    DomainError,
+    InfeasibleBudgetError,
+    NumericRangeError,
+    ValidationError,
+)
 from .units import C
 
 BETA_VALIDITY_LIMIT = 0.5
@@ -38,6 +46,11 @@ class KinematicsResult:
         return self.accel_time is None
 
 
+def require(cond: bool, name: str, constraint: str, value) -> None:
+    if not cond:
+        raise ValidationError(f"{name}: must satisfy {constraint} (got {value!r})")
+
+
 def check_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise NumericRangeError(f"{name} is non-finite; inputs out of numeric range")
@@ -53,6 +66,12 @@ def warn_beta(beta: float) -> None:
             "model is inaccurate here",
             stacklevel=3,
         )
+
+
+def coupling(reflectivity: float, absorptivity: float) -> float:
+    """Momentum coupling eta = 2 eps_r + (1 - eps_r) alpha: 2 for a perfect
+    reflector, 1 for a perfect absorber."""
+    return 2 * reflectivity + (1 - reflectivity) * absorptivity
 
 
 def mass_term(xi: float, h: float, rho: float, m0: float) -> float:
@@ -73,6 +92,10 @@ def sail_mass(xi: float, diameter: float, h: float, rho: float) -> float:
 def required_power(beta, wavelength, diffraction_factor, eta, aperture, mass_term) -> float:
     """Main-beam power that reaches beta in the optimized regime:
     P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0)."""
+    if beta < 0:
+        raise DomainError(f"beta target must be >= 0 (got {beta!r})")
+    if beta > 0:
+        warn_beta(beta)
     p0 = beta**2 * (2 * C**3 * wavelength * diffraction_factor) / (eta * aperture) * mass_term
     return check_finite("P0", p0)
 
@@ -100,6 +123,23 @@ def launch(
     return KinematicsResult(v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass)
 
 
+def optimized_launch(
+    power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
+    array_shape,
+) -> KinematicsResult:
+    """``launch`` in the mass-optimized regime, where the sail diameter is
+    derived (sail mass = payload mass), so a given ``sail_diameter`` is an
+    error."""
+    if sail_diameter is not None:
+        raise DomainError("sail.D must be absent in the optimized regime (it is derived)")
+    diameter = optimal_sail_diameter(xi, h, rho, m0)
+    require(diameter > 0, "sail.D", "D > 0", diameter)
+    total_mass = sail_mass(xi, diameter, h, rho) + m0
+    return launch(
+        power, aperture, diameter, total_mass, wavelength, diffraction_factor, eta, array_shape
+    )
+
+
 def beam_energy(beta: float, total_mass: float, eta: float) -> float:
     """Main-beam energy through the acceleration, beta m c^2 / eta."""
     return beta * total_mass * C**2 / eta
@@ -125,6 +165,19 @@ def storage_cost(a4: float, beam_energy: float, storage_efficiency: float) -> fl
     return a4 * beam_energy / storage_efficiency
 
 
+def cost_terms(
+    power, aperture, beam_energy, beam_fraction, array_shape, a1, a2, a3, a4,
+    storage_efficiency, shots,
+) -> tuple[float, float, float, float]:
+    """The four cost components (laser, optics, energy, storage) at a design point."""
+    return (
+        laser_cost(a1, power, beam_fraction),
+        optics_cost(a2, array_shape, aperture),
+        energy_cost(shots, a3, beam_energy),
+        storage_cost(a4, beam_energy, storage_efficiency),
+    )
+
+
 def cost_geometry(wavelength, diffraction_factor, array_shape, eta, mass_term) -> float:
     """Geometry factor of the cost optimum, lambda alpha_d / (xi_arr eta) * sqrt(xi h rho m0)."""
     return wavelength * diffraction_factor / (array_shape * eta) * mass_term
@@ -133,3 +186,83 @@ def cost_geometry(wavelength, diffraction_factor, array_shape, eta, mass_term) -
 def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
     """Array size whose optics take a third of the budget, sqrt(C_T / (3 a2 xi_arr))."""
     return math.sqrt(total_usd / (3 * a2 * array_shape))
+
+
+# The three sweep paths; the record functions closed_form_optimum,
+# constrained_design and maximize_speed_fixed_cost wrap them.
+
+
+def cost_optimum(
+    beta, m0, h, rho, xi, eta, wavelength, diffraction_factor, array_shape, beam_fraction,
+    a1, a2, a3, a4, storage_efficiency, shots,
+) -> tuple[float, float, float, float, float, float]:
+    """Closed-form minimum-cost design for a target speed fraction:
+    (d*, P0, C1, C2, C3, C4), with
+    d* = c beta^{2/3} (a1/(eps_b a2))^{1/3} (cost_geometry)^{1/3} and the
+    power from the physics constraint at d*.  The energy and storage
+    terms use the closed-form beam energy of a 2 m0 craft."""
+    if not 0 < beta < 1:
+        raise DomainError(f"beta must be in (0, 1) (got {beta!r})")
+    if a1 == 0 or a2 == 0:
+        raise DegenerateOptimumError(
+            "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a "
+            "boundary otherwise - use the bounded numeric search"
+        )
+    mass = mass_term(xi, h, rho, m0)
+    geom = cost_geometry(wavelength, diffraction_factor, array_shape, eta, mass)
+    ratio = a1 / (beam_fraction * a2)
+    aperture = C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3)
+    require(aperture > 0, "array.d", "d > 0", aperture)
+    power = required_power(beta, wavelength, diffraction_factor, eta, aperture, mass)
+    energy = beam_energy(beta, 2 * m0, eta)
+    return (aperture, power) + cost_terms(
+        power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
+        storage_efficiency, shots,
+    )
+
+
+def fixed_aperture_design(
+    aperture, beta, m0, h, rho, xi, sail_diameter, eta, wavelength, diffraction_factor,
+    array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
+) -> tuple[float, float, float, float, float]:
+    """(P0, C1, C2, C3, C4) of reaching beta with a given array size, along
+    the physics path: the required power, then the kinematics, then the
+    costs with the beam energy P0 t0."""
+    power = required_power(
+        beta, wavelength, diffraction_factor, eta, aperture, mass_term(xi, h, rho, m0)
+    )
+    kin = optimized_launch(
+        power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
+        array_shape,
+    )
+    energy = 0.0 if kin.accel_time is None else power * kin.accel_time
+    return (power,) + cost_terms(
+        power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
+        storage_efficiency, shots,
+    )
+
+
+def budget_design(
+    total_usd, m0, h, rho, xi, sail_diameter, eta, wavelength, diffraction_factor,
+    array_shape, beam_fraction, a1, a2,
+) -> tuple[float, float, float, float, float]:
+    """Fastest design when the laser + optics budget is fixed:
+    (d*, P0, beta, C1, C2).  The speed-vs-size curve
+    beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at d* = sqrt(C_T / (3 a2 xi_arr));
+    the leftover budget buys the power."""
+    if total_usd <= 0:
+        raise InfeasibleBudgetError(
+            f"budget must be > 0 for any positive beam power (got {total_usd!r})"
+        )
+    if a1 <= 0 or a2 <= 0:
+        raise DomainError("fixed-budget speed maximum needs a1 > 0 and a2 > 0")
+    aperture = budget_aperture(total_usd, a2, array_shape)
+    optics = optics_cost(a2, array_shape, aperture)
+    power = beam_fraction * (total_usd - optics) / a1
+    require(aperture > 0, "array.d", "d > 0", aperture)
+    require(power >= 0, "array.P0", "P0 >= 0", power)
+    kin = optimized_launch(
+        power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
+        array_shape,
+    )
+    return aperture, power, kin.beta, laser_cost(a1, power, beam_fraction), optics

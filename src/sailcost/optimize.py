@@ -11,16 +11,20 @@ from .errors import (
     BoundaryOptimumError,
     ConvergenceError,
     DomainError,
-    InfeasibleBudgetError,
+    ValidationError,
 )
-from .costs import (
-    CostBreakdown,
-    OptimumDesign,
-    cost_components,
-    reduced_coefficients,
+from .costs import CostBreakdown, OptimumDesign, reduced_coefficients
+from .kinematics import required_power_at
+from .params import (
+    CostMetrics,
+    Payload,
+    SailSpec,
+    check_array,
+    check_metrics,
+    check_payload,
+    check_sail,
 )
-from .kinematics import kinematics_optimized_at, required_power_at
-from .params import CostMetrics, Payload, SailSpec, check_array
+from .scenario import sweep_field
 from .units import C
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
@@ -124,13 +128,14 @@ def constrained_design(
 ) -> tuple[float, CostBreakdown]:
     """Beam power and cost breakdown along the physics path (power, then
     kinematics, then costs) for array fields the caller has validated."""
-    power = required_power_at(beta, aperture, sail, payload, wavelength, diffraction_factor)
-    kin = kinematics_optimized_at(
-        power, aperture, sail, payload, wavelength, diffraction_factor, array_shape
+    power, *terms = model.fixed_aperture_design(
+        aperture, beta, payload.mass, sail.thickness, sail.density, sail.shape_factor,
+        sail.diameter, sail.coupling, wavelength, diffraction_factor, array_shape,
+        beam_fraction, metrics.laser_usd_per_watt, metrics.optics_usd_per_m2,
+        metrics.energy_usd_per_joule, metrics.storage_usd_per_joule,
+        metrics.storage_efficiency, metrics.shots,
     )
-    return power, cost_components(
-        power, kin.accel_time, aperture, metrics, beam_fraction, array_shape
-    )
+    return power, CostBreakdown(*terms)
 
 
 def minimize_cost_numeric(
@@ -182,25 +187,15 @@ def maximize_speed_fixed_cost(
     The speed-vs-size curve beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at
     d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
     """
-    if total_usd <= 0:
-        raise InfeasibleBudgetError(
-            f"budget must be > 0 for any positive beam power (got {total_usd!r})"
-        )
-    if metrics.laser_usd_per_watt <= 0 or metrics.optics_usd_per_m2 <= 0:
-        raise DomainError("fixed-budget speed maximum needs a1 > 0 and a2 > 0")
-    aperture = model.budget_aperture(total_usd, metrics.optics_usd_per_m2, array_shape)
-    optics_cost = model.optics_cost(metrics.optics_usd_per_m2, array_shape, aperture)
-    power = beam_fraction * (total_usd - optics_cost) / metrics.laser_usd_per_watt
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture, power)
-    kin = kinematics_optimized_at(
-        power, aperture, sail, payload, wavelength, diffraction_factor, array_shape
-    )
-    breakdown = CostBreakdown(
-        laser=model.laser_cost(metrics.laser_usd_per_watt, power, beam_fraction),
-        optics=optics_cost,
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
+    aperture, power, beta, laser, optics = model.budget_design(
+        total_usd, payload.mass, sail.thickness, sail.density, sail.shape_factor,
+        sail.diameter, sail.coupling, wavelength, diffraction_factor, array_shape,
+        beam_fraction, metrics.laser_usd_per_watt, metrics.optics_usd_per_m2,
     )
     return SpeedMaxResult(
-        aperture=aperture, power=power, beta=kin.beta, breakdown=breakdown
+        aperture=aperture, power=power, beta=beta,
+        breakdown=CostBreakdown(laser=laser, optics=optics),
     )
 
 
@@ -252,3 +247,79 @@ def speed_curve_fixed_cost(
         * mass_term
     )
     return numer / denom
+
+
+def require_cost_mode(mode: str) -> None:
+    """Cost optimization is defined in the mass-optimized sail regime."""
+    if mode != "optimized":
+        raise ValidationError("cost optimization is defined in optimized mode")
+
+
+# The float check of each parameter record, by its Scenario attribute.
+_RECORD_CHECKS = {
+    "payload": check_payload, "sail": check_sail, "array": check_array, "metrics": check_metrics,
+}
+_SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
+
+
+def sweep_lines(scenario, axis: str, grid) -> list[str]:
+    """CSV lines of a sweep of one scenario field over ``grid`` (SI
+    values): the header, then one row per value.
+
+    Under a speed target an ``array.d`` sweep holds the target at each
+    aperture and any other field re-optimizes in closed form; under a
+    budget each point is the speed maximum.  Each value first gets the
+    check of its record, so a bad value fails as the record would.  The
+    rows come straight from the ``model`` kernels on floats: no record is
+    built per point, and each row is kept only as its formatted line.
+    """
+    group, attr = sweep_field(axis)
+    fields = {name: dict(vars(getattr(scenario, name))) for name in _RECORD_CHECKS}
+    payload, sail, array, metrics = fields.values()
+    fields[None] = target = {
+        "beta_target": scenario.beta_target, "budget_target": scenario.budget_target,
+    }
+    swept, check = fields[group], _RECORD_CHECKS.get(group)
+    at_speed = target["beta_target"] is not None or axis == "target.beta0"
+    fixed_aperture = axis == "array.d"
+    if fixed_aperture and not at_speed:
+        raise ValidationError(
+            "sweep: array.d cannot be swept under target.budget, which sets the array size"
+        )
+    lines = [_SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"]
+    for value in grid:
+        swept[attr] = value
+        if check is not None:
+            check(**swept)
+        m0, h, rho, xi = payload["mass"], sail["thickness"], sail["density"], sail["shape_factor"]
+        eta = model.coupling(sail["reflectivity"], sail["absorptivity"])
+        wavelength, alpha_d = array["wavelength"], array["diffraction_factor"]
+        array_shape, beam_fraction = array["shape_factor"], array["beam_fraction"]
+        a1, a2 = metrics["laser_usd_per_watt"], metrics["optics_usd_per_m2"]
+        unit_costs = (
+            a1, a2, metrics["energy_usd_per_joule"], metrics["storage_usd_per_joule"],
+            metrics["storage_efficiency"], metrics["shots"],
+        )
+        if not at_speed:
+            aperture, power, _, c1, c2 = model.budget_design(
+                target["budget_target"], m0, h, rho, xi, sail["diameter"], eta, wavelength,
+                alpha_d, array_shape, beam_fraction, a1, a2,
+            )
+            c3 = c4 = 0.0
+        elif fixed_aperture:
+            aperture = value
+            power, c1, c2, c3, c4 = model.fixed_aperture_design(
+                value, target["beta_target"], m0, h, rho, xi, sail["diameter"], eta,
+                wavelength, alpha_d, array_shape, beam_fraction, *unit_costs,
+            )
+        elif scenario.mode != "optimized":
+            require_cost_mode(scenario.mode)  # raises
+        else:
+            aperture, power, c1, c2, c3, c4 = model.cost_optimum(
+                target["beta_target"], m0, h, rho, xi, eta, wavelength, alpha_d,
+                array_shape, beam_fraction, *unit_costs,
+            )
+        flux = model.aperture_flux(power, array_shape, aperture)
+        row = f"{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},{c1 + c2 + c3 + c4!r},{flux!r}"
+        lines.append(row if fixed_aperture else f"{value!r},{row}")
+    return lines

@@ -10,11 +10,29 @@ from dataclasses import dataclass
 
 from . import model
 from .errors import ValidationError
+from .model import require
 
 
-def _require(cond: bool, name: str, constraint: str, value) -> None:
-    if not cond:
-        raise ValidationError(f"{name}: must satisfy {constraint} (got {value!r})")
+def check_sail(
+    thickness, density, reflectivity, absorptivity, shape_factor, diameter, yield_strength,
+    stress_factor,
+) -> None:
+    """The SailSpec field checks, for callers holding the fields as floats."""
+    require(thickness > 0, "sail.h", "h > 0", thickness)
+    require(density > 0, "sail.rho", "rho > 0", density)
+    require(0 <= reflectivity <= 1, "sail.eps_r", "0 <= eps_r <= 1", reflectivity)
+    require(0 <= absorptivity <= 1, "sail.alpha", "0 <= alpha <= 1", absorptivity)
+    require(shape_factor > 0, "sail.xi", "xi > 0", shape_factor)
+    if diameter is not None:
+        require(diameter > 0, "sail.D", "D > 0", diameter)
+    if yield_strength is not None:
+        require(yield_strength > 0, "sail.S_y", "S_y > 0", yield_strength)
+    require(stress_factor > 0, "sail.s", "s > 0", stress_factor)
+    # A sail that neither reflects nor absorbs feels no thrust.
+    require(
+        model.coupling(reflectivity, absorptivity) > 0,
+        "sail", "2 eps_r + (1 - eps_r) alpha > 0", (reflectivity, absorptivity),
+    )
 
 
 @dataclass(frozen=True)
@@ -39,22 +57,13 @@ class SailSpec:
     stress_factor: float = 1.0
 
     def __post_init__(self):
-        _require(self.thickness > 0, "sail.h", "h > 0", self.thickness)
-        _require(self.density > 0, "sail.rho", "rho > 0", self.density)
-        _require(0 <= self.reflectivity <= 1, "sail.eps_r", "0 <= eps_r <= 1", self.reflectivity)
-        _require(0 <= self.absorptivity <= 1, "sail.alpha", "0 <= alpha <= 1", self.absorptivity)
-        _require(self.shape_factor > 0, "sail.xi", "xi > 0", self.shape_factor)
-        if self.diameter is not None:
-            _require(self.diameter > 0, "sail.D", "D > 0", self.diameter)
-        if self.yield_strength is not None:
-            _require(self.yield_strength > 0, "sail.S_y", "S_y > 0", self.yield_strength)
-        _require(self.stress_factor > 0, "sail.s", "s > 0", self.stress_factor)
+        check_sail(**vars(self))
 
     @property
     def coupling(self) -> float:
         """Momentum coupling factor: 2 for a perfect reflector, 1 for a
         perfect absorber."""
-        return 2 * self.reflectivity + (1 - self.reflectivity) * self.absorptivity
+        return model.coupling(self.reflectivity, self.absorptivity)
 
     @property
     def mass(self) -> float:
@@ -68,14 +77,14 @@ def check_array(
     wavelength, diffraction_factor, shape_factor, beam_fraction, aperture=None, power=None
 ) -> None:
     """The ArraySpec field checks, for callers holding the fields as floats."""
-    _require(wavelength > 0, "array.lambda", "lambda > 0", wavelength)
-    _require(diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", diffraction_factor)
-    _require(shape_factor > 0, "array.xi_arr", "xi_arr > 0", shape_factor)
-    _require(0 < beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", beam_fraction)
+    require(wavelength > 0, "array.lambda", "lambda > 0", wavelength)
+    require(diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", diffraction_factor)
+    require(shape_factor > 0, "array.xi_arr", "xi_arr > 0", shape_factor)
+    require(0 < beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", beam_fraction)
     if aperture is not None:
-        _require(aperture > 0, "array.d", "d > 0", aperture)
+        require(aperture > 0, "array.d", "d > 0", aperture)
     if power is not None:
-        _require(power >= 0, "array.P0", "P0 >= 0", power)
+        require(power >= 0, "array.P0", "P0 >= 0", power)
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,11 @@ class ArraySpec:
         return self.power / self.beam_fraction
 
 
+def check_payload(mass) -> None:
+    """The Payload field check, for callers holding the mass as a float."""
+    require(mass > 0, "payload.m0", "m0 > 0", mass)
+
+
 @dataclass(frozen=True)
 class Payload:
     """Payload mass m0 [kg]."""
@@ -112,12 +126,32 @@ class Payload:
     mass: float
 
     def __post_init__(self):
-        _require(self.mass > 0, "payload.m0", "m0 > 0", self.mass)
+        check_payload(**vars(self))
 
 
 # Cost items beyond the four modeled ones (personnel, land, launch,
 # payload) are reserved: configs may name them but only with value 0.
 RESERVED_COST_ITEMS = ("a5", "a6", "a7", "a8", "a9")
+
+
+def check_metrics(
+    laser_usd_per_watt, optics_usd_per_m2, energy_usd_per_joule, storage_usd_per_joule,
+    storage_efficiency, shots,
+) -> None:
+    """The CostMetrics field checks, for callers holding the fields as floats."""
+    require(laser_usd_per_watt >= 0, "metrics.a1", "a1 >= 0", laser_usd_per_watt)
+    require(optics_usd_per_m2 >= 0, "metrics.a2", "a2 >= 0", optics_usd_per_m2)
+    require(energy_usd_per_joule >= 0, "metrics.a3", "a3 >= 0", energy_usd_per_joule)
+    require(storage_usd_per_joule >= 0, "metrics.a4", "a4 >= 0", storage_usd_per_joule)
+    require(
+        laser_usd_per_watt > 0 or optics_usd_per_m2 > 0,
+        "metrics", "a1 > 0 or a2 > 0", (laser_usd_per_watt, optics_usd_per_m2),
+    )
+    require(
+        0 < storage_efficiency <= 1,
+        "metrics.eps_storage", "0 < eps_storage <= 1", storage_efficiency,
+    )
+    require(shots >= 1, "metrics.N_shot", "N_shot >= 1", shots)
 
 
 @dataclass(frozen=True)
@@ -135,16 +169,5 @@ class CostMetrics:
     shots: float = 1.0
 
     def __post_init__(self):
-        _require(self.laser_usd_per_watt >= 0, "metrics.a1", "a1 >= 0", self.laser_usd_per_watt)
-        _require(self.optics_usd_per_m2 >= 0, "metrics.a2", "a2 >= 0", self.optics_usd_per_m2)
-        _require(self.energy_usd_per_joule >= 0, "metrics.a3", "a3 >= 0", self.energy_usd_per_joule)
-        _require(self.storage_usd_per_joule >= 0, "metrics.a4", "a4 >= 0", self.storage_usd_per_joule)
-        _require(
-            self.laser_usd_per_watt > 0 or self.optics_usd_per_m2 > 0,
-            "metrics", "a1 > 0 or a2 > 0", (self.laser_usd_per_watt, self.optics_usd_per_m2),
-        )
-        _require(
-            0 < self.storage_efficiency <= 1,
-            "metrics.eps_storage", "0 < eps_storage <= 1", self.storage_efficiency,
-        )
-        _require(self.shots >= 1, "metrics.N_shot", "N_shot >= 1", self.shots)
+        check_metrics(**vars(self))
+

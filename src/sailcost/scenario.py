@@ -341,36 +341,45 @@ def dump_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Sweepable field -> (Scenario attribute holding its record, or None for a
+# target, and the field's attribute).
+SWEEP_FIELDS = {
+    "payload.m0": ("payload", "mass"),
+    "sail.h": ("sail", "thickness"),
+    "sail.rho": ("sail", "density"),
+    "sail.eps_r": ("sail", "reflectivity"),
+    "sail.alpha": ("sail", "absorptivity"),
+    "sail.xi": ("sail", "shape_factor"),
+    "sail.D": ("sail", "diameter"),
+    "sail.S_y": ("sail", "yield_strength"),
+    "sail.s": ("sail", "stress_factor"),
+    "array.lambda": ("array", "wavelength"),
+    "array.alpha_d": ("array", "diffraction_factor"),
+    "array.xi_arr": ("array", "shape_factor"),
+    "array.eps_b": ("array", "beam_fraction"),
+    "array.d": ("array", "aperture"),
+    "array.P0": ("array", "power"),
+    "metrics.a1": ("metrics", "laser_usd_per_watt"),
+    "metrics.a2": ("metrics", "optics_usd_per_m2"),
+    "metrics.a3": ("metrics", "energy_usd_per_joule"),
+    "metrics.a4": ("metrics", "storage_usd_per_joule"),
+    "metrics.eps_storage": ("metrics", "storage_efficiency"),
+    "metrics.N_shot": ("metrics", "shots"),
+    "target.beta0": (None, "beta_target"),
+    "target.budget": (None, "budget_target"),
+}
+
+
+def sweep_field(axis: str) -> tuple[str | None, str]:
+    """The (record, attribute) pair of a sweepable field."""
+    if axis not in SWEEP_FIELDS:
+        raise ValidationError(f"cannot sweep {axis!r}")
+    return SWEEP_FIELDS[axis]
+
+
 def scenario_with(scenario: Scenario, axis: str, si_value: float) -> Scenario:
     """Copy of a scenario with one schema field replaced (SI value)."""
-    field_map = {
-        "payload.m0": ("payload", "mass"),
-        "sail.h": ("sail", "thickness"),
-        "sail.rho": ("sail", "density"),
-        "sail.eps_r": ("sail", "reflectivity"),
-        "sail.alpha": ("sail", "absorptivity"),
-        "sail.xi": ("sail", "shape_factor"),
-        "sail.D": ("sail", "diameter"),
-        "sail.S_y": ("sail", "yield_strength"),
-        "sail.s": ("sail", "stress_factor"),
-        "array.lambda": ("array", "wavelength"),
-        "array.alpha_d": ("array", "diffraction_factor"),
-        "array.xi_arr": ("array", "shape_factor"),
-        "array.eps_b": ("array", "beam_fraction"),
-        "array.d": ("array", "aperture"),
-        "array.P0": ("array", "power"),
-        "metrics.a1": ("metrics", "laser_usd_per_watt"),
-        "metrics.a2": ("metrics", "optics_usd_per_m2"),
-        "metrics.a3": ("metrics", "energy_usd_per_joule"),
-        "metrics.a4": ("metrics", "storage_usd_per_joule"),
-        "metrics.eps_storage": ("metrics", "storage_efficiency"),
-        "metrics.N_shot": ("metrics", "shots"),
-        "target.beta0": (None, "beta_target"),
-        "target.budget": (None, "budget_target"),
-    }
-    if axis not in field_map:
-        raise ValidationError(f"cannot sweep {axis!r}")
-    group, attr = field_map[axis]
+    group, attr = sweep_field(axis)
     if group is None:
         return replace(scenario, **{attr: si_value})
     return replace(
@@ -407,12 +416,17 @@ def write_results(records: list[dict], fmt: str, destination) -> int:
     else:
         raise ValidationError(f"unknown output format {fmt!r}")
     data = payload.encode("utf-8")
+    write_text(payload, destination)
+    return len(data)
+
+
+def write_text(text: str, destination) -> None:
+    """Write output text to a stream, or as UTF-8 to a path."""
     if hasattr(destination, "write"):
-        destination.write(payload)
+        destination.write(text)
     else:
         try:
             with open(destination, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
+                fh.write(text)
         except OSError as exc:
             raise ValidationError(f"cannot write {destination!r}: {exc}") from exc
-    return len(data)

@@ -170,12 +170,47 @@ def test_error_contract_on_stderr(capsys):
         ("sweep", EX1, "--axis", "sail.eps_r", "--from", "0.5", "--to", "inf", "--points", "3"),
         ("roadmap", EX3, "--stages", "1,x"),
         ("optimize", EX1, "--set", "metrics.a3=1e-8 usd/J", "--set", "metrics.N_shot=inf"),
+        ("energy", EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "nan"),
+        ("energy", EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "inf"),
+        ("energy", EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "-5"),
+        ("energy", EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "1e5", "--wall-plug", "nan"),
+        ("sweep", EX3, "--axis", "array.d", "--from", "1 km", "--to", "2 km", "--points", "3"),
     ],
 )
 def test_bad_flag_values_are_validation_errors(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("validation_error: ") and err.count("\n") == 1
+
+
+ZERO_THRUST = "validation_error: sail: must satisfy 2 eps_r + (1 - eps_r) alpha > 0 (got (0.0, 0.0))\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize", EX1, "--set", "sail.eps_r=0"),
+        ("sweep", EX1, "--axis", "sail.eps_r", "--from", "0", "--to", "1", "--points", "3"),
+    ],
+)
+def test_zero_thrust_sail_is_a_validation_error(capsys, argv):
+    """eps_r = alpha = 0 gives zero momentum coupling: no launch exists."""
+    assert _run(capsys, *argv) == (1, "", ZERO_THRUST)
+
+
+@pytest.mark.parametrize("command", ["sweep", "roadmap"])
+def test_csv_subcommands_reject_metadata(command):
+    """--metadata only exists on the JSON subcommands."""
+    extra = {
+        "sweep": ["--axis", "metrics.a2", "--from", "1 usd/m2", "--to", "2 usd/m2", "--points", "2"],
+        "roadmap": ["--stages", "1,20"],
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sailcost.cli", command, EX3, *extra, "--metadata"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --metadata" in proc.stderr
 
 
 def test_usage_error_exits_2():
