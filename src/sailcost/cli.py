@@ -221,8 +221,7 @@ def _cmd_sweep(args):
         axis=axis, start=start, stop=stop, points=args.points,
         scale="log" if args.log else "linear",
     )
-    lines = sweep_lines(scenario, axis, sweep.grid())
-    write_text("\n".join(lines) + "\n", _destination(args))
+    write_text(sweep_lines(scenario, axis, sweep.grid()), _destination(args))
     return 0
 
 
@@ -256,9 +255,11 @@ def _cmd_roadmap(args):
 
 def _cmd_validate(args):
     results = run_all()
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
+    lines = [
+        f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}\n"
+        for result in results
+    ]
+    write_text(lines, _destination(args))
     return 0 if all(r.passed for r in results) else 1
 
 

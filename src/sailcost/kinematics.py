@@ -9,12 +9,35 @@ No relativistic correction is applied.
 """
 
 import math
+from dataclasses import dataclass
 
 from . import model
 from .errors import DomainError
-from .model import BETA_VALIDITY_LIMIT, KinematicsResult
+from .model import BETA_VALIDITY_LIMIT
 from .params import ArraySpec, Payload, SailSpec
 from .units import C
+
+
+@dataclass(frozen=True)
+class KinematicsResult:
+    """Outcome at the spot-equals-sail point.
+
+    accel_time is None when the beam power is zero (no acceleration ever
+    ends, so there is no finite time to report).
+    """
+
+    speed: float            # v at spot-equals-sail [m/s]
+    beta: float             # v/c
+    accel_time: float | None  # time to that point [s]
+    accel_distance: float   # distance where spot equals sail [m]
+    coast_speed: float      # diffraction-limited speed at infinity [m/s]
+    mean_accel: float       # speed / accel_time [m/s^2]; 0 when no thrust
+    aperture_flux: float    # main-beam power / array area [W/m^2]
+    total_mass: float       # sail + payload [kg]
+
+    @property
+    def no_thrust(self) -> bool:
+        return self.accel_time is None
 
 
 def aperture_flux(array: ArraySpec) -> float:
@@ -30,10 +53,10 @@ def kinematics_non_optimized(array: ArraySpec, sail: SailSpec, payload: Payload)
         raise DomainError("sail.D required for the non-optimized kinematics")
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    return model.launch(
+    return KinematicsResult(*model.launch(
         array.power, array.aperture, sail.diameter, sail.mass + payload.mass,
         array.wavelength, array.diffraction_factor, sail.coupling, array.shape_factor,
-    )
+    ))
 
 
 def optimal_sail_diameter(sail: SailSpec, payload: Payload) -> float:
@@ -60,10 +83,10 @@ def kinematics_optimized_at(
     """``kinematics_optimized`` at a point whose array fields are validated floats."""
     if power is None or aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    return model.optimized_launch(
+    return KinematicsResult(*model.optimized_launch(
         power, aperture, sail.diameter, payload.mass, sail.thickness, sail.density,
         sail.shape_factor, sail.coupling, wavelength, diffraction_factor, array_shape,
-    )
+    ))
 
 
 def required_power(

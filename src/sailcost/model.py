@@ -10,7 +10,6 @@ or revalidates a parameter record.
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateOptimumError,
@@ -22,28 +21,6 @@ from .errors import (
 from .units import C
 
 BETA_VALIDITY_LIMIT = 0.5
-
-
-@dataclass(frozen=True)
-class KinematicsResult:
-    """Outcome at the spot-equals-sail point.
-
-    accel_time is None when the beam power is zero (no acceleration ever
-    ends, so there is no finite time to report).
-    """
-
-    speed: float            # v at spot-equals-sail [m/s]
-    beta: float             # v/c
-    accel_time: float | None  # time to that point [s]
-    accel_distance: float   # distance where spot equals sail [m]
-    coast_speed: float      # diffraction-limited speed at infinity [m/s]
-    mean_accel: float       # speed / accel_time [m/s^2]; 0 when no thrust
-    aperture_flux: float    # main-beam power / array area [W/m^2]
-    total_mass: float       # sail + payload [kg]
-
-    @property
-    def no_thrust(self) -> bool:
-        return self.accel_time is None
 
 
 def require(cond: bool, name: str, constraint: str, value) -> None:
@@ -107,26 +84,28 @@ def aperture_flux(power: float, array_shape: float, aperture: float) -> float:
 
 def launch(
     power, aperture, diameter, total_mass, wavelength, diffraction_factor, eta, array_shape
-) -> KinematicsResult:
+) -> tuple:
     """Speed v0, time t0 and distance L0 where the diffraction-limited
-    spot grows to the sail size, with the coast speed sqrt(2) v0."""
+    spot grows to the sail size, with the coast speed sqrt(2) v0:
+    (v0, beta, t0, L0, v_inf, mean_accel, flux, total_mass), the fields
+    of ``kinematics.KinematicsResult`` in order; t0 is None at zero power."""
     spot_term = aperture * diameter / (wavelength * diffraction_factor)
     l0 = check_finite("L0", spot_term / 2)
     flux = aperture_flux(power, array_shape, aperture)
     if power == 0:
-        return KinematicsResult(0.0, 0.0, None, l0, 0.0, 0.0, flux, total_mass)
+        return 0.0, 0.0, None, l0, 0.0, 0.0, flux, total_mass
 
     v0 = check_finite("v0", math.sqrt(power * eta * spot_term / (C * total_mass)))
     t0 = check_finite("t0", math.sqrt(C * spot_term * total_mass / (power * eta)))
     beta = v0 / C
     warn_beta(beta)
-    return KinematicsResult(v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass)
+    return v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass
 
 
 def optimized_launch(
     power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
     array_shape,
-) -> KinematicsResult:
+) -> tuple:
     """``launch`` in the mass-optimized regime, where the sail diameter is
     derived (sail mass = payload mass), so a given ``sail_diameter`` is an
     error."""
@@ -231,11 +210,11 @@ def fixed_aperture_design(
     power = required_power(
         beta, wavelength, diffraction_factor, eta, aperture, mass_term(xi, h, rho, m0)
     )
-    kin = optimized_launch(
+    _, _, accel_time, *_ = optimized_launch(
         power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
         array_shape,
     )
-    energy = 0.0 if kin.accel_time is None else power * kin.accel_time
+    energy = 0.0 if accel_time is None else power * accel_time
     return (power,) + cost_terms(
         power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
         storage_efficiency, shots,
@@ -261,8 +240,8 @@ def budget_design(
     power = beam_fraction * (total_usd - optics) / a1
     require(aperture > 0, "array.d", "d > 0", aperture)
     require(power >= 0, "array.P0", "P0 >= 0", power)
-    kin = optimized_launch(
+    _, beta, *_ = optimized_launch(
         power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
         array_shape,
     )
-    return aperture, power, kin.beta, laser_cost(a1, power, beam_fraction), optics
+    return aperture, power, beta, laser_cost(a1, power, beam_fraction), optics

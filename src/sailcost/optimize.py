@@ -259,19 +259,32 @@ def require_cost_mode(mode: str) -> None:
 _RECORD_CHECKS = {
     "payload": check_payload, "sail": check_sail, "array": check_array, "metrics": check_metrics,
 }
-_SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
+_SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap\n"
+# Fields the kernel of a sweep path never reads, by the target that
+# selects the path: their rows would differ only in the swept column.
+# Under target.beta0 this is the closed-form re-optimization (array.d
+# is read: it selects the fixed-aperture path).
+_UNREAD_FIELDS = {
+    "target.beta0": frozenset({"sail.D", "sail.S_y", "sail.s", "array.P0", "target.budget"}),
+    "target.budget": frozenset({
+        "sail.S_y", "sail.s", "array.P0",
+        "metrics.a3", "metrics.a4", "metrics.eps_storage", "metrics.N_shot",
+    }),
+}
 
 
 def sweep_lines(scenario, axis: str, grid) -> list[str]:
     """CSV lines of a sweep of one scenario field over ``grid`` (SI
-    values): the header, then one row per value.
+    values), each ending in a newline: the header, then one row per
+    value.
 
     Under a speed target an ``array.d`` sweep holds the target at each
     aperture and any other field re-optimizes in closed form; under a
-    budget each point is the speed maximum.  Each value first gets the
-    check of its record, so a bad value fails as the record would.  The
-    rows come straight from the ``model`` kernels on floats: no record is
-    built per point, and each row is kept only as its formatted line.
+    budget each point is the speed maximum.  A field the chosen path
+    never reads is rejected.  Each value first gets the check of its
+    record, so a bad value fails as the record would.  The rows come
+    straight from the ``model`` kernels on floats: no record is built
+    per point, and each row is kept only as its formatted line.
     """
     group, attr = sweep_field(axis)
     fields = {name: dict(vars(getattr(scenario, name))) for name in _RECORD_CHECKS}
@@ -286,7 +299,13 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
         raise ValidationError(
             "sweep: array.d cannot be swept under target.budget, which sets the array size"
         )
+    path_target = "target.beta0" if at_speed else "target.budget"
+    if axis in _UNREAD_FIELDS[path_target]:
+        raise ValidationError(
+            f"sweep: {axis} cannot be swept under {path_target}: the rows do not depend on it"
+        )
     lines = [_SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"]
+    prefix = ""
     for value in grid:
         swept[attr] = value
         if check is not None:
@@ -320,6 +339,10 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
                 array_shape, beam_fraction, *unit_costs,
             )
         flux = model.aperture_flux(power, array_shape, aperture)
-        row = f"{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},{c1 + c2 + c3 + c4!r},{flux!r}"
-        lines.append(row if fixed_aperture else f"{value!r},{row}")
+        if not fixed_aperture:
+            prefix = f"{value!r},"
+        lines.append(
+            f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
+            f"{c1 + c2 + c3 + c4!r},{flux!r}\n"
+        )
     return lines

@@ -416,17 +416,19 @@ def write_results(records: list[dict], fmt: str, destination) -> int:
     else:
         raise ValidationError(f"unknown output format {fmt!r}")
     data = payload.encode("utf-8")
-    write_text(payload, destination)
+    write_text([payload], destination)
     return len(data)
 
 
-def write_text(text: str, destination) -> None:
-    """Write output text to a stream, or as UTF-8 to a path."""
+def write_text(lines: list[str], destination) -> None:
+    """Write text pieces in order to a stream, or as UTF-8 to a path.
+    The pieces are written one by one, so a table passed as its lines is
+    never joined into one string."""
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.writelines(lines)
     else:
         try:
             with open(destination, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(lines)
         except OSError as exc:
             raise ValidationError(f"cannot write {destination!r}: {exc}") from exc

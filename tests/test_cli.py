@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from sailcost import cli
+from sailcost.checks import CheckResult
 from sailcost.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -227,3 +229,13 @@ def test_validate_subcommand_passes(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 9
     assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_validate_writes_to_output_path(capsys, monkeypatch, tmp_path):
+    """validate -o PATH writes exactly the bytes a stdout run prints."""
+    results = [CheckResult("first", True, "ok"), CheckResult("second", False, "off by 2")]
+    monkeypatch.setattr(cli, "run_all", lambda: results)
+    code, printed, _ = _run(capsys, "validate")
+    path = tmp_path / "validate.txt"
+    assert _run(capsys, "validate", "-o", str(path)) == (code, "", "") == (1, "", "")
+    assert path.read_bytes() == printed.encode("utf-8") == b"PASS first: ok\nFAIL second: off by 2\n"

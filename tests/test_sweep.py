@@ -5,14 +5,15 @@ failing point must fail as the record path does."""
 import contextlib
 import io
 import os
+import tracemalloc
 import warnings
 
 import pytest
 
-from sailcost import model
+from sailcost import KinematicsResult, model
 from sailcost.cli import main
 from sailcost.costs import closed_form_optimum
-from sailcost.errors import SailcostError
+from sailcost.errors import SailcostError, ValidationError
 from sailcost.kinematics import required_power
 from sailcost.optimize import (
     constrained_cost,
@@ -47,6 +48,16 @@ RANGES = {
     "metrics.a1": (0.1, 10.0), "metrics.a2": (100.0, 1e4), "metrics.a3": (0.0, 1e-7),
     "metrics.a4": (0.0, 1e-4), "metrics.eps_storage": (0.5, 1.0), "metrics.N_shot": (1.0, 1e3),
     "target.beta0": (0.05, 0.45), "target.budget": (1e10, 1e12),
+}
+# Fields the kernel of each path never reads, by the target that selects
+# the path: a sweep of one is rejected, since only its first column
+# would change.
+UNREAD = {
+    "target.beta0": {"sail.D", "sail.S_y", "sail.s", "array.P0", "target.budget"},
+    "target.budget": {
+        "sail.S_y", "sail.s", "array.P0",
+        "metrics.a3", "metrics.a4", "metrics.eps_storage", "metrics.N_shot",
+    },
 }
 
 
@@ -97,8 +108,7 @@ def _outcome(fn):
 def _grids(axis):
     lo, hi = RANGES[axis]
     even = [lo + i * (hi - lo) / 4 for i in range(5)]
-    # The third value is out of range for every field but target.budget
-    # under a speed target, which the re-optimization ignores.
+    # The third value is out of range for every field.
     return [even, [lo, hi, -hi, lo]]
 
 
@@ -115,9 +125,19 @@ CASES = [
 @pytest.mark.parametrize(("example", "overrides", "axis"), CASES)
 def test_sweep_rows_equal_record_functions(example, overrides, axis):
     scenario = _scenario(example, overrides)
+    at_speed = scenario.beta_target is not None or axis == "target.beta0"
+    target = "target.beta0" if at_speed else "target.budget"
     for grid in _grids(axis):
         got = _outcome(lambda: sweep_lines(scenario, axis, grid))
         want = _outcome(lambda: [_record_row(scenario, axis, value) for value in grid])
+        if axis in UNREAD[target]:
+            assert got == (
+                ValidationError,
+                f"sweep: {axis} cannot be swept under {target}: the rows do not depend on it",
+            )
+            if not isinstance(want, tuple):
+                assert len({tuple(row[1:]) for row in want}) == 1
+            continue
         if isinstance(want, tuple):
             assert got == want
             continue
@@ -168,7 +188,8 @@ def test_sweep_to_missing_directory_is_a_validation_error(tmp_path):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
+# One sweep on each path: re-optimize, fixed aperture, fixed budget.
+SWEEP_PATHS = pytest.mark.parametrize(
     ("example", "axis", "start", "stop"),
     [
         ("example1", "metrics.a1", "0.1 usd/W", "10 usd/W"),
@@ -176,6 +197,16 @@ def test_sweep_to_missing_directory_is_a_validation_error(tmp_path):
         ("example3", "metrics.a2", "100 usd/m2", "10000 usd/m2"),
     ],
 )
+
+
+def _sweep_cli(example, axis, start, stop, points, *extra):
+    return _cli(
+        "sweep", os.path.join(FIXTURES, f"{example}.scn"), "--axis", axis,
+        "--from", start, "--to", stop, "--points", str(points), "--log", *extra,
+    )
+
+
+@SWEEP_PATHS
 def test_sweep_builds_no_records_per_point(monkeypatch, example, axis, start, stop):
     """A 1000-point sweep validates the four records of the scenario load
     and nothing per point."""
@@ -192,3 +223,36 @@ def test_sweep_builds_no_records_per_point(monkeypatch, example, axis, start, st
     )
     assert code == 0 and out.count("\n") == 1001
     assert sorted(built) == ["ArraySpec", "CostMetrics", "Payload", "SailSpec"]
+
+
+@SWEEP_PATHS
+def test_sweep_builds_no_kinematics_records_per_point(monkeypatch, example, axis, start, stop):
+    """The kernels return floats: a sweep builds no KinematicsResult."""
+    built = []
+
+    def counted(record, *args, original=KinematicsResult.__init__, **kwargs):
+        built.append(record)
+        original(record, *args, **kwargs)
+
+    monkeypatch.setattr(KinematicsResult, "__init__", counted)
+    code, out, _ = _sweep_cli(example, axis, start, stop, 1000)
+    assert code == 0 and out.count("\n") == 1001
+    assert built == []
+
+
+@SWEEP_PATHS
+def test_sweep_memory_peak_is_under_twice_the_table(tmp_path, example, axis, start, stop):
+    """The table is held once, as its lines, and written line by line:
+    no joined string or encoded copy of it is made."""
+    path = tmp_path / "rows.csv"
+    # Warm up first: the first run in a process also pays stdlib imports
+    # (argparse's gettext, locale) that are not part of the table.
+    _sweep_cli(example, axis, start, stop, 2, "-o", str(path))
+    tracemalloc.start()
+    try:
+        result = _sweep_cli(example, axis, start, stop, 5000, "-o", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (0, "", "")
+    assert peak <= 2.0 * path.stat().st_size
