@@ -97,6 +97,22 @@ def _result_doc(scenario, aperture, power, breakdown, kin):
     }
 
 
+def _sized_sail(scenario):
+    """The sail of a non-optimized or strength-limited scenario, with its
+    diameter (and, strength-limited, its thickness) set."""
+    sail = scenario.sail
+    if scenario.mode == "strength-limited":
+        if scenario.array.power is None:
+            raise ValidationError("strength-limited mode requires array.P0")
+        diameter, thickness = strength_limited_geometry(
+            scenario.array.power, sail, scenario.payload
+        )
+        return replace(sail, diameter=diameter, thickness=thickness)
+    if sail.diameter is None:
+        raise ValidationError("non-optimized mode requires sail.D")
+    return sail
+
+
 def _solve_kinematics(scenario):
     sail, array, payload = scenario.sail, scenario.array, scenario.payload
     if array.power is None or array.aperture is None:
@@ -105,13 +121,7 @@ def _solve_kinematics(scenario):
         if sail.diameter is not None:
             raise ValidationError("optimized mode derives sail.D; remove it")
         return kinematics_optimized(array, sail, payload)
-    if scenario.mode == "strength-limited":
-        diameter, thickness = strength_limited_geometry(array.power, sail, payload)
-        sized = replace(sail, diameter=diameter, thickness=thickness)
-        return kinematics_non_optimized(array, sized, payload)
-    if sail.diameter is None:
-        raise ValidationError("non-optimized mode requires sail.D")
-    return kinematics_non_optimized(array, sail, payload)
+    return kinematics_non_optimized(array, _sized_sail(scenario), payload)
 
 
 def _cmd_solve(args):
@@ -184,7 +194,10 @@ def _cmd_energy(args):
             raise ValidationError(f"--lifetime-hours: must be >= 0 (got {hours!r})")
     scenario = _load(args)
     beta = _require_beta_target(scenario, "energy")
-    total_mass = 2 * scenario.payload.mass  # optimized regime
+    if scenario.mode == "optimized":
+        total_mass = 2 * scenario.payload.mass  # the optimum sail weighs m0
+    else:
+        total_mass = _sized_sail(scenario).mass + scenario.payload.mass
     shot = energy_per_shot(
         beta, total_mass, scenario.sail.coupling, scenario.metrics.storage_efficiency
     )

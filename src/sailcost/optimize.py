@@ -24,7 +24,7 @@ from .params import (
     check_payload,
     check_sail,
 )
-from .scenario import sweep_field
+from .scenario import SWEEP_FIELDS
 from .units import C
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
@@ -286,7 +286,7 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
     straight from the ``model`` kernels on floats: no record is built
     per point, and each row is kept only as its formatted line.
     """
-    group, attr = sweep_field(axis)
+    _, group, attr = SWEEP_FIELDS[axis]
     fields = {name: dict(vars(getattr(scenario, name))) for name in _RECORD_CHECKS}
     payload, sail, array, metrics = fields.values()
     fields[None] = target = {

@@ -22,8 +22,8 @@ class TechCurve:
     """Exponentially falling cost metric: halves every halving_months."""
 
     base_value: float       # USD/unit at the reference month
-    reference_month: float  # month index of the base value
-    halving_months: float
+    reference_month: float = 0.0  # month index of the base value
+    halving_months: float = 18.0
 
     def __post_init__(self):
         if self.base_value <= 0:

@@ -20,56 +20,14 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import ParseError, UnitError, ValidationError
 from .params import ArraySpec, CostMetrics, Payload, RESERVED_COST_ITEMS, SailSpec
 from .roadmap import TechCurve
-from .units import parse_quantity
+from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
-
-# key -> (kind, default). kind is a dimension name, "number" (bare
-# dimensionless), "string", or "reserved-zero".
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "name": ("string", None),
-    "mode": ("string", None),
-    "target.beta0": ("number", None),
-    "target.budget": ("cost", None),
-    "payload.m0": ("mass", None),
-    "sail.h": ("length", None),
-    "sail.rho": ("density", None),
-    "sail.eps_r": ("number", None),
-    "sail.alpha": ("number", 0.0),
-    "sail.xi": ("number", math.pi / 4),
-    "sail.D": ("length", None),
-    "sail.S_y": ("stress", None),
-    "sail.s": ("number", 1.0),
-    "array.lambda": ("length", None),
-    "array.alpha_d": ("number", 1.22),
-    "array.xi_arr": ("number", math.pi / 4),
-    "array.eps_b": ("number", 1.0),
-    "array.d": ("length", None),
-    "array.P0": ("power", None),
-    "metrics.a1": ("cost_per_watt", None),
-    "metrics.a2": ("cost_per_area", None),
-    "metrics.a3": ("cost_per_joule", 0.0),
-    "metrics.a4": ("cost_per_joule", 0.0),
-    "metrics.eps_storage": ("number", 1.0),
-    "metrics.N_shot": ("number", 1.0),
-    "techcurve.a1_base": ("cost_per_watt", None),
-    "techcurve.reference_month": ("number", 0.0),
-    "techcurve.halving_months": ("number", 18.0),
-}
-# Cost items 5-9 (personnel, land, launch, payload) are reserved for
-# forward compatibility and must be zero.
-for _item in RESERVED_COST_ITEMS:
-    _SCHEMA[f"metrics.{_item}"] = ("reserved-zero", 0.0)
-
-_REQUIRED = (
-    "name", "mode", "payload.m0", "sail.h", "sail.rho", "sail.eps_r",
-    "array.lambda", "metrics.a1", "metrics.a2",
-)
 
 
 @dataclass(frozen=True)
@@ -87,6 +45,74 @@ class Scenario:
     curve: TechCurve | None = None
 
 
+# Scenario attribute -> the record class it holds; None stands for the
+# Scenario's own fields.  The tech curve is built only when one of its
+# keys is given.
+_RECORDS = {
+    None: Scenario, "payload": Payload, "sail": SailSpec, "array": ArraySpec,
+    "metrics": CostMetrics, "curve": TechCurve,
+}
+
+# Every scenario field, in dump order: key -> (kind, record, attribute).
+# kind is the SI unit of a dimensioned field, or "number" (bare
+# dimensionless), "string" or "reserved-zero".  Defaults are those of the
+# record class; a field without one is required.
+FIELDS: dict[str, tuple[str, str | None, str | None]] = {
+    "name": ("string", None, "name"),
+    "mode": ("string", None, "mode"),
+    "target.beta0": ("number", None, "beta_target"),
+    "target.budget": ("usd", None, "budget_target"),
+    "payload.m0": ("kg", "payload", "mass"),
+    "sail.h": ("m", "sail", "thickness"),
+    "sail.rho": ("kg/m3", "sail", "density"),
+    "sail.eps_r": ("number", "sail", "reflectivity"),
+    "sail.alpha": ("number", "sail", "absorptivity"),
+    "sail.xi": ("number", "sail", "shape_factor"),
+    "sail.s": ("number", "sail", "stress_factor"),
+    "sail.D": ("m", "sail", "diameter"),
+    "sail.S_y": ("Pa", "sail", "yield_strength"),
+    "array.lambda": ("m", "array", "wavelength"),
+    "array.alpha_d": ("number", "array", "diffraction_factor"),
+    "array.xi_arr": ("number", "array", "shape_factor"),
+    "array.eps_b": ("number", "array", "beam_fraction"),
+    "array.d": ("m", "array", "aperture"),
+    "array.P0": ("W", "array", "power"),
+    "metrics.a1": ("usd/W", "metrics", "laser_usd_per_watt"),
+    "metrics.a2": ("usd/m2", "metrics", "optics_usd_per_m2"),
+    "metrics.a3": ("usd/J", "metrics", "energy_usd_per_joule"),
+    "metrics.a4": ("usd/J", "metrics", "storage_usd_per_joule"),
+    "metrics.eps_storage": ("number", "metrics", "storage_efficiency"),
+    "metrics.N_shot": ("number", "metrics", "shots"),
+    "techcurve.a1_base": ("usd/W", "curve", "base_value"),
+    "techcurve.reference_month": ("number", "curve", "reference_month"),
+    "techcurve.halving_months": ("number", "curve", "halving_months"),
+}
+# Cost items 5-9 (personnel, land, launch, payload) are reserved for
+# forward compatibility: they must be zero and are stored nowhere.
+for _item in RESERVED_COST_ITEMS:
+    FIELDS[f"metrics.{_item}"] = ("reserved-zero", "metrics", None)
+
+# Keys with no default on their record class, in table order: required
+# whenever their record is built.
+_DEFAULTLESS = tuple(
+    key for key, (_, record, attr) in FIELDS.items()
+    if attr in {f.name for f in fields(_RECORDS[record]) if f.default is MISSING}
+)
+# Sweepable field -> its table row: every stored number outside the tech curve.
+SWEEP_FIELDS = {
+    key: row for key, row in FIELDS.items()
+    if row[0] not in ("string", "reserved-zero") and row[1] != "curve"
+}
+
+
+def sweep_field(axis: str) -> tuple[str, str | None, str]:
+    """The (kind, record, attribute) row of a sweepable field."""
+    try:
+        return SWEEP_FIELDS[axis]
+    except KeyError:
+        raise ValidationError(f"sweep.axis: not a sweepable field (got {axis!r})") from None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One swept axis: a field path, scale, SI endpoints, and point count."""
@@ -98,8 +124,7 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.axis not in _SCHEMA or _SCHEMA[self.axis][0] in ("string", "reserved-zero"):
-            raise ValidationError(f"sweep.axis: not a sweepable field (got {self.axis!r})")
+        sweep_field(self.axis)
         if not self.start < self.stop:
             raise ValidationError(
                 f"sweep: need from < to (got {self.start!r}, {self.stop!r})"
@@ -174,19 +199,13 @@ def parse_number(raw: str, where: str) -> float:
 
 def parse_sweep_value(axis: str, raw: str, where: str) -> float:
     """A sweep endpoint for field ``axis``: a bare number or a quantity."""
-    if axis not in _SCHEMA:
-        raise ValidationError(f"unknown sweep axis {axis!r}")
-    kind = _SCHEMA[axis][0]
+    kind = sweep_field(axis)[0]
     if kind == "number":
         return parse_number(raw, where)
-    return parse_quantity(raw, kind, field=where)
+    return parse_quantity(raw, dimension_of(kind), field=where)
 
 
-def _value(entries, key):
-    kind, default = _SCHEMA[key]
-    if key not in entries:
-        return default
-    raw, lineno = entries[key]
+def _value(key, kind, raw, lineno):
     where = f"{key} (line {lineno})"
     if kind == "string":
         return raw
@@ -203,29 +222,32 @@ def _value(entries, key):
             )
         return 0.0
     try:
-        return parse_quantity(raw, kind, field=key)
+        return parse_quantity(raw, dimension_of(kind), field=key)
     except UnitError as exc:
         raise UnitError(f"line {lineno}: {exc}") from None
 
 
 def build_scenario(entries: dict[str, tuple[str, int]]) -> Scenario:
-    """Validate raw entries and assemble a Scenario in SI units."""
+    """Validate raw entries and assemble a Scenario in SI units: every
+    value is parsed first, then the records check their own fields."""
     for key, (_, lineno) in entries.items():
-        if key not in _SCHEMA:
+        if key not in FIELDS:
             raise ValidationError(f"unknown key {key!r} (line {lineno})")
-    for key in _REQUIRED:
-        if key not in entries:
+    built = (set(_RECORDS) - {"curve"}) | {FIELDS[key][1] for key in entries}
+    for key in _DEFAULTLESS:
+        if key not in entries and FIELDS[key][1] in built:
             raise ValidationError(f"missing required key {key!r}")
 
-    def get(key):
-        return _value(entries, key)
-
-    mode = get("mode")
-    if mode not in MODES:
-        raise ValidationError(f"mode: expected one of {MODES} (got {mode!r})")
-
-    beta = get("target.beta0")
-    budget = get("target.budget")
+    values = {record: {} for record in _RECORDS if record in built}
+    for key, (kind, record, attr) in FIELDS.items():
+        if key in entries:
+            value = _value(key, kind, *entries[key])
+            if attr is not None:
+                values[record][attr] = value
+    top = values.pop(None)
+    if top["mode"] not in MODES:
+        raise ValidationError(f"mode: expected one of {MODES} (got {top['mode']!r})")
+    beta, budget = top.get("beta_target"), top.get("budget_target")
     if (beta is None) == (budget is None):
         raise ValidationError(
             "target: exactly one of target.beta0 / target.budget must be set"
@@ -234,52 +256,7 @@ def build_scenario(entries: dict[str, tuple[str, int]]) -> Scenario:
         raise ValidationError(f"target.beta0: must be in (0, 1) (got {beta!r})")
     if budget is not None and budget <= 0:
         raise ValidationError(f"target.budget: must be > 0 (got {budget!r})")
-
-    scenario = Scenario(
-        name=get("name"),
-        mode=mode,
-        payload=Payload(mass=get("payload.m0")),
-        sail=SailSpec(
-            thickness=get("sail.h"),
-            density=get("sail.rho"),
-            reflectivity=get("sail.eps_r"),
-            absorptivity=get("sail.alpha"),
-            shape_factor=get("sail.xi"),
-            diameter=get("sail.D"),
-            yield_strength=get("sail.S_y"),
-            stress_factor=get("sail.s"),
-        ),
-        array=ArraySpec(
-            wavelength=get("array.lambda"),
-            diffraction_factor=get("array.alpha_d"),
-            shape_factor=get("array.xi_arr"),
-            beam_fraction=get("array.eps_b"),
-            aperture=get("array.d"),
-            power=get("array.P0"),
-        ),
-        metrics=CostMetrics(
-            laser_usd_per_watt=get("metrics.a1"),
-            optics_usd_per_m2=get("metrics.a2"),
-            energy_usd_per_joule=get("metrics.a3"),
-            storage_usd_per_joule=get("metrics.a4"),
-            storage_efficiency=get("metrics.eps_storage"),
-            shots=get("metrics.N_shot"),
-        ),
-        beta_target=beta,
-        budget_target=budget,
-        curve=(
-            TechCurve(
-                base_value=get("techcurve.a1_base"),
-                reference_month=get("techcurve.reference_month"),
-                halving_months=get("techcurve.halving_months"),
-            )
-            if "techcurve.a1_base" in entries
-            else None
-        ),
-    )
-    for key in RESERVED_COST_ITEMS:
-        get(f"metrics.{key}")
-    return scenario
+    return Scenario(**top, **{record: _RECORDS[record](**kw) for record, kw in values.items()})
 
 
 def load_scenario(path) -> Scenario:
@@ -288,102 +265,35 @@ def load_scenario(path) -> Scenario:
 
 
 def dump_scenario(scenario: Scenario) -> str:
-    """Serialize in canonical SI units; loading the output reproduces the
-    scenario exactly (floats round-trip through repr)."""
-    s, a, m, p = scenario.sail, scenario.array, scenario.metrics, scenario.payload
-    lines = [f"name = {scenario.name}", f"mode = {scenario.mode}", "", "[target]"]
-    if scenario.beta_target is not None:
-        lines.append(f"beta0 = {scenario.beta_target!r}")
-    else:
-        lines.append(f"budget = {scenario.budget_target!r} usd")
-    lines += ["", "[payload]", f"m0 = {p.mass!r} kg"]
-    lines += [
-        "", "[sail]",
-        f"h = {s.thickness!r} m",
-        f"rho = {s.density!r} kg/m3",
-        f"eps_r = {s.reflectivity!r}",
-        f"alpha = {s.absorptivity!r}",
-        f"xi = {s.shape_factor!r}",
-        f"s = {s.stress_factor!r}",
-    ]
-    if s.diameter is not None:
-        lines.append(f"D = {s.diameter!r} m")
-    if s.yield_strength is not None:
-        lines.append(f"S_y = {s.yield_strength!r} Pa")
-    lines += [
-        "", "[array]",
-        f"lambda = {a.wavelength!r} m",
-        f"alpha_d = {a.diffraction_factor!r}",
-        f"xi_arr = {a.shape_factor!r}",
-        f"eps_b = {a.beam_fraction!r}",
-    ]
-    if a.aperture is not None:
-        lines.append(f"d = {a.aperture!r} m")
-    if a.power is not None:
-        lines.append(f"P0 = {a.power!r} W")
-    lines += [
-        "", "[metrics]",
-        f"a1 = {m.laser_usd_per_watt!r} usd/W",
-        f"a2 = {m.optics_usd_per_m2!r} usd/m2",
-        f"a3 = {m.energy_usd_per_joule!r} usd/J",
-        f"a4 = {m.storage_usd_per_joule!r} usd/J",
-        f"eps_storage = {m.storage_efficiency!r}",
-        f"N_shot = {m.shots!r}",
-    ]
-    if scenario.curve is not None:
-        c = scenario.curve
-        lines += [
-            "", "[techcurve]",
-            f"a1_base = {c.base_value!r} usd/W",
-            f"reference_month = {c.reference_month!r}",
-            f"halving_months = {c.halving_months!r}",
-        ]
+    """Serialize in canonical SI units, one section per record and unset
+    fields left out; loading the output reproduces the scenario exactly
+    (floats round-trip through repr)."""
+    lines, section = [], ""
+    for key, (kind, record, attr) in FIELDS.items():
+        holder = scenario if record is None else getattr(scenario, record)
+        value = None if holder is None or attr is None else getattr(holder, attr)
+        if value is None:
+            continue
+        head, _, name = key.rpartition(".")
+        if head != section:
+            section = head
+            lines += ["", f"[{head}]"]
+        if kind == "string":
+            lines.append(f"{name} = {value}")
+        elif kind == "number":
+            lines.append(f"{name} = {value!r}")
+        else:
+            lines.append(f"{name} = {value!r} {kind}")
     return "\n".join(lines) + "\n"
 
 
-# Sweepable field -> (Scenario attribute holding its record, or None for a
-# target, and the field's attribute).
-SWEEP_FIELDS = {
-    "payload.m0": ("payload", "mass"),
-    "sail.h": ("sail", "thickness"),
-    "sail.rho": ("sail", "density"),
-    "sail.eps_r": ("sail", "reflectivity"),
-    "sail.alpha": ("sail", "absorptivity"),
-    "sail.xi": ("sail", "shape_factor"),
-    "sail.D": ("sail", "diameter"),
-    "sail.S_y": ("sail", "yield_strength"),
-    "sail.s": ("sail", "stress_factor"),
-    "array.lambda": ("array", "wavelength"),
-    "array.alpha_d": ("array", "diffraction_factor"),
-    "array.xi_arr": ("array", "shape_factor"),
-    "array.eps_b": ("array", "beam_fraction"),
-    "array.d": ("array", "aperture"),
-    "array.P0": ("array", "power"),
-    "metrics.a1": ("metrics", "laser_usd_per_watt"),
-    "metrics.a2": ("metrics", "optics_usd_per_m2"),
-    "metrics.a3": ("metrics", "energy_usd_per_joule"),
-    "metrics.a4": ("metrics", "storage_usd_per_joule"),
-    "metrics.eps_storage": ("metrics", "storage_efficiency"),
-    "metrics.N_shot": ("metrics", "shots"),
-    "target.beta0": (None, "beta_target"),
-    "target.budget": (None, "budget_target"),
-}
-
-
-def sweep_field(axis: str) -> tuple[str | None, str]:
-    """The (record, attribute) pair of a sweepable field."""
-    if axis not in SWEEP_FIELDS:
-        raise ValidationError(f"cannot sweep {axis!r}")
-    return SWEEP_FIELDS[axis]
-
-
 def scenario_with(scenario: Scenario, axis: str, si_value: float) -> Scenario:
-    """Copy of a scenario with one schema field replaced (SI value)."""
-    group, attr = sweep_field(axis)
-    if group is None:
+    """Copy of a scenario with one sweepable field replaced (SI value)."""
+    _, record, attr = sweep_field(axis)
+    if record is None:
         return replace(scenario, **{attr: si_value})
     return replace(
-        scenario, **{group: replace(getattr(scenario, group), **{attr: si_value})}
+        scenario, **{record: replace(getattr(scenario, record), **{attr: si_value})}
     )
 
 

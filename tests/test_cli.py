@@ -177,12 +177,44 @@ def test_error_contract_on_stderr(capsys):
         ("energy", EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "-5"),
         ("energy", EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "1e5", "--wall-plug", "nan"),
         ("sweep", EX3, "--axis", "array.d", "--from", "1 km", "--to", "2 km", "--points", "3"),
+        ("sweep", EX1, "--axis", "name", "--from", "1", "--to", "2", "--points", "3"),
+        ("sweep", EX1, "--axis", "mode", "--from", "1", "--to", "2", "--points", "3"),
+        ("sweep", EX1, "--axis", "metrics.a5", "--from", "1", "--to", "2", "--points", "3"),
+        ("sweep", EX3, "--axis", "techcurve.halving_months", "--from", "1", "--to", "2",
+         "--points", "3"),
     ],
 )
 def test_bad_flag_values_are_validation_errors(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("validation_error: ") and err.count("\n") == 1
+
+
+def test_techcurve_keys_without_base_are_rejected(capsys, tmp_path):
+    """Any [techcurve] key builds the curve, so its base value is required."""
+    missing = (1, "", "validation_error: missing required key 'techcurve.a1_base'\n")
+    assert _run(capsys, "optimize", EX1, "--set", "techcurve.halving_months=12") == missing
+    scn = tmp_path / "curve.scn"
+    with open(EX1) as fh:
+        scn.write_text(fh.read() + "\n[techcurve]\nhalving_months = 12\n")
+    assert _run(capsys, "optimize", str(scn)) == missing
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [["mode=non-optimized", "sail.D=2 km"], ["mode=strength-limited", "sail.S_y=1 GPa", "sail.xi=1"]],
+)
+def test_energy_uses_the_sail_mass_of_the_mode(capsys, overrides):
+    """At the speed solve reaches, energy's beam energy is solve's: both
+    accelerate the payload plus the sail the mode sizes."""
+    sets = [arg for o in overrides for arg in ("--set", o)] + ["--set", "array.P0=100 GW"]
+    code, out, _ = _run(capsys, "solve", EX1, *sets, "--set", "array.d=10 km")
+    assert code == 0
+    solved = json.loads(out)[0]
+    beta = solved["kinematics"]["beta0"]
+    code, out, err = _run(capsys, "energy", EX1, *sets, "--set", f"target.beta0={beta!r}")
+    assert code == 0 and err == ""
+    assert json.loads(out)[0]["E_gamma_J"] == solved["energy"]["E_gamma_J"]
 
 
 ZERO_THRUST = "validation_error: sail: must satisfy 2 eps_r + (1 - eps_r) alpha > 0 (got (0.0, 0.0))\n"

@@ -1,6 +1,7 @@
-"""Golden CLI outputs: stdout of fixed invocations on the fixtures must
-stay byte-identical.  Run this file as a script to re-record the files
-under tests/golden/ after an intended output change."""
+"""Golden outputs: stdout of fixed CLI invocations on the fixtures, and
+the canonical dump of each fixture, must stay byte-identical.  Run this
+file as a script to re-record the files under tests/golden/ after an
+intended output change."""
 
 import contextlib
 import io
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sailcost.cli import main
+from sailcost.scenario import dump_scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -63,6 +65,8 @@ CASES = {
         "--to", "10000 usd/m2", "--points", "7", "--log",
     ],
 }
+# Canonical dumps of the fixtures.
+DUMPS = {f"dump-{Path(path).name}": path for path in (EX1, EX2, EX3)}
 
 
 def _stdout(argv):
@@ -77,7 +81,19 @@ def test_cli_output_matches_golden(name):
     assert _stdout(CASES[name]) == (GOLDEN / name).read_bytes()
 
 
+def _dump(path):
+    return dump_scenario(load_scenario(path)).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(DUMPS))
+def test_dump_matches_golden(name):
+    assert _dump(DUMPS[name]) == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     for name, argv in CASES.items():
         (GOLDEN / name).write_bytes(_stdout(argv))
+        print(f"wrote {GOLDEN / name}")
+    for name, path in DUMPS.items():
+        (GOLDEN / name).write_bytes(_dump(path))
         print(f"wrote {GOLDEN / name}")

@@ -4,9 +4,15 @@ import math
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from sailcost import model
 from sailcost.errors import ParseError, UnitError, ValidationError
+from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
+from sailcost.roadmap import TechCurve
 from sailcost.scenario import (
+    MODES,
+    Scenario,
     SweepSpec,
     apply_overrides,
     build_scenario,
@@ -141,6 +147,59 @@ def test_dump_load_fixed_point():
     text = dump_scenario(sc)
     again = build_scenario(parse_entries(text))
     assert again == sc
+    assert dump_scenario(again) == text
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_FRACTION = st.floats(min_value=0.0, max_value=1.0)
+_OPEN_FRACTION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+# Names the format can hold: one line, no comment marker, no edge whitespace.
+_NAMES = st.text(min_size=1).filter(
+    lambda s: "#" not in s and s == s.strip() and s.splitlines() == [s]
+)
+
+
+@st.composite
+def _scenarios(draw):
+    eps_r, alpha = draw(_FRACTION), draw(_FRACTION)
+    a1, a2 = draw(_NON_NEGATIVE), draw(_NON_NEGATIVE)
+    assume(model.coupling(eps_r, alpha) > 0 and (a1 > 0 or a2 > 0))
+    beta = draw(st.none() | _OPEN_FRACTION.filter(lambda b: b < 1))
+    return Scenario(
+        name=draw(_NAMES),
+        mode=draw(st.sampled_from(MODES)),
+        payload=Payload(draw(_POSITIVE)),
+        sail=SailSpec(
+            draw(_POSITIVE), draw(_POSITIVE), eps_r, alpha, draw(_POSITIVE),
+            draw(st.none() | _POSITIVE), draw(st.none() | _POSITIVE), draw(_POSITIVE),
+        ),
+        array=ArraySpec(
+            draw(_POSITIVE), draw(st.floats(min_value=1.0, allow_infinity=False)),
+            draw(_POSITIVE), draw(_OPEN_FRACTION),
+            draw(st.none() | _POSITIVE), draw(st.none() | _NON_NEGATIVE),
+        ),
+        metrics=CostMetrics(
+            a1, a2, draw(_NON_NEGATIVE), draw(_NON_NEGATIVE), draw(_OPEN_FRACTION),
+            draw(st.floats(min_value=1.0, allow_infinity=False)),
+        ),
+        beta_target=beta,
+        budget_target=draw(_POSITIVE) if beta is None else None,
+        curve=draw(st.none() | st.builds(
+            TechCurve, _POSITIVE, st.floats(allow_nan=False, allow_infinity=False), _POSITIVE,
+        )),
+    )
+
+
+# The first text draw in a fresh checkout builds Hypothesis's unicode
+# table, which takes seconds once.
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(_scenarios())
+def test_dump_load_round_trip(scenario):
+    """Loading a dump gives the same scenario, and dumping it again the same text."""
+    text = dump_scenario(scenario)
+    again = build_scenario(parse_entries(text))
+    assert again == scenario
     assert dump_scenario(again) == text
 
 
