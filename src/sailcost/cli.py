@@ -11,8 +11,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .checks import run_all
-from .costs import cost_components, closed_form_optimum
+from .costs import cost_components, closed_form_optimum, require_cost_mode
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
 from .errors import SailcostError, ValidationError
 from .kinematics import (
@@ -21,8 +20,6 @@ from .kinematics import (
     kinematics_optimized_at,
     strength_limited_geometry,
 )
-from .optimize import maximize_speed_fixed_cost, require_cost_mode, sweep_lines
-from .roadmap import plan_stages
 from .scenario import (
     SweepSpec,
     apply_overrides,
@@ -33,6 +30,9 @@ from .scenario import (
     write_results,
     write_text,
 )
+
+# checks, optimize and roadmap are imported inside the commands that use
+# them, so a solve, optimize or energy run never loads them.
 
 OUTPUT_DIR_ENV = "SAILCOST_OUTPUT_DIR"
 
@@ -172,9 +172,12 @@ def _cmd_optimize(args):
 
 
 def _cmd_max_speed(args):
+    from .optimize import maximize_speed_fixed_cost
+
     scenario = _load(args)
     if scenario.budget_target is None:
         raise ValidationError("max-speed requires a target.budget scenario")
+    require_cost_mode(scenario.mode)
     array = scenario.array
     design = maximize_speed_fixed_cost(
         scenario.budget_target, scenario.payload, scenario.sail,
@@ -226,6 +229,8 @@ def _cmd_energy(args):
 
 
 def _cmd_sweep(args):
+    from .optimize import sweep_lines
+
     scenario = _load(args)
     axis = args.axis
     start = parse_sweep_value(axis, args.start, f"sweep.from ({axis})")
@@ -239,6 +244,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_roadmap(args):
+    from .roadmap import plan_stages
+
     scenario = _load(args)
     if scenario.budget_target is None:
         raise ValidationError("roadmap requires a target.budget scenario")
@@ -267,6 +274,8 @@ def _cmd_roadmap(args):
 
 
 def _cmd_validate(args):
+    from .checks import run_all
+
     results = run_all()
     lines = [
         f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}\n"

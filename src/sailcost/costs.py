@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import model
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .kinematics import kinematics_optimized_at
 from .params import CostMetrics, Payload, SailSpec, check_array
 from .units import C
@@ -113,6 +113,12 @@ def cost_components(
         metrics.laser_usd_per_watt, metrics.optics_usd_per_m2, metrics.energy_usd_per_joule,
         metrics.storage_usd_per_joule, metrics.storage_efficiency, metrics.shots,
     ))
+
+
+def require_cost_mode(mode: str) -> None:
+    """Cost optimization is defined in the mass-optimized sail regime."""
+    if mode != "optimized":
+        raise ValidationError("cost optimization is defined in optimized mode")
 
 
 def closed_form_optimum(

@@ -13,7 +13,7 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .costs import CostBreakdown, OptimumDesign, reduced_coefficients
+from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_cost_mode
 from .kinematics import required_power_at
 from .params import (
     CostMetrics,
@@ -249,12 +249,6 @@ def speed_curve_fixed_cost(
     return numer / denom
 
 
-def require_cost_mode(mode: str) -> None:
-    """Cost optimization is defined in the mass-optimized sail regime."""
-    if mode != "optimized":
-        raise ValidationError("cost optimization is defined in optimized mode")
-
-
 # The float check of each parameter record, by its Scenario attribute.
 _RECORD_CHECKS = {
     "payload": check_payload, "sail": check_sail, "array": check_array, "metrics": check_metrics,
@@ -280,12 +274,14 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
 
     Under a speed target an ``array.d`` sweep holds the target at each
     aperture and any other field re-optimizes in closed form; under a
-    budget each point is the speed maximum.  A field the chosen path
-    never reads is rejected.  Each value first gets the check of its
-    record, so a bad value fails as the record would.  The rows come
-    straight from the ``model`` kernels on floats: no record is built
-    per point, and each row is kept only as its formatted line.
+    budget each point is the speed maximum.  Every path is defined in
+    optimized mode only, and a field the chosen path never reads is
+    rejected.  Each value first gets the check of its record, so a bad
+    value fails as the record would.  The rows come straight from the
+    ``model`` kernels on floats: no record is built per point, and each
+    row is kept only as its formatted line.
     """
+    require_cost_mode(scenario.mode)
     _, group, attr = SWEEP_FIELDS[axis]
     fields = {name: dict(vars(getattr(scenario, name))) for name in _RECORD_CHECKS}
     payload, sail, array, metrics = fields.values()
@@ -331,8 +327,6 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
                 value, target["beta_target"], m0, h, rho, xi, sail["diameter"], eta,
                 wavelength, alpha_d, array_shape, beam_fraction, *unit_costs,
             )
-        elif scenario.mode != "optimized":
-            require_cost_mode(scenario.mode)  # raises
         else:
             aperture, power, c1, c2, c3, c4 = model.cost_optimum(
                 target["beta_target"], m0, h, rho, xi, eta, wavelength, alpha_d,

@@ -13,23 +13,9 @@ from dataclasses import dataclass, replace
 from .errors import DomainError
 from .costs import a1_for_budget, closed_form_optimum, OptimumDesign
 from .params import CostMetrics, Payload, SailSpec
+from .scenario import TechCurve
 
 BACKWARD_EXTRAPOLATION_HALVINGS = 10
-
-
-@dataclass(frozen=True)
-class TechCurve:
-    """Exponentially falling cost metric: halves every halving_months."""
-
-    base_value: float       # USD/unit at the reference month
-    reference_month: float = 0.0  # month index of the base value
-    halving_months: float = 18.0
-
-    def __post_init__(self):
-        if self.base_value <= 0:
-            raise DomainError(f"curve base value must be > 0 (got {self.base_value!r})")
-        if self.halving_months <= 0:
-            raise DomainError(f"halving time must be > 0 (got {self.halving_months!r})")
 
 
 @dataclass(frozen=True)

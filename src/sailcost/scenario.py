@@ -16,18 +16,31 @@ keys are errors.  Exactly one of target.beta0 / target.budget must be
 present.
 """
 
-import csv
 import io
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 
-from .errors import ParseError, UnitError, ValidationError
+from .errors import DomainError, ParseError, UnitError, ValidationError
 from .params import ArraySpec, CostMetrics, Payload, RESERVED_COST_ITEMS, SailSpec
-from .roadmap import TechCurve
 from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
+
+
+@dataclass(frozen=True)
+class TechCurve:
+    """Exponentially falling cost metric: halves every halving_months."""
+
+    base_value: float       # USD/unit at the reference month
+    reference_month: float = 0.0  # month index of the base value
+    halving_months: float = 18.0
+
+    def __post_init__(self):
+        if self.base_value <= 0:
+            raise DomainError(f"curve base value must be > 0 (got {self.base_value!r})")
+        if self.halving_months <= 0:
+            raise DomainError(f"halving time must be > 0 (got {self.halving_months!r})")
 
 
 @dataclass(frozen=True)
@@ -43,6 +56,17 @@ class Scenario:
     beta_target: float | None = None
     budget_target: float | None = None
     curve: TechCurve | None = None
+
+    def __post_init__(self):
+        # dump_scenario writes the name raw; parse_entries splits the text
+        # at line breaks, cuts each line at '#' and strips it.  No other
+        # name loads back as itself.
+        name = self.name
+        if not name or "#" in name or name.strip() != name or len(name.splitlines()) != 1:
+            raise ValidationError(
+                "name: must be one non-empty line without '#' or leading or "
+                f"trailing whitespace (got {name!r})"
+            )
 
 
 # Scenario attribute -> the record class it holds; None stands for the
@@ -312,6 +336,8 @@ def write_results(records: list[dict], fmt: str, destination) -> int:
     line endings, UTF-8, shortest round-trip floats, no timestamps).
     """
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         columns = list(records[0].keys()) if records else []
         writer = csv.writer(buf, lineterminator="\n")
@@ -325,9 +351,8 @@ def write_results(records: list[dict], fmt: str, destination) -> int:
         payload = json.dumps(records, indent=2) + "\n"
     else:
         raise ValidationError(f"unknown output format {fmt!r}")
-    data = payload.encode("utf-8")
     write_text([payload], destination)
-    return len(data)
+    return len(payload) if payload.isascii() else len(payload.encode("utf-8"))
 
 
 def write_text(lines: list[str], destination) -> None:

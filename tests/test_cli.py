@@ -5,7 +5,6 @@ import sys
 
 import pytest
 
-from sailcost import cli
 from sailcost.checks import CheckResult
 from sailcost.cli import main
 
@@ -217,6 +216,35 @@ def test_energy_uses_the_sail_mass_of_the_mode(capsys, overrides):
     assert json.loads(out)[0]["E_gamma_J"] == solved["energy"]["E_gamma_J"]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [["mode=non-optimized"], ["mode=non-optimized", "sail.D=2 km"],
+     ["mode=strength-limited", "sail.S_y=1 GPa"]],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("max-speed", EX3),
+        ("sweep", EX1, "--axis", "array.d", "--from", "1 km", "--to", "2 km", "--points", "3"),
+        ("sweep", EX3, "--axis", "metrics.a2", "--from", "100 usd/m2", "--to", "1000 usd/m2",
+         "--points", "3"),
+    ],
+)
+def test_cost_paths_refuse_other_modes(capsys, argv, overrides):
+    """max-speed and every sweep path are defined for the mass-optimized
+    sail only, like optimize."""
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert _run(capsys, *argv, *sets) == (
+        1, "", "validation_error: cost optimization is defined in optimized mode\n"
+    )
+
+
+def test_max_speed_checks_the_target_before_the_mode(capsys):
+    assert _run(capsys, "max-speed", EX1, "--set", "mode=non-optimized") == (
+        1, "", "validation_error: max-speed requires a target.budget scenario\n"
+    )
+
+
 ZERO_THRUST = "validation_error: sail: must satisfy 2 eps_r + (1 - eps_r) alpha > 0 (got (0.0, 0.0))\n"
 
 
@@ -266,7 +294,7 @@ def test_validate_subcommand_passes(capsys):
 def test_validate_writes_to_output_path(capsys, monkeypatch, tmp_path):
     """validate -o PATH writes exactly the bytes a stdout run prints."""
     results = [CheckResult("first", True, "ok"), CheckResult("second", False, "off by 2")]
-    monkeypatch.setattr(cli, "run_all", lambda: results)
+    monkeypatch.setattr("sailcost.checks.run_all", lambda: results)
     code, printed, _ = _run(capsys, "validate")
     path = tmp_path / "validate.txt"
     assert _run(capsys, "validate", "-o", str(path)) == (code, "", "") == (1, "", "")

@@ -1,11 +1,92 @@
+import importlib
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sailcost
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+FIXTURES = ROOT / "fixtures"
 
 
 def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.MULTILINE)
     assert match and sailcost.__version__ == match.group(1)
+
+
+def test_public_names_are_those_of_their_modules():
+    assert sailcost.__all__ == sorted(sailcost.__all__)
+    for name in sailcost.__all__:
+        module = importlib.import_module(f"sailcost.{sailcost._MODULE_OF[name]}")
+        assert getattr(sailcost, name) is getattr(module, name), name
+    assert set(dir(sailcost)) >= set(sailcost.__all__)
+
+
+def test_moved_names_stay_importable_from_their_old_modules():
+    from sailcost import costs, optimize, roadmap, scenario
+
+    assert roadmap.TechCurve is scenario.TechCurve is sailcost.TechCurve
+    assert optimize.require_cost_mode is costs.require_cost_mode
+
+
+def test_star_import():
+    namespace = {}
+    exec("from sailcost import *", namespace)
+    assert set(sailcost.__all__) <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        sailcost.frobnicate
+    assert not hasattr(sailcost, "_no_such_name")
+
+
+# Runs the CLI as ``python -m sailcost.cli`` does, then prints its exit
+# code and the modules it loaded.
+_CHILD = """
+import json, runpy, sys
+try:
+    runpy.run_module("sailcost.cli", run_name="__main__", alter_sys=True)
+    code = None
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+_OPTIONAL = {"sailcost.checks", "sailcost.optimize", "sailcost.roadmap", "csv"}
+EX1, EX3 = str(FIXTURES / "example1.scn"), str(FIXTURES / "example3.scn")
+
+
+@pytest.mark.parametrize(
+    ("argv", "needs"),
+    [
+        (["solve", EX1, "--set", "array.P0=100 GW", "--set", "array.d=10 km"], set()),
+        (["optimize", EX1], set()),
+        (["energy", EX1], set()),
+        (["max-speed", EX3], {"sailcost.optimize"}),
+        (["sweep", EX1, "--axis", "metrics.a1", "--from", "0.1 usd/W", "--to", "1 usd/W",
+          "--points", "3"], {"sailcost.optimize"}),
+        (["roadmap", EX3, "--stages", "1,2"], {"sailcost.roadmap", "csv"}),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, needs):
+    argv = [*argv, "-o", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, check=True
+    )
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    assert _OPTIONAL & set(modules) == needs
+
+
+def test_package_import_loads_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, sailcost; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert [m for m in json.loads(proc.stdout) if m.startswith("sailcost")] == ["sailcost"]
