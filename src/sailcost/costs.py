@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from . import model
 from .errors import DomainError, ValidationError
-from .kinematics import kinematics_optimized_at
 from .params import CostMetrics, Payload, SailSpec, check_array
+from .scenario import kernel_point
 from .units import C
 
 
@@ -140,12 +140,10 @@ def closed_form_optimum(
     breakdown but do not move the optimum.
     """
     check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
-    aperture, power, *terms = model.cost_optimum(
-        beta, payload.mass, sail.thickness, sail.density, sail.shape_factor, sail.coupling,
-        wavelength, diffraction_factor, array_shape, beam_fraction,
-        metrics.laser_usd_per_watt, metrics.optics_usd_per_m2, metrics.energy_usd_per_joule,
-        metrics.storage_usd_per_joule, metrics.storage_efficiency, metrics.shots,
-    )
+    aperture, power, *terms = model.cost_optimum(**kernel_point(
+        model.cost_optimum, payload, sail, wavelength, diffraction_factor, array_shape,
+        beam_fraction, metrics, beta_target=beta,
+    ))
     coefficients = reduced_coefficients(
         sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
@@ -200,20 +198,3 @@ def a1_for_budget(
         / (C**3 * beta**2 * geom)
     )
 
-
-def optimum_kinematics(
-    design: OptimumDesign,
-    payload: Payload,
-    sail: SailSpec,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
-):
-    """Kinematics at an optimal design point (optimized sail regime)."""
-    check_array(
-        wavelength, diffraction_factor, array_shape, beam_fraction, design.aperture, design.power
-    )
-    return kinematics_optimized_at(
-        design.power, design.aperture, sail, payload, wavelength, diffraction_factor, array_shape
-    )

@@ -97,20 +97,12 @@ def required_power(
     Inverse of the optimized speed equation:
     P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0).
     """
-    return required_power_at(
-        beta_target, array.aperture, sail, payload, array.wavelength, array.diffraction_factor
-    )
-
-
-def required_power_at(
-    beta_target, aperture, sail: SailSpec, payload: Payload, wavelength, diffraction_factor
-) -> float:
-    """``required_power`` for an array whose fields are validated floats."""
-    if aperture is None:
+    if array.aperture is None:
         raise DomainError("array.d required to compute the required power")
     mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
     return model.required_power(
-        beta_target, wavelength, diffraction_factor, sail.coupling, aperture, mass_term
+        beta_target, array.wavelength, array.diffraction_factor, sail.coupling, array.aperture,
+        mass_term,
     )
 
 

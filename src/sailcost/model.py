@@ -167,13 +167,15 @@ def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
     return math.sqrt(total_usd / (3 * a2 * array_shape))
 
 
-# The three sweep paths; the record functions closed_form_optimum,
+# The three path kernels, called by keyword with the point that
+# scenario.kernel_point builds: each parameter is a kernel name of
+# scenario.FIELDS.  The record functions closed_form_optimum,
 # constrained_design and maximize_speed_fixed_cost wrap them.
 
 
 def cost_optimum(
-    beta, m0, h, rho, xi, eta, wavelength, diffraction_factor, array_shape, beam_fraction,
-    a1, a2, a3, a4, storage_efficiency, shots,
+    beta, m0, h, rho, xi, reflectivity, absorptivity, wavelength, diffraction_factor,
+    array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
 ) -> tuple[float, float, float, float, float, float]:
     """Closed-form minimum-cost design for a target speed fraction:
     (d*, P0, C1, C2, C3, C4), with
@@ -187,6 +189,7 @@ def cost_optimum(
             "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a "
             "boundary otherwise - use the bounded numeric search"
         )
+    eta = coupling(reflectivity, absorptivity)
     mass = mass_term(xi, h, rho, m0)
     geom = cost_geometry(wavelength, diffraction_factor, array_shape, eta, mass)
     ratio = a1 / (beam_fraction * a2)
@@ -201,12 +204,13 @@ def cost_optimum(
 
 
 def fixed_aperture_design(
-    aperture, beta, m0, h, rho, xi, sail_diameter, eta, wavelength, diffraction_factor,
-    array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
+    aperture, beta, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
+    diffraction_factor, array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
 ) -> tuple[float, float, float, float, float]:
     """(P0, C1, C2, C3, C4) of reaching beta with a given array size, along
     the physics path: the required power, then the kinematics, then the
     costs with the beam energy P0 t0."""
+    eta = coupling(reflectivity, absorptivity)
     power = required_power(
         beta, wavelength, diffraction_factor, eta, aperture, mass_term(xi, h, rho, m0)
     )
@@ -222,8 +226,8 @@ def fixed_aperture_design(
 
 
 def budget_design(
-    total_usd, m0, h, rho, xi, sail_diameter, eta, wavelength, diffraction_factor,
-    array_shape, beam_fraction, a1, a2,
+    total_usd, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
+    diffraction_factor, array_shape, beam_fraction, a1, a2,
 ) -> tuple[float, float, float, float, float]:
     """Fastest design when the laser + optics budget is fixed:
     (d*, P0, beta, C1, C2).  The speed-vs-size curve
@@ -241,7 +245,7 @@ def budget_design(
     require(aperture > 0, "array.d", "d > 0", aperture)
     require(power >= 0, "array.P0", "P0 >= 0", power)
     _, beta, *_ = optimized_launch(
-        power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
-        array_shape,
+        power, aperture, sail_diameter, m0, h, rho, xi, coupling(reflectivity, absorptivity),
+        wavelength, diffraction_factor, array_shape,
     )
     return aperture, power, beta, laser_cost(a1, power, beam_fraction), optics

@@ -14,7 +14,6 @@ from .errors import (
     ValidationError,
 )
 from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_cost_mode
-from .kinematics import required_power_at
 from .params import (
     CostMetrics,
     Payload,
@@ -24,7 +23,7 @@ from .params import (
     check_payload,
     check_sail,
 )
-from .scenario import SWEEP_FIELDS
+from .scenario import SWEEP_FIELDS, kernel_point
 from .units import C
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
@@ -128,13 +127,12 @@ def constrained_design(
 ) -> tuple[float, CostBreakdown]:
     """Beam power and cost breakdown along the physics path (power, then
     kinematics, then costs) for array fields the caller has validated."""
-    power, *terms = model.fixed_aperture_design(
-        aperture, beta, payload.mass, sail.thickness, sail.density, sail.shape_factor,
-        sail.diameter, sail.coupling, wavelength, diffraction_factor, array_shape,
-        beam_fraction, metrics.laser_usd_per_watt, metrics.optics_usd_per_m2,
-        metrics.energy_usd_per_joule, metrics.storage_usd_per_joule,
-        metrics.storage_efficiency, metrics.shots,
+    args = kernel_point(
+        model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
+        array_shape, beam_fraction, metrics, beta_target=beta,
     )
+    args["aperture"] = aperture
+    power, *terms = model.fixed_aperture_design(**args)
     return power, CostBreakdown(*terms)
 
 
@@ -150,19 +148,25 @@ def minimize_cost_numeric(
     search: SearchSpec | None = None,
 ) -> OptimumDesign:
     """Minimize the constrained cost over the array size by bracketing on
-    a geometric grid and refining with golden-section."""
+    a geometric grid and refining with golden-section.  An evaluation
+    checks the array as ``constrained_cost`` does and changes only the
+    array size in the kernel's arguments."""
     search = search or SearchSpec()
+    args = kernel_point(
+        model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
+        array_shape, beam_fraction, metrics, beta_target=beta,
+    )
 
     def objective(d: float) -> float:
-        return constrained_cost(
-            d, beta, payload, sail, wavelength, diffraction_factor,
-            array_shape, beam_fraction, metrics,
-        ).total
+        check_array(wavelength, diffraction_factor, array_shape, beam_fraction, d)
+        args["aperture"] = d
+        _, laser, optics, energy, storage = model.fixed_aperture_design(**args)
+        return laser + optics + energy + storage
 
     lo, hi = _bracket(objective, search.d_min, search.d_max)
     aperture = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
-    power = required_power_at(beta, aperture, sail, payload, wavelength, diffraction_factor)
-    breakdown = constrained_cost(
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture)
+    power, breakdown = constrained_design(
         aperture, beta, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics,
     )
@@ -188,11 +192,10 @@ def maximize_speed_fixed_cost(
     d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
     """
     check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
-    aperture, power, beta, laser, optics = model.budget_design(
-        total_usd, payload.mass, sail.thickness, sail.density, sail.shape_factor,
-        sail.diameter, sail.coupling, wavelength, diffraction_factor, array_shape,
-        beam_fraction, metrics.laser_usd_per_watt, metrics.optics_usd_per_m2,
-    )
+    aperture, power, beta, laser, optics = model.budget_design(**kernel_point(
+        model.budget_design, payload, sail, wavelength, diffraction_factor, array_shape,
+        beam_fraction, metrics, budget_target=total_usd,
+    ))
     return SpeedMaxResult(
         aperture=aperture, power=power, beta=beta,
         breakdown=CostBreakdown(laser=laser, optics=optics),
@@ -254,17 +257,6 @@ _RECORD_CHECKS = {
     "payload": check_payload, "sail": check_sail, "array": check_array, "metrics": check_metrics,
 }
 _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap\n"
-# Fields the kernel of a sweep path never reads, by the target that
-# selects the path: their rows would differ only in the swept column.
-# Under target.beta0 this is the closed-form re-optimization (array.d
-# is read: it selects the fixed-aperture path).
-_UNREAD_FIELDS = {
-    "target.beta0": frozenset({"sail.D", "sail.S_y", "sail.s", "array.P0", "target.budget"}),
-    "target.budget": frozenset({
-        "sail.S_y", "sail.s", "array.P0",
-        "metrics.a3", "metrics.a4", "metrics.eps_storage", "metrics.N_shot",
-    }),
-}
 
 
 def sweep_lines(scenario, axis: str, grid) -> list[str]:
@@ -273,68 +265,61 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
     value.
 
     Under a speed target an ``array.d`` sweep holds the target at each
-    aperture and any other field re-optimizes in closed form; under a
-    budget each point is the speed maximum.  Every path is defined in
-    optimized mode only, and a field the chosen path never reads is
-    rejected.  Each value first gets the check of its record, so a bad
-    value fails as the record would.  The rows come straight from the
-    ``model`` kernels on floats: no record is built per point, and each
-    row is kept only as its formatted line.
+    aperture (``model.fixed_aperture_design``) and any other field
+    re-optimizes in closed form (``model.cost_optimum``); under a budget
+    each point is the speed maximum (``model.budget_design``).  Every
+    path is defined in optimized mode only, and a field is rejected when
+    the path's kernel has no parameter by its kernel name in
+    ``scenario.FIELDS``.  The kernel's arguments are built once; per
+    point only the swept one is set, after the value gets the check of
+    its record, so a bad value fails as the record would.  No record is
+    built per point, and each row is kept only as its formatted line.
     """
     require_cost_mode(scenario.mode)
-    _, group, attr = SWEEP_FIELDS[axis]
-    fields = {name: dict(vars(getattr(scenario, name))) for name in _RECORD_CHECKS}
-    payload, sail, array, metrics = fields.values()
-    fields[None] = target = {
-        "beta_target": scenario.beta_target, "budget_target": scenario.budget_target,
-    }
-    swept, check = fields[group], _RECORD_CHECKS.get(group)
-    at_speed = target["beta_target"] is not None or axis == "target.beta0"
+    _, group, attr, name = SWEEP_FIELDS[axis]
+    at_speed = scenario.beta_target is not None or axis == "target.beta0"
     fixed_aperture = axis == "array.d"
     if fixed_aperture and not at_speed:
         raise ValidationError(
             "sweep: array.d cannot be swept under target.budget, which sets the array size"
         )
-    path_target = "target.beta0" if at_speed else "target.budget"
-    if axis in _UNREAD_FIELDS[path_target]:
+    if not at_speed:
+        kernel = model.budget_design
+    elif fixed_aperture:
+        kernel = model.fixed_aperture_design
+    else:
+        kernel = model.cost_optimum
+    array = scenario.array
+    args = kernel_point(
+        kernel, scenario.payload, scenario.sail, array.wavelength, array.diffraction_factor,
+        array.shape_factor, array.beam_fraction, scenario.metrics,
+        beta_target=scenario.beta_target, budget_target=scenario.budget_target,
+    )
+    if name not in args:
+        path_target = "target.beta0" if at_speed else "target.budget"
         raise ValidationError(
             f"sweep: {axis} cannot be swept under {path_target}: the rows do not depend on it"
         )
+    check = _RECORD_CHECKS.get(group)
+    swept = dict(vars(getattr(scenario, group))) if check else None
     lines = [_SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"]
     prefix = ""
     for value in grid:
-        swept[attr] = value
         if check is not None:
+            swept[attr] = value
             check(**swept)
-        m0, h, rho, xi = payload["mass"], sail["thickness"], sail["density"], sail["shape_factor"]
-        eta = model.coupling(sail["reflectivity"], sail["absorptivity"])
-        wavelength, alpha_d = array["wavelength"], array["diffraction_factor"]
-        array_shape, beam_fraction = array["shape_factor"], array["beam_fraction"]
-        a1, a2 = metrics["laser_usd_per_watt"], metrics["optics_usd_per_m2"]
-        unit_costs = (
-            a1, a2, metrics["energy_usd_per_joule"], metrics["storage_usd_per_joule"],
-            metrics["storage_efficiency"], metrics["shots"],
-        )
+        args[name] = value
         if not at_speed:
-            aperture, power, _, c1, c2 = model.budget_design(
-                target["budget_target"], m0, h, rho, xi, sail["diameter"], eta, wavelength,
-                alpha_d, array_shape, beam_fraction, a1, a2,
-            )
+            aperture, power, _, c1, c2 = kernel(**args)
             c3 = c4 = 0.0
         elif fixed_aperture:
             aperture = value
-            power, c1, c2, c3, c4 = model.fixed_aperture_design(
-                value, target["beta_target"], m0, h, rho, xi, sail["diameter"], eta,
-                wavelength, alpha_d, array_shape, beam_fraction, *unit_costs,
-            )
+            power, c1, c2, c3, c4 = kernel(**args)
         else:
-            aperture, power, c1, c2, c3, c4 = model.cost_optimum(
-                target["beta_target"], m0, h, rho, xi, eta, wavelength, alpha_d,
-                array_shape, beam_fraction, *unit_costs,
-            )
-        flux = model.aperture_flux(power, array_shape, aperture)
+            aperture, power, c1, c2, c3, c4 = kernel(**args)
         if not fixed_aperture:
             prefix = f"{value!r},"
+        flux = model.aperture_flux(power, args["array_shape"], aperture)
         lines.append(
             f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
             f"{c1 + c2 + c3 + c4!r},{flux!r}\n"

@@ -77,49 +77,52 @@ _RECORDS = {
     "metrics": CostMetrics, "curve": TechCurve,
 }
 
-# Every scenario field, in dump order: key -> (kind, record, attribute).
+# Every scenario field, in dump order:
+# key -> (kind, record, attribute, kernel name).
 # kind is the SI unit of a dimensioned field, or "number" (bare
 # dimensionless), "string" or "reserved-zero".  Defaults are those of the
-# record class; a field without one is required.
-FIELDS: dict[str, tuple[str, str | None, str | None]] = {
-    "name": ("string", None, "name"),
-    "mode": ("string", None, "mode"),
-    "target.beta0": ("number", None, "beta_target"),
-    "target.budget": ("usd", None, "budget_target"),
-    "payload.m0": ("kg", "payload", "mass"),
-    "sail.h": ("m", "sail", "thickness"),
-    "sail.rho": ("kg/m3", "sail", "density"),
-    "sail.eps_r": ("number", "sail", "reflectivity"),
-    "sail.alpha": ("number", "sail", "absorptivity"),
-    "sail.xi": ("number", "sail", "shape_factor"),
-    "sail.s": ("number", "sail", "stress_factor"),
-    "sail.D": ("m", "sail", "diameter"),
-    "sail.S_y": ("Pa", "sail", "yield_strength"),
-    "array.lambda": ("m", "array", "wavelength"),
-    "array.alpha_d": ("number", "array", "diffraction_factor"),
-    "array.xi_arr": ("number", "array", "shape_factor"),
-    "array.eps_b": ("number", "array", "beam_fraction"),
-    "array.d": ("m", "array", "aperture"),
-    "array.P0": ("W", "array", "power"),
-    "metrics.a1": ("usd/W", "metrics", "laser_usd_per_watt"),
-    "metrics.a2": ("usd/m2", "metrics", "optics_usd_per_m2"),
-    "metrics.a3": ("usd/J", "metrics", "energy_usd_per_joule"),
-    "metrics.a4": ("usd/J", "metrics", "storage_usd_per_joule"),
-    "metrics.eps_storage": ("number", "metrics", "storage_efficiency"),
-    "metrics.N_shot": ("number", "metrics", "shots"),
-    "techcurve.a1_base": ("usd/W", "curve", "base_value"),
-    "techcurve.reference_month": ("number", "curve", "reference_month"),
-    "techcurve.halving_months": ("number", "curve", "halving_months"),
+# record class; a field without one is required.  The kernel name is the
+# parameter the field feeds in the path kernels of ``model``, or None
+# where no path kernel reads the field.
+FIELDS: dict[str, tuple[str, str | None, str | None, str | None]] = {
+    "name": ("string", None, "name", None),
+    "mode": ("string", None, "mode", None),
+    "target.beta0": ("number", None, "beta_target", "beta"),
+    "target.budget": ("usd", None, "budget_target", "total_usd"),
+    "payload.m0": ("kg", "payload", "mass", "m0"),
+    "sail.h": ("m", "sail", "thickness", "h"),
+    "sail.rho": ("kg/m3", "sail", "density", "rho"),
+    "sail.eps_r": ("number", "sail", "reflectivity", "reflectivity"),
+    "sail.alpha": ("number", "sail", "absorptivity", "absorptivity"),
+    "sail.xi": ("number", "sail", "shape_factor", "xi"),
+    "sail.s": ("number", "sail", "stress_factor", None),
+    "sail.D": ("m", "sail", "diameter", "sail_diameter"),
+    "sail.S_y": ("Pa", "sail", "yield_strength", None),
+    "array.lambda": ("m", "array", "wavelength", "wavelength"),
+    "array.alpha_d": ("number", "array", "diffraction_factor", "diffraction_factor"),
+    "array.xi_arr": ("number", "array", "shape_factor", "array_shape"),
+    "array.eps_b": ("number", "array", "beam_fraction", "beam_fraction"),
+    "array.d": ("m", "array", "aperture", "aperture"),
+    "array.P0": ("W", "array", "power", None),
+    "metrics.a1": ("usd/W", "metrics", "laser_usd_per_watt", "a1"),
+    "metrics.a2": ("usd/m2", "metrics", "optics_usd_per_m2", "a2"),
+    "metrics.a3": ("usd/J", "metrics", "energy_usd_per_joule", "a3"),
+    "metrics.a4": ("usd/J", "metrics", "storage_usd_per_joule", "a4"),
+    "metrics.eps_storage": ("number", "metrics", "storage_efficiency", "storage_efficiency"),
+    "metrics.N_shot": ("number", "metrics", "shots", "shots"),
+    "techcurve.a1_base": ("usd/W", "curve", "base_value", None),
+    "techcurve.reference_month": ("number", "curve", "reference_month", None),
+    "techcurve.halving_months": ("number", "curve", "halving_months", None),
 }
 # Cost items 5-9 (personnel, land, launch, payload) are reserved for
 # forward compatibility: they must be zero and are stored nowhere.
 for _item in RESERVED_COST_ITEMS:
-    FIELDS[f"metrics.{_item}"] = ("reserved-zero", "metrics", None)
+    FIELDS[f"metrics.{_item}"] = ("reserved-zero", "metrics", None, None)
 
 # Keys with no default on their record class, in table order: required
 # whenever their record is built.
 _DEFAULTLESS = tuple(
-    key for key, (_, record, attr) in FIELDS.items()
+    key for key, (_, record, attr, _) in FIELDS.items()
     if attr in {f.name for f in fields(_RECORDS[record]) if f.default is MISSING}
 )
 # Sweepable field -> its table row: every stored number outside the tech curve.
@@ -127,10 +130,39 @@ SWEEP_FIELDS = {
     key: row for key, row in FIELDS.items()
     if row[0] not in ("string", "reserved-zero") and row[1] != "curve"
 }
+# Kernel name -> the (record, attribute) of the field that feeds it.
+_KERNEL_SOURCES = {
+    name: (record, attr) for _, record, attr, name in FIELDS.values() if name is not None
+}
 
 
-def sweep_field(axis: str) -> tuple[str, str | None, str]:
-    """The (kind, record, attribute) row of a sweepable field."""
+def kernel_point(
+    kernel, payload, sail, wavelength, diffraction_factor, array_shape, beam_fraction, metrics,
+    **top,
+) -> dict:
+    """The flat SI point a path kernel of ``model`` takes by keyword:
+    {parameter: value} for each of its parameters, read from the field
+    that the kernel-name column of FIELDS names.  The arguments are those
+    of the record API (the records, the array fields as floats) plus the
+    Scenario's own fields by attribute (``beta_target=``,
+    ``budget_target=``); a field that is not given is None."""
+    holders = {
+        None: top, "payload": vars(payload), "sail": vars(sail), "metrics": vars(metrics),
+        "array": {
+            "wavelength": wavelength, "diffraction_factor": diffraction_factor,
+            "shape_factor": array_shape, "beam_fraction": beam_fraction,
+        },
+    }
+    code = kernel.__code__
+    point = {}
+    for name in code.co_varnames[:code.co_argcount]:
+        record, attr = _KERNEL_SOURCES[name]
+        point[name] = holders[record].get(attr)
+    return point
+
+
+def sweep_field(axis: str) -> tuple[str, str | None, str, str | None]:
+    """The (kind, record, attribute, kernel name) row of a sweepable field."""
     try:
         return SWEEP_FIELDS[axis]
     except KeyError:
@@ -263,7 +295,7 @@ def build_scenario(entries: dict[str, tuple[str, int]]) -> Scenario:
             raise ValidationError(f"missing required key {key!r}")
 
     values = {record: {} for record in _RECORDS if record in built}
-    for key, (kind, record, attr) in FIELDS.items():
+    for key, (kind, record, attr, _) in FIELDS.items():
         if key in entries:
             value = _value(key, kind, *entries[key])
             if attr is not None:
@@ -293,7 +325,7 @@ def dump_scenario(scenario: Scenario) -> str:
     fields left out; loading the output reproduces the scenario exactly
     (floats round-trip through repr)."""
     lines, section = [], ""
-    for key, (kind, record, attr) in FIELDS.items():
+    for key, (kind, record, attr, _) in FIELDS.items():
         holder = scenario if record is None else getattr(scenario, record)
         value = None if holder is None or attr is None else getattr(holder, attr)
         if value is None:
@@ -313,7 +345,7 @@ def dump_scenario(scenario: Scenario) -> str:
 
 def scenario_with(scenario: Scenario, axis: str, si_value: float) -> Scenario:
     """Copy of a scenario with one sweepable field replaced (SI value)."""
-    _, record, attr = sweep_field(axis)
+    _, record, attr, _ = sweep_field(axis)
     if record is None:
         return replace(scenario, **{attr: si_value})
     return replace(

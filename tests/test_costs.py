@@ -11,6 +11,7 @@ from sailcost.costs import (
     shot_beam_energy,
 )
 from sailcost.errors import DegenerateOptimumError, DomainError
+from sailcost.kinematics import kinematics_optimized_at
 from sailcost.params import CostMetrics, Payload, SailSpec
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
@@ -113,9 +114,7 @@ def test_energy_terms_enter_breakdown_but_not_the_optimum():
 
 def test_shot_beam_energy_matches_power_times_time():
     design = _optimum(CostMetrics(1.0, 1000.0))
-    from sailcost.costs import optimum_kinematics
-
-    kin = optimum_kinematics(design, PAYLOAD, SAIL, 1e-6, 1.22, XI, 1.0)
+    kin = kinematics_optimized_at(design.power, design.aperture, SAIL, PAYLOAD, 1e-6, 1.22, XI)
     assert shot_beam_energy(0.2, PAYLOAD, SAIL) == pytest.approx(
         design.power * kin.accel_time, rel=1e-10
     )

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from sailcost import model
 from sailcost.errors import ParseError, UnitError, ValidationError
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.scenario import (
+    FIELDS,
     MODES,
     Scenario,
     SweepSpec,
@@ -18,6 +20,7 @@ from sailcost.scenario import (
     apply_overrides,
     build_scenario,
     dump_scenario,
+    kernel_point,
     load_scenario,
     parse_entries,
     scenario_with,
@@ -225,6 +228,45 @@ def test_scenario_with_replaces_nested_field():
     assert varied.metrics.laser_usd_per_watt == 0.5
     assert varied.sail == sc.sail
     assert scenario_with(sc, "payload.m0", 2e-3).payload.mass == 2e-3
+
+
+PATH_KERNELS = (model.cost_optimum, model.fixed_aperture_design, model.budget_design)
+
+
+def test_kernel_names_match_the_path_kernels_one_to_one():
+    """Every path-kernel parameter is the kernel name of exactly one field,
+    and every kernel name is read by some path kernel.  ``shape_factor``
+    sits on both the sail and the array, so a clash, or a renamed
+    parameter, would otherwise surface as an error in a user's run."""
+    names = [row[3] for row in FIELDS.values() if row[3] is not None]
+    assert len(names) == len(set(names))
+    read = set()
+    for kernel in PATH_KERNELS:
+        params = set(inspect.signature(kernel).parameters)
+        assert params <= set(names), (kernel.__name__, params - set(names))
+        read |= params
+    assert read == set(names)
+
+
+def test_kernel_point_reads_each_field_under_its_kernel_name():
+    sail = SailSpec(1e-6, 1000.0, 0.9, 0.2, shape_factor=0.5, diameter=3.0)
+    metrics = CostMetrics(1.0, 1000.0, 2e-9, 3e-6, 0.5, 10.0)
+    point = kernel_point(
+        model.fixed_aperture_design, Payload(1e-3), sail, 1e-6, 1.5, 1.0, 0.9, metrics,
+        beta_target=0.2,
+    )
+    assert list(point) == list(inspect.signature(model.fixed_aperture_design).parameters)
+    assert point == {
+        "aperture": None, "beta": 0.2, "m0": 1e-3, "h": 1e-6, "rho": 1000.0, "xi": 0.5,
+        "sail_diameter": 3.0, "reflectivity": 0.9, "absorptivity": 0.2, "wavelength": 1e-6,
+        "diffraction_factor": 1.5, "array_shape": 1.0, "beam_fraction": 0.9, "a1": 1.0,
+        "a2": 1000.0, "a3": 2e-9, "a4": 3e-6, "storage_efficiency": 0.5, "shots": 10.0,
+    }
+    budget = kernel_point(
+        model.budget_design, Payload(1e-3), sail, 1e-6, 1.5, 1.0, 0.9, metrics,
+        budget_target=4e10,
+    )
+    assert budget["total_usd"] == 4e10 and "a3" not in budget
 
 
 def test_sweep_grids():
