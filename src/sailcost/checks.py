@@ -7,7 +7,6 @@ reproduction entry point for the model.
 
 import math
 import random
-from dataclasses import dataclass, replace
 
 from .costs import a1_for_budget, closed_form_optimum
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
@@ -23,12 +22,11 @@ from .optimize import (
     minimize_cost_numeric,
     second_derivative_at,
 )
-from .params import ArraySpec, CostMetrics, Payload, SailSpec
+from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .roadmap import stage_cost_ratio
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str
@@ -183,7 +181,7 @@ def check_kinematics_invariants() -> CheckResult:
     )
     opt = kinematics_optimized(array, sail, payload)
     coast = abs(opt.coast_speed - math.sqrt(2) * opt.speed) / opt.coast_speed
-    sized = replace(sail, diameter=optimal_sail_diameter(sail, payload))
+    sized = sail.replace(diameter=optimal_sail_diameter(sail, payload))
     non = kinematics_non_optimized(array, sized, payload)
     agree = max(
         _rel(non.speed, opt.speed), _rel(non.beta, opt.beta),

@@ -9,7 +9,6 @@ Output is deterministic byte-for-byte unless --metadata is given.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .costs import cost_components, closed_form_optimum, require_cost_mode
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
@@ -107,7 +106,7 @@ def _sized_sail(scenario):
         diameter, thickness = strength_limited_geometry(
             scenario.array.power, sail, scenario.payload
         )
-        return replace(sail, diameter=diameter, thickness=thickness)
+        return sail.replace(diameter=diameter, thickness=thickness)
     if sail.diameter is None:
         raise ValidationError("non-optimized mode requires sail.D")
     return sail

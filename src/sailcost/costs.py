@@ -9,17 +9,15 @@ twice the optics cost.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import model
 from .errors import DomainError, ValidationError
-from .params import CostMetrics, Payload, SailSpec, check_array
+from .params import CostMetrics, Payload, Record, SailSpec, check_array
 from .scenario import kernel_point
 from .units import C
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(Record):
     """Component costs in USD: laser amplifiers, optics, grid energy over
     the amortized shot count, and energy storage."""
 
@@ -46,8 +44,7 @@ class CostBreakdown:
         return (self.laser / t, self.optics / t, self.energy / t, self.storage / t)
 
 
-@dataclass(frozen=True)
-class OptimumDesign:
+class OptimumDesign(Record):
     """Cost-optimal array size and beam power with the cost breakdown.
 
     The auxiliary coefficients are the reduced one-dimensional objective

@@ -2,15 +2,13 @@
 grid energy over the system lifetime and storage capacity per shot.
 """
 
-from dataclasses import dataclass
-
 from . import model
 from .errors import DomainError
+from .params import Record
 from .units import C
 
 
-@dataclass(frozen=True)
-class ShotEnergy:
+class ShotEnergy(Record):
     """Energy bookkeeping for one launch."""
 
     beam_energy: float      # main-beam photon energy through the acceleration [J]

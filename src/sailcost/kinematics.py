@@ -9,17 +9,15 @@ No relativistic correction is applied.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import model
 from .errors import DomainError
 from .model import BETA_VALIDITY_LIMIT
-from .params import ArraySpec, Payload, SailSpec
+from .params import ArraySpec, Payload, Record, SailSpec
 from .units import C
 
 
-@dataclass(frozen=True)
-class KinematicsResult:
+class KinematicsResult(Record):
     """Outcome at the spot-equals-sail point.
 
     accel_time is None when the beam power is zero (no acceleration ever

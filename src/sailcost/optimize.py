@@ -4,7 +4,6 @@ cost), the fixed-budget speed maximum, and the analytic cost curvature.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import model
 from .errors import (
@@ -17,6 +16,7 @@ from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_c
 from .params import (
     CostMetrics,
     Payload,
+    Record,
     SailSpec,
     check_array,
     check_metrics,
@@ -35,8 +35,7 @@ DEFAULT_D_MAX = 1e7
 _BRACKET_POINTS = 41
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Record):
     """Bounds and tolerances for the one-dimensional search."""
 
     d_min: float = DEFAULT_D_MIN
@@ -51,8 +50,7 @@ class SearchSpec:
             raise DomainError(f"rel_tol must be > 0 (got {self.rel_tol!r})")
 
 
-@dataclass(frozen=True)
-class SpeedMaxResult:
+class SpeedMaxResult(Record):
     """Fastest design at a fixed budget: the optics get exactly one third
     of the total cost."""
 
@@ -148,24 +146,24 @@ def minimize_cost_numeric(
     search: SearchSpec | None = None,
 ) -> OptimumDesign:
     """Minimize the constrained cost over the array size by bracketing on
-    a geometric grid and refining with golden-section.  An evaluation
-    checks the array as ``constrained_cost`` does and changes only the
-    array size in the kernel's arguments."""
+    a geometric grid and refining with golden-section.  The array is
+    checked once, before the search: every evaluated size lies inside the
+    search bounds, which ``SearchSpec`` keeps positive, and an evaluation
+    changes only the array size in the kernel's arguments."""
     search = search or SearchSpec()
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
     args = kernel_point(
         model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics, beta_target=beta,
     )
 
     def objective(d: float) -> float:
-        check_array(wavelength, diffraction_factor, array_shape, beam_fraction, d)
         args["aperture"] = d
         _, laser, optics, energy, storage = model.fixed_aperture_design(**args)
         return laser + optics + energy + storage
 
     lo, hi = _bracket(objective, search.d_min, search.d_max)
     aperture = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture)
     power, breakdown = constrained_design(
         aperture, beta, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics,
@@ -256,7 +254,7 @@ def speed_curve_fixed_cost(
 _RECORD_CHECKS = {
     "payload": check_payload, "sail": check_sail, "array": check_array, "metrics": check_metrics,
 }
-_SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap\n"
+_SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 
 
 def sweep_lines(scenario, axis: str, grid) -> list[str]:
@@ -267,13 +265,14 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
     Under a speed target an ``array.d`` sweep holds the target at each
     aperture (``model.fixed_aperture_design``) and any other field
     re-optimizes in closed form (``model.cost_optimum``); under a budget
-    each point is the speed maximum (``model.budget_design``).  Every
-    path is defined in optimized mode only, and a field is rejected when
-    the path's kernel has no parameter by its kernel name in
-    ``scenario.FIELDS``.  The kernel's arguments are built once; per
-    point only the swept one is set, after the value gets the check of
-    its record, so a bad value fails as the record would.  No record is
-    built per point, and each row is kept only as its formatted line.
+    each point is the speed maximum (``model.budget_design``), and its
+    row ends in the speed it reaches, ``beta0``.  Every path is defined
+    in optimized mode only, and a field is rejected when the path's
+    kernel has no parameter by its kernel name in ``scenario.FIELDS``.
+    The kernel's arguments are built once; per point only the swept one
+    is set, after the value gets the check of its record, so a bad value
+    fails as the record would.  No record is built per point, and each
+    row is kept only as its formatted line.
     """
     require_cost_mode(scenario.mode)
     _, group, attr, name = SWEEP_FIELDS[axis]
@@ -302,16 +301,18 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
         )
     check = _RECORD_CHECKS.get(group)
     swept = dict(vars(getattr(scenario, group))) if check else None
-    lines = [_SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"]
-    prefix = ""
+    header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
+    lines = [f"{header}\n" if at_speed else f"{header},beta0\n"]
+    prefix = suffix = ""
     for value in grid:
         if check is not None:
             swept[attr] = value
             check(**swept)
         args[name] = value
         if not at_speed:
-            aperture, power, _, c1, c2 = kernel(**args)
+            aperture, power, beta, c1, c2 = kernel(**args)
             c3 = c4 = 0.0
+            suffix = f",{beta!r}"
         elif fixed_aperture:
             aperture = value
             power, c1, c2, c3, c4 = kernel(**args)
@@ -322,6 +323,6 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
         flux = model.aperture_flux(power, args["array_shape"], aperture)
         lines.append(
             f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
-            f"{c1 + c2 + c3 + c4!r},{flux!r}\n"
+            f"{c1 + c2 + c3 + c4!r},{flux!r}{suffix}\n"
         )
     return lines

@@ -6,11 +6,75 @@ downstream can assume the documented invariants.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import model
 from .errors import ValidationError
 from .model import require
+
+
+class Record:
+    """A frozen record: its fields are the class annotations, in order,
+    and a class attribute named like a field is that field's default.
+
+    Built by position or keyword; the fields fill ``__dict__`` in field
+    order, so ``vars(record)`` is the record as a dict, and then
+    ``__post_init__`` checks them.  Records compare equal only to records
+    of the same type with equal fields.  A changed copy comes from
+    ``replace``, which runs the checks again.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields, state = cls._fields, self.__dict__
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(fields)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        state.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in cls._defaults:
+                state[name] = cls._defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing required argument: {name!r}")
+        for name in kwargs:
+            problem = "got multiple values for" if name in state else "got an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() {problem} argument {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: records are frozen")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: records are frozen")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with some fields changed, checked as a new record is."""
+        return type(self)(**{**self.__dict__, **changes})
 
 
 def check_sail(
@@ -35,8 +99,7 @@ def check_sail(
     )
 
 
-@dataclass(frozen=True)
-class SailSpec:
+class SailSpec(Record):
     """Sail material and geometry.
 
     thickness h [m], density rho [kg/m^3], reflectivity and absorptivity
@@ -87,8 +150,7 @@ def check_array(
         require(power >= 0, "array.P0", "P0 >= 0", power)
 
 
-@dataclass(frozen=True)
-class ArraySpec:
+class ArraySpec(Record):
     """Laser array: aperture size d [m], wavelength [m], diffraction
     factor (1.22 for a circular aperture), array shape factor (pi/4
     circular, 1 square), main-beam fraction eps_b, and main-beam power
@@ -119,8 +181,7 @@ def check_payload(mass) -> None:
     require(mass > 0, "payload.m0", "m0 > 0", mass)
 
 
-@dataclass(frozen=True)
-class Payload:
+class Payload(Record):
     """Payload mass m0 [kg]."""
 
     mass: float
@@ -154,8 +215,7 @@ def check_metrics(
     require(shots >= 1, "metrics.N_shot", "N_shot >= 1", shots)
 
 
-@dataclass(frozen=True)
-class CostMetrics:
+class CostMetrics(Record):
     """Unit costs: laser USD/optical-W, optics USD/m^2, grid energy and
     storage USD/J, end-to-end storage efficiency, and the shot count used
     for lifetime energy amortization.

@@ -8,18 +8,16 @@ specified in months, so no calendar arithmetic is needed.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 from .errors import DomainError
 from .costs import a1_for_budget, closed_form_optimum, OptimumDesign
-from .params import CostMetrics, Payload, SailSpec
+from .params import CostMetrics, Payload, Record, SailSpec
 from .scenario import TechCurve
 
 BACKWARD_EXTRAPOLATION_HALVINGS = 10
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     designation: float      # percent of light speed
     beta: float
     metrics: CostMetrics    # metrics at entry (a1 from the curve)
@@ -27,8 +25,7 @@ class Stage:
     design: OptimumDesign
 
 
-@dataclass(frozen=True)
-class StagePlan:
+class StagePlan(Record):
     stages: tuple[Stage, ...]
 
     def __post_init__(self):
@@ -121,7 +118,7 @@ def plan_stages(
             budget, beta, metrics.optics_usd_per_m2, wavelength,
             sail.thickness, sail.density, payload.mass, beam_fraction,
         )
-        stage_metrics = replace(metrics, laser_usd_per_watt=a1_entry)
+        stage_metrics = metrics.replace(laser_usd_per_watt=a1_entry)
         design = closed_form_optimum(
             beta, payload, sail, wavelength, 1.22, math.pi / 4,
             beam_fraction, stage_metrics,

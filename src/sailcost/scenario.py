@@ -19,17 +19,15 @@ present.
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import DomainError, ParseError, UnitError, ValidationError
-from .params import ArraySpec, CostMetrics, Payload, RESERVED_COST_ITEMS, SailSpec
+from .params import ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec
 from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
 
 
-@dataclass(frozen=True)
-class TechCurve:
+class TechCurve(Record):
     """Exponentially falling cost metric: halves every halving_months."""
 
     base_value: float       # USD/unit at the reference month
@@ -43,8 +41,7 @@ class TechCurve:
             raise DomainError(f"halving time must be > 0 (got {self.halving_months!r})")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A fully validated scenario, all values SI."""
 
     name: str
@@ -119,11 +116,11 @@ FIELDS: dict[str, tuple[str, str | None, str | None, str | None]] = {
 for _item in RESERVED_COST_ITEMS:
     FIELDS[f"metrics.{_item}"] = ("reserved-zero", "metrics", None, None)
 
-# Keys with no default on their record class, in table order: required
-# whenever their record is built.
+# Keys whose field has no default (no class attribute of its record), in
+# table order: required whenever their record is built.
 _DEFAULTLESS = tuple(
     key for key, (_, record, attr, _) in FIELDS.items()
-    if attr in {f.name for f in fields(_RECORDS[record]) if f.default is MISSING}
+    if attr is not None and not hasattr(_RECORDS[record], attr)
 )
 # Sweepable field -> its table row: every stored number outside the tech curve.
 SWEEP_FIELDS = {
@@ -169,8 +166,7 @@ def sweep_field(axis: str) -> tuple[str, str | None, str, str | None]:
         raise ValidationError(f"sweep.axis: not a sweepable field (got {axis!r})") from None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One swept axis: a field path, scale, SI endpoints, and point count."""
 
     axis: str
@@ -347,10 +343,8 @@ def scenario_with(scenario: Scenario, axis: str, si_value: float) -> Scenario:
     """Copy of a scenario with one sweepable field replaced (SI value)."""
     _, record, attr, _ = sweep_field(axis)
     if record is None:
-        return replace(scenario, **{attr: si_value})
-    return replace(
-        scenario, **{record: replace(getattr(scenario, record), **{attr: si_value})}
-    )
+        return scenario.replace(**{attr: si_value})
+    return scenario.replace(**{record: getattr(scenario, record).replace(**{attr: si_value})})
 
 
 def format_number(value) -> str:

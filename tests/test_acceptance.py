@@ -108,8 +108,7 @@ def test_criterion_06_kinematics_invariants():
     opt = sc.kinematics_optimized(array, SAIL, PAYLOAD)
     coast = abs(opt.coast_speed - math.sqrt(2) * opt.speed) / opt.coast_speed
 
-    from dataclasses import replace
-    sized = replace(SAIL, diameter=sc.optimal_sail_diameter(SAIL, PAYLOAD))
+    sized = SAIL.replace(diameter=sc.optimal_sail_diameter(SAIL, PAYLOAD))
     non = sc.kinematics_non_optimized(array, sized, PAYLOAD)
     agree = max(
         abs(non.speed - opt.speed) / opt.speed,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,7 @@ def _array(aperture=10e3, power=100e9):
 
 def test_non_optimized_matches_hand_oracle():
     # Independently derived: v0 from the power balance, t0 from F = eta P0 / c.
-    sail = replace(SAIL, diameter=2000.0)
+    sail = SAIL.replace(diameter=2000.0)
     kin = kinematics_non_optimized(_array(), sail, PAYLOAD)
     assert kin.total_mass == pytest.approx(3141.5936535897927, rel=1e-12)
     assert kin.speed == pytest.approx(1865798.4304218786, rel=1e-12)
@@ -35,7 +34,7 @@ def test_non_optimized_matches_hand_oracle():
 
 
 def test_accel_time_equals_speed_over_constant_thrust_accel():
-    sail = replace(SAIL, diameter=500.0)
+    sail = SAIL.replace(diameter=500.0)
     kin = kinematics_non_optimized(_array(), sail, PAYLOAD)
     force = SAIL.coupling * 100e9 / C
     assert kin.mean_accel == pytest.approx(force / kin.total_mass, rel=1e-12)
@@ -49,14 +48,14 @@ def test_coast_speed_is_sqrt2_of_spot_speed():
 
 def test_optimal_diameter_makes_sail_mass_equal_payload_mass():
     dia = optimal_sail_diameter(SAIL, PAYLOAD)
-    sized = replace(SAIL, diameter=dia)
+    sized = SAIL.replace(diameter=dia)
     assert sized.mass == pytest.approx(PAYLOAD.mass, rel=1e-12)
 
 
 def test_optimized_path_agrees_with_sized_non_optimized_path():
     array = _array()
     opt = kinematics_optimized(array, SAIL, PAYLOAD)
-    sized = replace(SAIL, diameter=optimal_sail_diameter(SAIL, PAYLOAD))
+    sized = SAIL.replace(diameter=optimal_sail_diameter(SAIL, PAYLOAD))
     non = kinematics_non_optimized(array, sized, PAYLOAD)
     assert opt.speed == non.speed
     assert opt.accel_time == non.accel_time
@@ -64,7 +63,7 @@ def test_optimized_path_agrees_with_sized_non_optimized_path():
 
 
 def test_optimized_rejects_explicit_diameter():
-    sized = replace(SAIL, diameter=1.0)
+    sized = SAIL.replace(diameter=1.0)
     with pytest.raises(DomainError):
         kinematics_optimized(_array(), sized, PAYLOAD)
 
@@ -82,7 +81,7 @@ def test_required_power_reproduces_worked_example():
     p0 = required_power(0.2, array, SAIL, PAYLOAD)
     assert p0 == pytest.approx(128723509952.26982, rel=1e-12)
     # forward consistency
-    kin = kinematics_optimized(replace(array, power=p0), SAIL, PAYLOAD)
+    kin = kinematics_optimized(array.replace(power=p0), SAIL, PAYLOAD)
     assert kin.beta == pytest.approx(0.2, rel=1e-12)
 
 
@@ -107,7 +106,7 @@ def test_aperture_flux():
 
 
 def test_strength_limited_geometry_satisfies_both_conditions():
-    sail = replace(SAIL, yield_strength=1e9)
+    sail = SAIL.replace(yield_strength=1e9)
     dia, th = strength_limited_geometry(100e9, sail, PAYLOAD)
     assert dia == pytest.approx(5.99584916, rel=1e-9)
     # mass-optimized condition: sail mass equals payload mass
@@ -122,7 +121,7 @@ def test_strength_limited_geometry_satisfies_both_conditions():
 
 
 def test_strength_limited_beta_oracle():
-    sail = replace(SAIL, yield_strength=1e9)
+    sail = SAIL.replace(yield_strength=1e9)
     beta = strength_limited_beta(_array(), sail)
     assert beta == pytest.approx(0.2135425300340544, rel=1e-12)
 

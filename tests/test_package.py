@@ -47,7 +47,7 @@ def test_unknown_name_is_an_attribute_error():
 
 
 # Runs the CLI as ``python -m sailcost.cli`` does, then prints its exit
-# code and the modules it loaded.
+# code and the modules it loaded as the last line.
 _CHILD = """
 import json, runpy, sys
 try:
@@ -58,6 +58,8 @@ except SystemExit as exc:
 print(json.dumps([code, sorted(sys.modules)]))
 """
 _OPTIONAL = {"sailcost.checks", "sailcost.optimize", "sailcost.roadmap", "csv"}
+# The records need neither, and importing them dominated a cold start.
+_NEVER = {"dataclasses", "inspect"}
 EX1, EX3 = str(FIXTURES / "example1.scn"), str(FIXTURES / "example3.scn")
 
 
@@ -71,17 +73,20 @@ EX1, EX3 = str(FIXTURES / "example1.scn"), str(FIXTURES / "example3.scn")
         (["sweep", EX1, "--axis", "metrics.a1", "--from", "0.1 usd/W", "--to", "1 usd/W",
           "--points", "3"], {"sailcost.optimize"}),
         (["roadmap", EX3, "--stages", "1,2"], {"sailcost.roadmap", "csv"}),
+        (["validate"], {"sailcost.checks", "sailcost.optimize", "sailcost.roadmap"}),
     ],
     ids=lambda value: value[0] if isinstance(value, list) else None,
 )
 def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, needs):
-    argv = [*argv, "-o", str(tmp_path / "out")]
+    if argv != ["validate"]:
+        argv = [*argv, "-o", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, check=True
     )
-    code, modules = json.loads(proc.stdout)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
     assert _OPTIONAL & set(modules) == needs
+    assert not _NEVER & set(modules)
 
 
 def test_package_import_loads_no_submodule():

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import textwrap
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -200,7 +199,7 @@ def test_dump_load_round_trip(scenario, name):
     dump unchanged, and dumps again to the same text; the record refuses
     exactly the names the format cannot hold."""
     try:
-        scenario = replace(scenario, name=name)
+        scenario = scenario.replace(name=name)
     except ValidationError:
         assert not name or "#" in name or name != name.strip() or len(name.splitlines()) > 1
         return
@@ -213,7 +212,7 @@ def test_dump_load_round_trip(scenario, name):
 @pytest.mark.parametrize("name", ["", "0\r", "\r", "a\nb", "a#b", " a", "a\t"])
 def test_scenario_refuses_names_a_dump_cannot_hold(name):
     with pytest.raises(ValidationError, match="^name: "):
-        replace(_scenario(), name=name)
+        _scenario().replace(name=name)
 
 
 def test_load_scenario_from_file(tmp_path):

@@ -71,11 +71,13 @@ def _record_row(scenario, axis, value):
     point = scenario_with(scenario, axis, value)
     array = point.array
     geom = (array.wavelength, array.diffraction_factor, array.shape_factor, array.beam_fraction)
+    speed = []
     if point.beta_target is None:
         design = maximize_speed_fixed_cost(
             point.budget_target, point.payload, point.sail, *geom, point.metrics
         )
         aperture, power, breakdown = design.aperture, design.power, design.breakdown
+        speed = [design.beta]
     elif axis == "array.d":
         aperture = value
         breakdown = constrained_cost(
@@ -91,7 +93,7 @@ def _record_row(scenario, axis, value):
     row = [
         aperture, power, breakdown.laser, breakdown.optics, breakdown.energy,
         breakdown.storage, breakdown.total,
-        model.aperture_flux(power, array.shape_factor, aperture),
+        model.aperture_flux(power, array.shape_factor, aperture), *speed,
     ]
     return row if axis == "array.d" else [value] + row
 
@@ -144,6 +146,30 @@ def test_sweep_rows_equal_record_functions(example, overrides, axis):
         header, *lines = got
         assert header.split(",")[0] == ("d_m" if axis == "array.d" else axis)
         assert [[float(cell) for cell in line.split(",")] for line in lines] == want
+
+
+@pytest.mark.parametrize(
+    ("axis", "start", "stop"),
+    [
+        ("payload.m0", "0.5 g", "2 g"),
+        ("sail.h", "0.5 um", "2 um"),
+        ("sail.rho", "500 kg/m3", "3000 kg/m3"),
+        ("array.lambda", "0.5 um", "2 um"),
+    ],
+)
+def test_budget_sweep_rows_show_the_speed(capsys, axis, start, stop):
+    """These fields move only the speed a budget buys, so the rows differ
+    only in the beta0 column."""
+    argv = [
+        "sweep", os.path.join(FIXTURES, "example3.scn"), "--axis", axis,
+        "--from", start, "--to", stop, "--points", "2",
+    ]
+    assert main(argv) == 0
+    header, first, last = capsys.readouterr().out.splitlines()
+    assert header == f"{axis},d_m,P0_W,C1,C2,C3,C4,C_T,F_ap,beta0"
+    assert first.split(",")[1:] != last.split(",")[1:]
+    # More mass to push, or a wider beam, is slower.
+    assert float(first.split(",")[-1]) > float(last.split(",")[-1])
 
 
 def test_every_path_and_outcome_is_covered():
