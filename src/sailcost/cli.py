@@ -10,15 +10,11 @@ import argparse
 import os
 import sys
 
+from . import model
 from .costs import cost_components, closed_form_optimum, require_cost_mode
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
-from .errors import SailcostError, ValidationError
-from .kinematics import (
-    kinematics_non_optimized,
-    kinematics_optimized,
-    kinematics_optimized_at,
-    strength_limited_geometry,
-)
+from .errors import NumericRangeError, SailcostError, ValidationError
+from .kinematics import kinematics_non_optimized, kinematics_optimized, strength_limited_geometry
 from .scenario import (
     SweepSpec,
     apply_overrides,
@@ -154,11 +150,8 @@ def _optimize_design(scenario, beta):
 
 def _design_doc(scenario, design):
     """Result document of an OptimumDesign or a SpeedMaxResult."""
-    array = scenario.array
-    kin = kinematics_optimized_at(
-        design.power, design.aperture, scenario.sail, scenario.payload,
-        array.wavelength, array.diffraction_factor, array.shape_factor,
-    )
+    array = scenario.array.replace(aperture=design.aperture, power=design.power)
+    kin = kinematics_optimized(array, scenario.sail, scenario.payload)
     return _result_doc(scenario, design.aperture, design.power, design.breakdown, kin)
 
 
@@ -189,6 +182,8 @@ def _cmd_max_speed(args):
 
 def _cmd_energy(args):
     wall_plug = parse_number(args.wall_plug, "--wall-plug")
+    if not 0 < wall_plug <= 1:
+        raise ValidationError(f"--wall-plug: must be in (0, 1] (got {wall_plug!r})")
     hours = args.lifetime_hours
     if hours is not None:
         hours = parse_number(hours, "--lifetime-hours")
@@ -197,7 +192,7 @@ def _cmd_energy(args):
     scenario = _load(args)
     beta = _require_beta_target(scenario, "energy")
     if scenario.mode == "optimized":
-        total_mass = 2 * scenario.payload.mass  # the optimum sail weighs m0
+        total_mass = model.optimized_craft_mass(scenario.payload.mass)
     else:
         total_mass = _sized_sail(scenario).mass + scenario.payload.mass
     shot = energy_per_shot(
@@ -354,6 +349,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io_error: {exc}", file=sys.stderr)
         return 1
+    except ArithmeticError as exc:
+        # A float over- or underflow inside the model, like a non-finite result.
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        print(f"{NumericRangeError.code}: inputs out of numeric range ({detail})", file=sys.stderr)
+        return NumericRangeError.exit_code
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal_error: {exc!r}", file=sys.stderr)
         return 3

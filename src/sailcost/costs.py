@@ -12,7 +12,7 @@ import math
 
 from . import model
 from .errors import DomainError, ValidationError
-from .params import CostMetrics, Payload, Record, SailSpec, check_array
+from .params import CostMetrics, Payload, Record, SailSpec
 from .scenario import kernel_point
 from .units import C
 
@@ -87,7 +87,7 @@ def shot_beam_energy(beta: float, payload: Payload, sail: SailSpec) -> float:
     """Main-beam energy through the acceleration, optimized regime:
     2 * beta * m0 * c^2 / eta (equals P0*t0)."""
     # beta * (2 m0) equals 2 * beta * m0 exactly: doubling never rounds.
-    return model.beam_energy(beta, 2 * payload.mass, sail.coupling)
+    return model.beam_energy(beta, model.optimized_craft_mass(payload.mass), sail.coupling)
 
 
 def cost_components(
@@ -136,7 +136,6 @@ def closed_form_optimum(
     storage costs are a d-independent addition, so they appear in the
     breakdown but do not move the optimum.
     """
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
     aperture, power, *terms = model.cost_optimum(**kernel_point(
         model.cost_optimum, payload, sail, wavelength, diffraction_factor, array_shape,
         beam_fraction, metrics, beta_target=beta,

@@ -38,7 +38,7 @@ def energy_per_shot(
     return ShotEnergy(
         beam_energy=beam,
         kinetic_energy=kinetic,
-        storage_energy=beam / storage_efficiency,
+        storage_energy=model.storage_energy(beam, storage_efficiency),
         launch_efficiency=coupling * beta / 2,
     )
 

@@ -68,22 +68,12 @@ def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> 
     The sail diameter is derived, not given; the result agrees exactly
     with the general path evaluated at that diameter.
     """
-    return kinematics_optimized_at(
-        array.power, array.aperture, sail, payload,
-        array.wavelength, array.diffraction_factor, array.shape_factor,
-    )
-
-
-def kinematics_optimized_at(
-    power, aperture, sail: SailSpec, payload: Payload, wavelength, diffraction_factor,
-    array_shape,
-) -> KinematicsResult:
-    """``kinematics_optimized`` at a point whose array fields are validated floats."""
-    if power is None or aperture is None:
+    if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
     return KinematicsResult(*model.optimized_launch(
-        power, aperture, sail.diameter, payload.mass, sail.thickness, sail.density,
-        sail.shape_factor, sail.coupling, wavelength, diffraction_factor, array_shape,
+        array.power, array.aperture, sail.diameter, payload.mass, sail.thickness, sail.density,
+        sail.shape_factor, sail.coupling, array.wavelength, array.diffraction_factor,
+        array.shape_factor,
     ))
 
 

@@ -66,6 +66,12 @@ def sail_mass(xi: float, diameter: float, h: float, rho: float) -> float:
     return xi * diameter**2 * h * rho
 
 
+def optimized_craft_mass(m0: float) -> float:
+    """Sail plus payload in the mass-optimized regime, where the sail
+    weighs as much as the payload: 2 m0."""
+    return 2 * m0
+
+
 def required_power(beta, wavelength, diffraction_factor, eta, aperture, mass_term) -> float:
     """Main-beam power that reaches beta in the optimized regime:
     P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0)."""
@@ -139,9 +145,14 @@ def energy_cost(shots: float, a3: float, beam_energy: float) -> float:
     return shots * a3 * beam_energy
 
 
+def storage_energy(beam_energy: float, storage_efficiency: float) -> float:
+    """Storage capacity for one shot, efficiency-adjusted: E / eps_storage."""
+    return beam_energy / storage_efficiency
+
+
 def storage_cost(a4: float, beam_energy: float, storage_efficiency: float) -> float:
     """C4: storage capacity for one shot."""
-    return a4 * beam_energy / storage_efficiency
+    return a4 * storage_energy(beam_energy, storage_efficiency)
 
 
 def cost_terms(
@@ -170,7 +181,7 @@ def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
 # The three path kernels, called by keyword with the point that
 # scenario.kernel_point builds: each parameter is a kernel name of
 # scenario.FIELDS.  The record functions closed_form_optimum,
-# constrained_design and maximize_speed_fixed_cost wrap them.
+# constrained_cost and maximize_speed_fixed_cost wrap them.
 
 
 def cost_optimum(
@@ -196,7 +207,7 @@ def cost_optimum(
     aperture = C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3)
     require(aperture > 0, "array.d", "d > 0", aperture)
     power = required_power(beta, wavelength, diffraction_factor, eta, aperture, mass)
-    energy = beam_energy(beta, 2 * m0, eta)
+    energy = beam_energy(beta, optimized_craft_mass(m0), eta)
     return (aperture, power) + cost_terms(
         power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
         storage_efficiency, shots,
@@ -206,10 +217,10 @@ def cost_optimum(
 def fixed_aperture_design(
     aperture, beta, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
     diffraction_factor, array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
-) -> tuple[float, float, float, float, float]:
-    """(P0, C1, C2, C3, C4) of reaching beta with a given array size, along
-    the physics path: the required power, then the kinematics, then the
-    costs with the beam energy P0 t0."""
+) -> tuple[float, float, float, float, float, float]:
+    """(d, P0, C1, C2, C3, C4) of reaching beta with a given array size d,
+    along the physics path: the required power, then the kinematics, then
+    the costs with the beam energy P0 t0."""
     eta = coupling(reflectivity, absorptivity)
     power = required_power(
         beta, wavelength, diffraction_factor, eta, aperture, mass_term(xi, h, rho, m0)
@@ -219,7 +230,7 @@ def fixed_aperture_design(
         array_shape,
     )
     energy = 0.0 if accel_time is None else power * accel_time
-    return (power,) + cost_terms(
+    return (aperture, power) + cost_terms(
         power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
         storage_efficiency, shots,
     )

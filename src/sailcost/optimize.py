@@ -10,6 +10,7 @@ from .errors import (
     BoundaryOptimumError,
     ConvergenceError,
     DomainError,
+    NumericRangeError,
     ValidationError,
 )
 from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_cost_mode
@@ -24,7 +25,6 @@ from .params import (
     check_sail,
 )
 from .scenario import SWEEP_FIELDS, kernel_point
-from .units import C
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 
@@ -110,28 +110,15 @@ def constrained_cost(
     beam_fraction: float,
     metrics: CostMetrics,
 ) -> CostBreakdown:
-    """Cost of hitting the target speed with a given array size; the beam
-    power follows from the physics constraint."""
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction, aperture)
-    return constrained_design(
-        aperture, beta, payload, sail, wavelength, diffraction_factor,
-        array_shape, beam_fraction, metrics,
-    )[1]
-
-
-def constrained_design(
-    aperture, beta, payload: Payload, sail: SailSpec, wavelength, diffraction_factor,
-    array_shape, beam_fraction, metrics: CostMetrics,
-) -> tuple[float, CostBreakdown]:
-    """Beam power and cost breakdown along the physics path (power, then
-    kinematics, then costs) for array fields the caller has validated."""
+    """Cost of hitting the target speed with a given array size, along the
+    physics path (power, then kinematics, then costs)."""
     args = kernel_point(
         model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics, beta_target=beta,
     )
+    model.require(aperture > 0, "array.d", "d > 0", aperture)
     args["aperture"] = aperture
-    power, *terms = model.fixed_aperture_design(**args)
-    return power, CostBreakdown(*terms)
+    return CostBreakdown(*model.fixed_aperture_design(**args)[2:])
 
 
 def minimize_cost_numeric(
@@ -147,11 +134,11 @@ def minimize_cost_numeric(
 ) -> OptimumDesign:
     """Minimize the constrained cost over the array size by bracketing on
     a geometric grid and refining with golden-section.  The array is
-    checked once, before the search: every evaluated size lies inside the
-    search bounds, which ``SearchSpec`` keeps positive, and an evaluation
-    changes only the array size in the kernel's arguments."""
+    checked once, as ``kernel_point`` builds the kernel's arguments before
+    the search: every evaluated size lies inside the search bounds, which
+    ``SearchSpec`` keeps positive, and an evaluation, the final one at the
+    optimum included, changes only the array size in those arguments."""
     search = search or SearchSpec()
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
     args = kernel_point(
         model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics, beta_target=beta,
@@ -159,19 +146,16 @@ def minimize_cost_numeric(
 
     def objective(d: float) -> float:
         args["aperture"] = d
-        _, laser, optics, energy, storage = model.fixed_aperture_design(**args)
+        _, _, laser, optics, energy, storage = model.fixed_aperture_design(**args)
         return laser + optics + energy + storage
 
     lo, hi = _bracket(objective, search.d_min, search.d_max)
-    aperture = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
-    power, breakdown = constrained_design(
-        aperture, beta, payload, sail, wavelength, diffraction_factor,
-        array_shape, beam_fraction, metrics,
-    )
+    args["aperture"] = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
+    aperture, power, *terms = model.fixed_aperture_design(**args)
     coefficients = reduced_coefficients(
         sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
-    return OptimumDesign(aperture, power, breakdown, "numeric", *coefficients)
+    return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric", *coefficients)
 
 
 def maximize_speed_fixed_cost(
@@ -189,7 +173,6 @@ def maximize_speed_fixed_cost(
     The speed-vs-size curve beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at
     d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
     """
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
     aperture, power, beta, laser, optics = model.budget_design(**kernel_point(
         model.budget_design, payload, sail, wavelength, diffraction_factor, array_shape,
         beam_fraction, metrics, budget_target=total_usd,
@@ -235,19 +218,10 @@ def speed_curve_fixed_cost(
 ) -> float:
     """beta^2 attainable at a given array size under a fixed budget; the
     independent scan used to verify the speed maximum."""
-    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
-    numer = sail.coupling * (
-        total_usd * aperture - metrics.optics_usd_per_m2 * array_shape * aperture**3
+    _, optics_coeff, beta_coeff = reduced_coefficients(
+        sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
-    denom = (
-        2
-        * C**3
-        * wavelength
-        * diffraction_factor
-        * (metrics.laser_usd_per_watt / beam_fraction)
-        * mass_term
-    )
-    return numer / denom
+    return (total_usd * aperture - optics_coeff * aperture**3) / beta_coeff
 
 
 # The float check of each parameter record, by its Scenario attribute.
@@ -304,25 +278,29 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     lines = [f"{header}\n" if at_speed else f"{header},beta0\n"]
     prefix = suffix = ""
+    isfinite = math.isfinite
     for value in grid:
         if check is not None:
             swept[attr] = value
             check(**swept)
         args[name] = value
-        if not at_speed:
+        if at_speed:
+            aperture, power, c1, c2, c3, c4 = kernel(**args)
+        else:
             aperture, power, beta, c1, c2 = kernel(**args)
             c3 = c4 = 0.0
             suffix = f",{beta!r}"
-        elif fixed_aperture:
-            aperture = value
-            power, c1, c2, c3, c4 = kernel(**args)
-        else:
-            aperture, power, c1, c2, c3, c4 = kernel(**args)
         if not fixed_aperture:
             prefix = f"{value!r},"
+        total = c1 + c2 + c3 + c4
         flux = model.aperture_flux(power, args["array_shape"], aperture)
+        # No cost term is negative, so a finite total means finite terms.
+        if not (isfinite(total) and isfinite(flux) and isfinite(power) and isfinite(aperture)):
+            raise NumericRangeError(
+                f"sweep: the row at {axis} = {value!r} is non-finite; inputs out of numeric range"
+            )
         lines.append(
             f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
-            f"{c1 + c2 + c3 + c4!r},{flux!r}{suffix}\n"
+            f"{total!r},{flux!r}{suffix}\n"
         )
     return lines

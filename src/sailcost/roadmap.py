@@ -82,10 +82,14 @@ def time_of_entry(
     result is a fractional month index: the projected metric equals the
     affordable metric exactly there.
     """
-    needed = a1_for_budget(
+    return _entry_month(curve, a1_for_budget(
         budget, beta, optics_usd_per_m2, wavelength,
         sail.thickness, sail.density, payload.mass, beam_fraction,
-    )
+    ))
+
+
+def _entry_month(curve: TechCurve, needed: float) -> float:
+    """Month at which the projected laser metric falls to ``needed``."""
     return curve.reference_month + curve.halving_months * math.log2(
         curve.base_value / needed
     )
@@ -110,14 +114,11 @@ def plan_stages(
     stages = []
     for x in designations:
         beta = x / 100.0
-        entry = time_of_entry(
-            curve, budget, beta, payload, sail, wavelength,
-            metrics.optics_usd_per_m2, beam_fraction,
-        )
         a1_entry = a1_for_budget(
             budget, beta, metrics.optics_usd_per_m2, wavelength,
             sail.thickness, sail.density, payload.mass, beam_fraction,
         )
+        entry = _entry_month(curve, a1_entry)
         stage_metrics = metrics.replace(laser_usd_per_watt=a1_entry)
         design = closed_form_optimum(
             beta, payload, sail, wavelength, 1.22, math.pi / 4,

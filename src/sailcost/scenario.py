@@ -20,8 +20,10 @@ import io
 import json
 import math
 
-from .errors import DomainError, ParseError, UnitError, ValidationError
-from .params import ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec
+from .errors import DomainError, NumericRangeError, ParseError, UnitError, ValidationError
+from .params import (
+    ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec, check_array,
+)
 from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
@@ -142,7 +144,10 @@ def kernel_point(
     that the kernel-name column of FIELDS names.  The arguments are those
     of the record API (the records, the array fields as floats) plus the
     Scenario's own fields by attribute (``beta_target=``,
-    ``budget_target=``); a field that is not given is None."""
+    ``budget_target=``); a field that is not given is None.  The loose
+    array floats get the ArraySpec checks here, the one place where they
+    enter a kernel."""
+    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
     holders = {
         None: top, "payload": vars(payload), "sail": vars(sail), "metrics": vars(metrics),
         "array": {
@@ -187,6 +192,12 @@ class SweepSpec(Record):
             raise ValidationError(f"sweep: log scale needs from > 0 (got {self.start!r})")
         if self.points < 2:
             raise ValidationError(f"sweep.points: need >= 2 (got {self.points!r})")
+        # The ratio a log grid spans, or the difference a linear grid steps through.
+        spread = self.stop / self.start if self.scale == "log" else self.stop - self.start
+        if not math.isfinite(spread):
+            raise ValidationError(
+                f"sweep: the {self.scale} grid from {self.start!r} to {self.stop!r} overflows"
+            )
 
     def grid(self) -> list[float]:
         n = self.points
@@ -347,9 +358,12 @@ def scenario_with(scenario: Scenario, axis: str, si_value: float) -> Scenario:
     return scenario.replace(**{record: getattr(scenario, record).replace(**{attr: si_value})})
 
 
-def format_number(value) -> str:
-    """Shortest decimal that round-trips to the same float."""
+def format_number(value, name: str) -> str:
+    """Shortest decimal that round-trips to the same float; a non-finite
+    float ``name`` is a NumericRangeError."""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericRangeError(f"{name} is non-finite; inputs out of numeric range")
         return repr(value)
     return str(value)
 
@@ -359,7 +373,8 @@ def write_results(records: list[dict], fmt: str, destination) -> int:
 
     CSV keeps the column order of the first record; JSON preserves key
     order.  Identical inputs always produce byte-identical output (LF
-    line endings, UTF-8, shortest round-trip floats, no timestamps).
+    line endings, UTF-8, shortest round-trip floats, no timestamps).  A
+    non-finite float is a NumericRangeError, and then nothing is written.
     """
     if fmt == "csv":
         import csv
@@ -371,10 +386,13 @@ def write_results(records: list[dict], fmt: str, destination) -> int:
         for record in records:
             if list(record.keys()) != columns:
                 raise ValidationError("records must be homogeneous for CSV output")
-            writer.writerow([format_number(record[c]) for c in columns])
+            writer.writerow([format_number(record[c], c) for c in columns])
         payload = buf.getvalue()
     elif fmt == "json":
-        payload = json.dumps(records, indent=2) + "\n"
+        try:
+            payload = json.dumps(records, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            raise NumericRangeError("non-finite result; inputs out of numeric range") from None
     else:
         raise ValidationError(f"unknown output format {fmt!r}")
     write_text([payload], destination)

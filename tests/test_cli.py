@@ -181,12 +181,58 @@ def test_error_contract_on_stderr(capsys):
         ("sweep", EX1, "--axis", "metrics.a5", "--from", "1", "--to", "2", "--points", "3"),
         ("sweep", EX3, "--axis", "techcurve.halving_months", "--from", "1", "--to", "2",
          "--points", "3"),
+        ("energy", EX1, "--wall-plug", "7"),
+        ("energy", EX1, "--wall-plug", "0"),
     ],
 )
 def test_bad_flag_values_are_validation_errors(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("validation_error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Results that overflow to Infinity or NaN.
+        ("energy", EX1, "--set", "metrics.a4=1e300 usd/J"),
+        ("solve", EX1, "--set", "metrics.a1=1e300 usd/W", "--set", "array.P0=1e10 W",
+         "--set", "array.d=10 km"),
+        ("sweep", EX1, "--axis", "metrics.a4", "--from", "1e300 usd/J", "--to", "1e305 usd/J",
+         "--points", "2"),
+        # Intermediates that overflow or divide by an underflowed zero.
+        ("optimize", EX1, "--set", "target.beta0=1e-300"),
+        ("optimize", EX1, "--set", "payload.m0=1e-300 kg"),
+        ("solve", EX1, "--set", "array.P0=1e-300 W", "--set", "array.d=1e300 m"),
+        ("sweep", EX1, "--axis", "array.d", "--from", "1 m", "--to", "1e300 m", "--points", "3",
+         "--log"),
+        ("roadmap", EX3, "--stages", "1e-300"),
+    ],
+)
+def test_finite_inputs_out_of_float_range_are_numeric_errors(capsys, tmp_path, argv):
+    """No output holds Infinity or NaN, and no finite flag value gives an
+    internal_error: the run stops with one numeric_error line and exit 3,
+    and writes neither stdout nor its output file."""
+    out_path = tmp_path / "out"
+    for extra in ((), ("-o", str(out_path))):
+        code, out, err = _run(capsys, *argv, *extra)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric_error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    ("start", "stop", "scale"),
+    [("1e-300 usd/W", "1e300 usd/W", ["--log"]), ("-1e308 usd/W", "1e308 usd/W", [])],
+    ids=["log-ratio", "linear-step"],
+)
+def test_sweep_grid_that_overflows_is_rejected(capsys, start, stop, scale):
+    code, out, err = _run(
+        capsys, "sweep", EX1, "--axis", "metrics.a1", "--from", start, "--to", stop,
+        "--points", "3", *scale,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("validation_error: sweep: ") and err.count("\n") == 1
 
 
 def test_techcurve_keys_without_base_are_rejected(capsys, tmp_path):

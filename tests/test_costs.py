@@ -11,8 +11,8 @@ from sailcost.costs import (
     shot_beam_energy,
 )
 from sailcost.errors import DegenerateOptimumError, DomainError
-from sailcost.kinematics import kinematics_optimized_at
-from sailcost.params import CostMetrics, Payload, SailSpec
+from sailcost.kinematics import kinematics_optimized
+from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = Payload(mass=1e-3)
@@ -114,7 +114,8 @@ def test_energy_terms_enter_breakdown_but_not_the_optimum():
 
 def test_shot_beam_energy_matches_power_times_time():
     design = _optimum(CostMetrics(1.0, 1000.0))
-    kin = kinematics_optimized_at(design.power, design.aperture, SAIL, PAYLOAD, 1e-6, 1.22, XI)
+    array = ArraySpec(1e-6, 1.22, XI, aperture=design.aperture, power=design.power)
+    kin = kinematics_optimized(array, SAIL, PAYLOAD)
     assert shot_beam_energy(0.2, PAYLOAD, SAIL) == pytest.approx(
         design.power * kin.accel_time, rel=1e-10
     )

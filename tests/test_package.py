@@ -1,3 +1,5 @@
+import ast
+import collections
 import importlib
 import json
 import re
@@ -95,3 +97,36 @@ def test_package_import_loads_no_submodule():
         capture_output=True, text=True, check=True,
     )
     assert [m for m in json.loads(proc.stdout) if m.startswith("sailcost")] == ["sailcost"]
+
+
+# Module-level functions that only the tests call: reference
+# implementations that check the model from outside it.
+_TEST_REFERENCES = {
+    "scenario_with",  # the record-rebuilding sweep point the kernel sweep is checked against
+    "speed_curve_fixed_cost",  # the beta^2(d) scan that checks the fixed-budget speed maximum
+}
+
+
+def test_every_module_function_is_named_somewhere_in_the_package():
+    """No helper that nothing calls: each module-level function is named in
+    ``src/`` outside its own ``def``, unless it is public, a dunder, or a
+    test reference implementation."""
+    trees = [ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "sailcost").glob("*.py"))]
+
+    def names(node):
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+
+    used = collections.Counter(name for tree in trees for name in names(tree))
+    unused = [
+        func.name
+        for tree in trees for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        and used[func.name] == names(func).count(func.name)
+        and func.name not in sailcost._MODULE_OF
+        and func.name not in _TEST_REFERENCES
+        and not (func.name.startswith("__") and func.name.endswith("__"))
+    ]
+    assert unused == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from sailcost import model
-from sailcost.errors import ParseError, UnitError, ValidationError
+from sailcost.errors import NumericRangeError, ParseError, UnitError, ValidationError
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.scenario import (
     FIELDS,
@@ -308,6 +308,15 @@ def test_csv_floats_round_trip():
 def test_csv_rejects_ragged_records():
     with pytest.raises(ValidationError, match="homogeneous"):
         write_results([{"a": 1}, {"b": 2}], "csv", io.StringIO())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_results_are_refused_and_nothing_is_written(tmp_path, fmt, bad):
+    path = tmp_path / "out"
+    with pytest.raises(NumericRangeError, match="non-finite"):
+        write_results([{"a": 1.0}, {"a": bad}], fmt, str(path))
+    assert not path.exists()
 
 
 def test_json_output(tmp_path):
