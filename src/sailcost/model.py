@@ -3,8 +3,8 @@ physics path (power, then kinematics, then costs), every formula more
 than one function evaluates, and one function for each sweep path (the
 closed-form cost optimum, a fixed array size, a fixed budget).
 Arguments are SI floats the caller has validated: the public functions
-check their records once and call these, and a sweep checks each swept
-value with the float checks of ``params``, so no internal path rebuilds
+check their records once and call these, and a sweep checks its swept
+values with the float checks of ``params``, so no internal path rebuilds
 or revalidates a parameter record.
 """
 
@@ -178,7 +178,7 @@ def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
     return math.sqrt(total_usd / (3 * a2 * array_shape))
 
 
-# The three path kernels, called by keyword with the point that
+# The three path kernels, called with the point that
 # scenario.kernel_point builds: each parameter is a kernel name of
 # scenario.FIELDS.  The record functions closed_form_optimum,
 # constrained_cost and maximize_speed_fixed_cost wrap them.

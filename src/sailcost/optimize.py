@@ -4,6 +4,7 @@ cost), the fixed-budget speed maximum, and the analytic cost curvature.
 """
 
 import math
+from contextlib import suppress
 
 from . import model
 from .errors import (
@@ -143,15 +144,16 @@ def minimize_cost_numeric(
         model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
         array_shape, beam_fraction, metrics, beta_target=beta,
     )
+    point, slot = list(args.values()), list(args).index("aperture")
 
     def objective(d: float) -> float:
-        args["aperture"] = d
-        _, _, laser, optics, energy, storage = model.fixed_aperture_design(**args)
+        point[slot] = d
+        _, _, laser, optics, energy, storage = model.fixed_aperture_design(*point)
         return laser + optics + energy + storage
 
     lo, hi = _bracket(objective, search.d_min, search.d_max)
-    args["aperture"] = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
-    aperture, power, *terms = model.fixed_aperture_design(**args)
+    point[slot] = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
+    aperture, power, *terms = model.fixed_aperture_design(*point)
     coefficients = reduced_coefficients(
         sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
     )
@@ -231,9 +233,9 @@ _RECORD_CHECKS = {
 _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 
 
-def sweep_lines(scenario, axis: str, grid) -> list[str]:
-    """CSV lines of a sweep of one scenario field over ``grid`` (SI
-    values), each ending in a newline: the header, then one row per
+def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
+    """CSV lines of a sweep of one scenario field over ``grid`` (a list
+    of SI values), each ending in a newline: the header, then one row per
     value.
 
     Under a speed target an ``array.d`` sweep holds the target at each
@@ -243,10 +245,13 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
     row ends in the speed it reaches, ``beta0``.  Every path is defined
     in optimized mode only, and a field is rejected when the path's
     kernel has no parameter by its kernel name in ``scenario.FIELDS``.
-    The kernel's arguments are built once; per point only the swept one
-    is set, after the value gets the check of its record, so a bad value
-    fails as the record would.  No record is built per point, and each
-    row is kept only as its formatted line.
+    The kernel's arguments are built once, as a list in its parameter
+    order, and per point only the swept slot is set.  A swept value gets
+    the check of its record, so a bad value fails as the record would.
+    Each check accepts an interval of each single field and refuses NaN,
+    so a grid without NaN whose least and greatest values pass is checked
+    only there.  No record is built per point, and each row is kept only
+    as its formatted line.
     """
     require_cost_mode(scenario.mode)
     _, group, attr, name = SWEEP_FIELDS[axis]
@@ -273,8 +278,16 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
         raise ValidationError(
             f"sweep: {axis} cannot be swept under {path_target}: the rows do not depend on it"
         )
+    point, names = list(args.values()), list(args)
+    slot, shape = names.index(name), names.index("array_shape")
     check = _RECORD_CHECKS.get(group)
     swept = dict(vars(getattr(scenario, group))) if check else None
+    if check and grid and all(value == value for value in grid):
+        with suppress(ValidationError):  # a bound is crossed: check per point
+            for value in (min(grid), max(grid)):
+                swept[attr] = value
+                check(**swept)
+            check = None
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     lines = [f"{header}\n" if at_speed else f"{header},beta0\n"]
     prefix = suffix = ""
@@ -283,17 +296,17 @@ def sweep_lines(scenario, axis: str, grid) -> list[str]:
         if check is not None:
             swept[attr] = value
             check(**swept)
-        args[name] = value
+        point[slot] = value
         if at_speed:
-            aperture, power, c1, c2, c3, c4 = kernel(**args)
+            aperture, power, c1, c2, c3, c4 = kernel(*point)
         else:
-            aperture, power, beta, c1, c2 = kernel(**args)
+            aperture, power, beta, c1, c2 = kernel(*point)
             c3 = c4 = 0.0
             suffix = f",{beta!r}"
         if not fixed_aperture:
             prefix = f"{value!r},"
         total = c1 + c2 + c3 + c4
-        flux = model.aperture_flux(power, args["array_shape"], aperture)
+        flux = model.aperture_flux(power, point[shape], aperture)
         # No cost term is negative, so a finite total means finite terms.
         if not (isfinite(total) and isfinite(flux) and isfinite(power) and isfinite(aperture)):
             raise NumericRangeError(

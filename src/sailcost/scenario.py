@@ -140,9 +140,10 @@ def kernel_point(
     **top,
 ) -> dict:
     """The flat SI point a path kernel of ``model`` takes by keyword:
-    {parameter: value} for each of its parameters, read from the field
-    that the kernel-name column of FIELDS names.  The arguments are those
-    of the record API (the records, the array fields as floats) plus the
+    {parameter: value} for each of its parameters in order (so the values
+    are its positional arguments), read from the field that the
+    kernel-name column of FIELDS names.  The arguments are those of the
+    record API (the records, the array fields as floats) plus the
     Scenario's own fields by attribute (``beta_target=``,
     ``budget_target=``); a field that is not given is None.  The loose
     array floats get the ArraySpec checks here, the one place where they
@@ -200,12 +201,16 @@ class SweepSpec(Record):
             )
 
     def grid(self) -> list[float]:
+        """``points`` values from ``start`` to ``stop``, both exactly: a
+        computed last point can overshoot a bound that ``stop`` meets."""
         n = self.points
         if self.scale == "log":
             ratio = self.stop / self.start
-            return [self.start * ratio ** (i / (n - 1)) for i in range(n)]
-        step = (self.stop - self.start) / (n - 1)
-        return [self.start + i * step for i in range(n)]
+            inner = [self.start * ratio ** (i / (n - 1)) for i in range(1, n - 1)]
+        else:
+            step = (self.stop - self.start) / (n - 1)
+            inner = [self.start + i * step for i in range(1, n - 1)]
+        return [self.start, *inner, self.stop]
 
 
 def parse_entries(text: str) -> dict[str, tuple[str, int]]:

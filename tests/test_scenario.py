@@ -275,6 +275,25 @@ def test_sweep_grids():
     assert log.grid() == pytest.approx([1.0, 10.0, 100.0])
 
 
+@given(
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.floats(min_value=1e-15, max_value=1e6),
+    st.integers(min_value=2, max_value=300),
+    st.sampled_from(["linear", "log"]),
+)
+def test_sweep_grid_ends_exactly_on_its_endpoints(start, span, points, scale):
+    if scale == "log":
+        start = abs(start) or 1.0
+        stop = start * (1 + span)
+    else:
+        stop = start + span * max(1.0, abs(start))
+    assume(start < stop)
+    grid = SweepSpec("metrics.a1", start, stop, points, scale).grid()
+    assert len(grid) == points
+    assert grid[0] == start and grid[-1] == stop
+    assert all(start <= value <= stop for value in grid)
+
+
 def test_sweep_validation():
     with pytest.raises(ValidationError):
         SweepSpec("name", 0.0, 1.0, 3)

@@ -4,18 +4,22 @@ failing point must fail as the record path does."""
 
 import contextlib
 import io
+import math
 import os
 import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sailcost import KinematicsResult, model
 from sailcost.cli import main
 from sailcost.costs import closed_form_optimum
-from sailcost.errors import SailcostError, ValidationError
+from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
 from sailcost.kinematics import required_power
 from sailcost.optimize import (
+    _RECORD_CHECKS,
+    _SWEEP_COLUMNS,
     constrained_cost,
     maximize_speed_fixed_cost,
     require_cost_mode,
@@ -49,6 +53,8 @@ RANGES = {
     "metrics.a4": (0.0, 1e-4), "metrics.eps_storage": (0.5, 1.0), "metrics.N_shot": (1.0, 1e3),
     "target.beta0": (0.05, 0.45), "target.budget": (1e10, 1e12),
 }
+# Record fields that may be None.
+OPTIONAL = ("diameter", "yield_strength", "aperture", "power")
 # Fields the kernel of each path never reads, by the target that selects
 # the path: a sweep of one is rejected, since only its first column
 # would change.
@@ -282,3 +288,145 @@ def test_sweep_memory_peak_is_under_twice_the_table(tmp_path, example, axis, sta
         tracemalloc.stop()
     assert result == (0, "", "")
     assert peak <= 2.0 * path.stat().st_size
+
+
+def test_sweep_ends_exactly_on_its_upper_bound():
+    """The last grid point is --to itself: computed as start + 7 steps it
+    came out as 1.0000000000000002, past eps_b <= 1."""
+    code, out, err = _cli(
+        "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "array.eps_b",
+        "--from", "0.1", "--to", "1", "--points", "8",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 9 and lines[1].startswith("0.1,") and lines[-1].startswith("1.0,")
+
+
+# Sweeps that cross a record bound, each with the error line and exit
+# code it had when every point was checked: the check that runs once per
+# sweep must not change which error is reported.
+CROSSING_SWEEPS = [
+    ("example1", "array.eps_b", "0.5", "1.5",
+     "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)"),
+    ("example3", "array.eps_b", "0.5", "1.5",
+     "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)"),
+    ("example1", "sail.eps_r", "0.5", "1.5",
+     "sail.eps_r: must satisfy 0 <= eps_r <= 1 (got 1.25)"),
+    ("example3", "sail.eps_r", "0.5", "1.5",
+     "sail.eps_r: must satisfy 0 <= eps_r <= 1 (got 1.25)"),
+    ("example1", "metrics.eps_storage", "0.5", "1.5",
+     "metrics.eps_storage: must satisfy 0 < eps_storage <= 1 (got 1.25)"),
+    ("example1", "metrics.N_shot", "0.5", "10",
+     "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)"),
+    ("example1", "payload.m0", "-1 g", "1 g", "payload.m0: must satisfy m0 > 0 (got -0.001)"),
+    ("example3", "payload.m0", "-1 g", "1 g", "payload.m0: must satisfy m0 > 0 (got -0.001)"),
+]
+
+
+@pytest.mark.parametrize(("example", "axis", "start", "stop", "message"), CROSSING_SWEEPS)
+def test_sweep_crossing_a_bound_keeps_its_error(example, axis, start, stop, message):
+    code, out, err = _cli(
+        "sweep", os.path.join(FIXTURES, f"{example}.scn"), "--axis", axis,
+        "--from", start, "--to", stop, "--points", "5",
+    )
+    assert (code, out, err) == (1, "", f"validation_error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("axis", "grid", "error"),
+    [
+        # A bound crossed mid-grid on a lower bound, which a CLI grid
+        # (from < to) can cross only at its first point.
+        ("metrics.N_shot", [10.0, 5.0, 0.5, 2.0],
+         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
+        ("payload.m0", [1e-3, 5e-4, -1e-3, 1e-3],
+         (ValidationError, "payload.m0: must satisfy m0 > 0 (got -0.001)")),
+        # The kernel refuses a valid a1 = 0 before the record refuses -1.
+        ("metrics.a1", [0.0, -1.0],
+         (DegenerateOptimumError,
+          "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a boundary "
+          "otherwise - use the bounded numeric search")),
+        # A NaN lies between no extremes; its record refuses it.
+        ("metrics.a1", [1.0, math.nan, 2.0],
+         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got nan)")),
+    ],
+)
+def test_sweep_reports_the_first_failing_point(axis, grid, error):
+    scenario = _scenario("example1", [])
+    assert _outcome(lambda: sweep_lines(scenario, axis, grid)) == error
+
+
+def test_empty_grid_gives_the_header_alone():
+    header = f"metrics.a1,{_SWEEP_COLUMNS}\n"
+    assert sweep_lines(_scenario("example1", []), "metrics.a1", []) == [header]
+
+
+@pytest.mark.parametrize(
+    ("example", "axis", "start", "stop"),
+    [
+        ("example1", "metrics.a1", 0.1, 10.0),
+        ("example1", "array.d", 1e3, 1e5),
+        ("example1", "sail.h", 1e-7, 1e-5),
+        ("example3", "payload.m0", 1e-4, 1e-2),
+    ],
+)
+def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis, start, stop):
+    group = SWEEP_FIELDS[axis][1]
+    calls = []
+
+    def counted(*args, original=_RECORD_CHECKS[group], **kwargs):
+        calls.append(kwargs)
+        original(*args, **kwargs)
+
+    monkeypatch.setitem(_RECORD_CHECKS, group, counted)
+    grid = [start * (stop / start) ** (i / 999) for i in range(1000)]
+    assert len(sweep_lines(_scenario(example, []), axis, grid)) == 1001
+    assert len(calls) <= 2
+
+
+# The bounds of the record checks, and values next to them.
+_EDGES = [-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+def _values(lo, hi):
+    """Floats in [lo, hi], and the edges."""
+    return st.sampled_from(_EDGES) | st.floats(lo, hi)
+
+
+# Every sweepable field whose record has a float check.
+CHECKED_FIELDS = [axis for axis, row in SWEEP_FIELDS.items() if row[1] in _RECORD_CHECKS]
+_AXES = {(row[1], row[2]): axis for axis, row in SWEEP_FIELDS.items()}
+# Values of either sign from 1e-12 to 1e12, sixteen to a decade.
+_LADDER = [sign * 10 ** (k / 16) for sign in (-1.0, 1.0) for k in range(-192, 193)]
+
+
+@pytest.mark.parametrize("axis", CHECKED_FIELDS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_record_checks_accept_an_interval_of_each_field(axis, data):
+    """What lets a sweep check its record only at the grid's extremes: the
+    values of one field that its record check accepts form an interval,
+    whatever the record's other fields are.  So a check that passes at lo
+    and at hi passes at every value in between."""
+    _, group, attr, _ = SWEEP_FIELDS[axis]
+    check = _RECORD_CHECKS[group]
+    code = check.__code__
+    fields = {}
+    for name in code.co_varnames[:code.co_argcount]:
+        values = _values(*RANGES[_AXES[group, name]])
+        fields[name] = data.draw(values | st.none() if name in OPTIONAL else values, label=name)
+    lo, hi = RANGES[axis]
+    even = [lo + (hi - lo) * i / 64 for i in range(65)]
+    drawn = data.draw(st.lists(_values(lo, hi), max_size=30), label="values")
+    candidates = sorted({*_EDGES, *_LADDER, *even, *drawn})
+
+    def passes(value):
+        try:
+            check(**{**fields, attr: value})
+        except ValidationError:
+            return False
+        return True
+
+    accepted = [i for i, value in enumerate(candidates) if passes(value)]
+    if accepted:
+        assert accepted == list(range(accepted[0], accepted[-1] + 1))
