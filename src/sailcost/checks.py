@@ -42,14 +42,17 @@ def _reference_payload() -> Payload:
 
 
 _WAVELENGTH = 1e-6
-_ALPHA_D = 1.22
 _XI_ARR = math.pi / 4
+
+
+def _reference_array() -> ArraySpec:
+    return ArraySpec(wavelength=_WAVELENGTH, shape_factor=_XI_ARR)
 
 
 def _closed(beta, metrics, sail=None, payload=None):
     return closed_form_optimum(
-        beta, payload or _reference_payload(), sail or _reference_sail(),
-        _WAVELENGTH, _ALPHA_D, _XI_ARR, 1.0, metrics,
+        beta, payload or _reference_payload(), sail or _reference_sail(), _reference_array(),
+        metrics,
     )
 
 
@@ -93,7 +96,7 @@ def check_two_thirds_rule() -> CheckResult:
     rule = abs(b.laser - 2 * b.optics) / b.total <= 1e-9
     base = CostMetrics(1.0, 1000.0)
     energetic = CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, shots=100)
-    args = (_reference_payload(), _reference_sail(), _WAVELENGTH, _ALPHA_D, _XI_ARR, 1.0)
+    args = (_reference_payload(), _reference_sail(), _reference_array())
     d_plain = minimize_cost_numeric(0.2, *args, base).aperture
     d_energy = minimize_cost_numeric(0.2, *args, energetic).aperture
     shift = _rel(d_energy, d_plain)
@@ -116,29 +119,22 @@ def _random_case(rng):
     )
     payload = Payload(mass=10 ** rng.uniform(-4, 0))
     metrics = CostMetrics(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(1, 5))
-    geom = dict(
+    array = ArraySpec(
         wavelength=10 ** rng.uniform(-6.7, -5),
         diffraction_factor=rng.uniform(1.0, 2.0),
-        array_shape=rng.uniform(0.5, 1.0),
+        shape_factor=rng.uniform(0.5, 1.0),
         beam_fraction=rng.uniform(0.5, 1.0),
     )
-    return beta, payload, sail, metrics, geom
+    return beta, payload, sail, metrics, array
 
 
 def check_oracle_equivalence(draws: int = 1000, seed: int = 20240817) -> CheckResult:
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(draws):
-        beta, payload, sail, metrics, geom = _random_case(rng)
-        closed = closed_form_optimum(
-            beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-            geom["array_shape"], geom["beam_fraction"], metrics,
-        )
-        numeric = minimize_cost_numeric(
-            beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-            geom["array_shape"], geom["beam_fraction"], metrics,
-            SearchSpec(),
-        )
+        beta, payload, sail, metrics, array = _random_case(rng)
+        closed = closed_form_optimum(beta, payload, sail, array, metrics)
+        numeric = minimize_cost_numeric(beta, payload, sail, array, metrics, SearchSpec())
         worst = max(worst, _rel(numeric.aperture, closed.aperture))
     return CheckResult(
         "oracle-equivalence",
@@ -151,8 +147,7 @@ def check_fixed_cost_speed() -> CheckResult:
     metrics = CostMetrics(1.0, 1000.0)
     budget = 193e9
     result = maximize_speed_fixed_cost(
-        budget, _reference_payload(), _reference_sail(),
-        _WAVELENGTH, _ALPHA_D, _XI_ARR, 1.0, metrics,
+        budget, _reference_payload(), _reference_sail(), _reference_array(), metrics
     )
     third = abs(result.breakdown.optics - budget / 3) / budget
     dual = _rel(_closed(result.beta, metrics).breakdown.total, budget)
@@ -251,25 +246,15 @@ def check_curvature(draws: int = 50, seed: int = 20240818) -> CheckResult:
     worst_fd = 0.0
     all_positive = True
     for _ in range(draws):
-        beta, payload, sail, metrics, geom = _random_case(rng)
-        design = closed_form_optimum(
-            beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-            geom["array_shape"], geom["beam_fraction"], metrics,
-        )
+        beta, payload, sail, metrics, array = _random_case(rng)
+        design = closed_form_optimum(beta, payload, sail, array, metrics)
         d = design.aperture * rng.uniform(0.5, 2.0)
-        analytic = second_derivative_at(
-            d, beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-            geom["array_shape"], geom["beam_fraction"], metrics,
-        )
+        analytic = second_derivative_at(d, beta, payload, sail, array, metrics)
         all_positive = all_positive and analytic > 0
         step = 1e-4 * d
 
         def total(x):
-            return constrained_cost(
-                x, beta, payload, sail, geom["wavelength"],
-                geom["diffraction_factor"], geom["array_shape"],
-                geom["beam_fraction"], metrics,
-            ).total
+            return constrained_cost(x, beta, payload, sail, array, metrics).total
 
         fd = (total(d + step) - 2 * total(d) + total(d - step)) / step**2
         worst_fd = max(worst_fd, _rel(fd, analytic))

@@ -123,10 +123,7 @@ def _cmd_solve(args):
     scenario = _load(args)
     kin = _solve_kinematics(scenario)
     array = scenario.array
-    breakdown = cost_components(
-        array.power, kin.accel_time, array.aperture, scenario.metrics,
-        array.beam_fraction, array.shape_factor,
-    )
+    breakdown = cost_components(array, kin.accel_time, scenario.metrics)
     doc = _result_doc(scenario, array.aperture, array.power, breakdown, kin)
     _emit(doc, args)
     return 0
@@ -140,11 +137,8 @@ def _require_beta_target(scenario, command):
 
 def _optimize_design(scenario, beta):
     require_cost_mode(scenario.mode)
-    array = scenario.array
     return closed_form_optimum(
-        beta, scenario.payload, scenario.sail, array.wavelength,
-        array.diffraction_factor, array.shape_factor, array.beam_fraction,
-        scenario.metrics,
+        beta, scenario.payload, scenario.sail, scenario.array, scenario.metrics
     )
 
 
@@ -170,11 +164,9 @@ def _cmd_max_speed(args):
     if scenario.budget_target is None:
         raise ValidationError("max-speed requires a target.budget scenario")
     require_cost_mode(scenario.mode)
-    array = scenario.array
     design = maximize_speed_fixed_cost(
-        scenario.budget_target, scenario.payload, scenario.sail,
-        array.wavelength, array.diffraction_factor, array.shape_factor,
-        array.beam_fraction, scenario.metrics,
+        scenario.budget_target, scenario.payload, scenario.sail, scenario.array,
+        scenario.metrics,
     )
     _emit(_design_doc(scenario, design), args)
     return 0

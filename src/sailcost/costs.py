@@ -11,8 +11,8 @@ twice the optics cost.
 import math
 
 from . import model
-from .errors import DomainError, ValidationError
-from .params import CostMetrics, Payload, Record, SailSpec
+from .errors import DomainError, NumericRangeError, ValidationError
+from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import kernel_point
 from .units import C
 
@@ -45,42 +45,30 @@ class CostBreakdown(Record):
 
 
 class OptimumDesign(Record):
-    """Cost-optimal array size and beam power with the cost breakdown.
-
-    The auxiliary coefficients are the reduced one-dimensional objective
-    C(d) = speed_coeff * v0^2 / d + optics_coeff * d^2, with beta_coeff
-    the beta-normalized variant of speed_coeff.
-    """
+    """Cost-optimal array size and beam power with the cost breakdown."""
 
     aperture: float
     power: float
     breakdown: CostBreakdown
     method: str  # "closed-form" | "numeric"
-    speed_coeff: float
-    optics_coeff: float
-    beta_coeff: float
 
 
 def reduced_coefficients(
-    sail: SailSpec,
-    payload: Payload,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
-    metrics: CostMetrics,
+    payload: Payload, sail: SailSpec, array: ArraySpec, metrics: CostMetrics
 ) -> tuple[float, float, float]:
     """Coefficients (speed_coeff, optics_coeff, beta_coeff) of the
-    one-dimensional cost objective along the physics constraint."""
+    one-dimensional cost objective along the physics constraint,
+    C(d) = speed_coeff * v0^2 / d + optics_coeff * d^2, with beta_coeff
+    the beta-normalized variant of speed_coeff."""
     mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
     speed_coeff = (
         metrics.laser_usd_per_watt
-        / beam_fraction
-        * (2 * C * wavelength * diffraction_factor)
+        / array.beam_fraction
+        * (2 * C * array.wavelength * array.diffraction_factor)
         / sail.coupling
         * mass_term
     )
-    return speed_coeff, metrics.optics_usd_per_m2 * array_shape, speed_coeff * C**2
+    return speed_coeff, metrics.optics_usd_per_m2 * array.shape_factor, speed_coeff * C**2
 
 
 def shot_beam_energy(beta: float, payload: Payload, sail: SailSpec) -> float:
@@ -91,22 +79,19 @@ def shot_beam_energy(beta: float, payload: Payload, sail: SailSpec) -> float:
 
 
 def cost_components(
-    power: float,
-    accel_time: float | None,
-    aperture: float,
-    metrics: CostMetrics,
-    beam_fraction: float,
-    array_shape: float,
+    array: ArraySpec, accel_time: float | None, metrics: CostMetrics
 ) -> CostBreakdown:
-    """Evaluate the four cost components at an explicit design point.
+    """Evaluate the four cost components at the array's explicit design
+    point (its power and aperture).
 
     accel_time None (zero-power design) contributes zero energy cost.
     """
-    if beam_fraction <= 0:
-        raise DomainError(f"eps_b must be > 0 (got {beam_fraction!r})")
+    power, aperture = array.power, array.aperture
+    if power is None or aperture is None:
+        raise DomainError("array.P0 and array.d required for the cost components")
     beam_energy = 0.0 if accel_time is None else power * accel_time
     return CostBreakdown(*model.cost_terms(
-        power, aperture, beam_energy, beam_fraction, array_shape,
+        power, aperture, beam_energy, array.beam_fraction, array.shape_factor,
         metrics.laser_usd_per_watt, metrics.optics_usd_per_m2, metrics.energy_usd_per_joule,
         metrics.storage_usd_per_joule, metrics.storage_efficiency, metrics.shots,
     ))
@@ -119,14 +104,7 @@ def require_cost_mode(mode: str) -> None:
 
 
 def closed_form_optimum(
-    beta: float,
-    payload: Payload,
-    sail: SailSpec,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
-    metrics: CostMetrics,
+    beta: float, payload: Payload, sail: SailSpec, array: ArraySpec, metrics: CostMetrics
 ) -> OptimumDesign:
     """Closed-form minimum-cost design for a target speed fraction.
 
@@ -137,15 +115,9 @@ def closed_form_optimum(
     breakdown but do not move the optimum.
     """
     aperture, power, *terms = model.cost_optimum(**kernel_point(
-        model.cost_optimum, payload, sail, wavelength, diffraction_factor, array_shape,
-        beam_fraction, metrics, beta_target=beta,
+        model.cost_optimum, payload, sail, array, metrics, beta_target=beta
     ))
-    coefficients = reduced_coefficients(
-        sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
-    )
-    return OptimumDesign(
-        aperture, power, CostBreakdown(*terms), "closed-form", *coefficients
-    )
+    return OptimumDesign(aperture, power, CostBreakdown(*terms), "closed-form")
 
 
 def cost_scaling_exponents() -> dict[str, dict[str, float]]:
@@ -187,10 +159,13 @@ def a1_for_budget(
     geom = model.cost_geometry(
         wavelength, alpha_d, xi_arr, eta, model.mass_term(xi, thickness, density, payload_mass)
     )
-    return (
-        beam_fraction
-        * optics_usd_per_m2
-        * aperture**3
-        / (C**3 * beta**2 * geom)
+    a1 = model.check_finite(
+        "the laser metric a1 that fits the budget",
+        beam_fraction * optics_usd_per_m2 * aperture**3 / (C**3 * beta**2 * geom),
     )
+    if a1 <= 0:
+        raise NumericRangeError(
+            f"the laser metric a1 that fits the budget is {a1!r}; inputs out of numeric range"
+        )
+    return a1
 

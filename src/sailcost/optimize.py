@@ -16,6 +16,7 @@ from .errors import (
 )
 from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_cost_mode
 from .params import (
+    ArraySpec,
     CostMetrics,
     Payload,
     Record,
@@ -105,17 +106,14 @@ def constrained_cost(
     beta: float,
     payload: Payload,
     sail: SailSpec,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
+    array: ArraySpec,
     metrics: CostMetrics,
 ) -> CostBreakdown:
     """Cost of hitting the target speed with a given array size, along the
-    physics path (power, then kinematics, then costs)."""
+    physics path (power, then kinematics, then costs); the array's own
+    aperture, if any, is not used."""
     args = kernel_point(
-        model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
-        array_shape, beam_fraction, metrics, beta_target=beta,
+        model.fixed_aperture_design, payload, sail, array, metrics, beta_target=beta
     )
     model.require(aperture > 0, "array.d", "d > 0", aperture)
     args["aperture"] = aperture
@@ -126,23 +124,19 @@ def minimize_cost_numeric(
     beta: float,
     payload: Payload,
     sail: SailSpec,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
+    array: ArraySpec,
     metrics: CostMetrics,
     search: SearchSpec | None = None,
 ) -> OptimumDesign:
     """Minimize the constrained cost over the array size by bracketing on
-    a geometric grid and refining with golden-section.  The array is
-    checked once, as ``kernel_point`` builds the kernel's arguments before
-    the search: every evaluated size lies inside the search bounds, which
-    ``SearchSpec`` keeps positive, and an evaluation, the final one at the
-    optimum included, changes only the array size in those arguments."""
+    a geometric grid and refining with golden-section.  The kernel's
+    arguments are built once, before the search: every evaluated size
+    lies inside the search bounds, which ``SearchSpec`` keeps positive,
+    and an evaluation, the final one at the optimum included, changes
+    only the array size in those arguments."""
     search = search or SearchSpec()
     args = kernel_point(
-        model.fixed_aperture_design, payload, sail, wavelength, diffraction_factor,
-        array_shape, beam_fraction, metrics, beta_target=beta,
+        model.fixed_aperture_design, payload, sail, array, metrics, beta_target=beta
     )
     point, slot = list(args.values()), list(args).index("aperture")
 
@@ -154,21 +148,11 @@ def minimize_cost_numeric(
     lo, hi = _bracket(objective, search.d_min, search.d_max)
     point[slot] = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
     aperture, power, *terms = model.fixed_aperture_design(*point)
-    coefficients = reduced_coefficients(
-        sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
-    )
-    return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric", *coefficients)
+    return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric")
 
 
 def maximize_speed_fixed_cost(
-    total_usd: float,
-    payload: Payload,
-    sail: SailSpec,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
-    metrics: CostMetrics,
+    total_usd: float, payload: Payload, sail: SailSpec, array: ArraySpec, metrics: CostMetrics
 ) -> SpeedMaxResult:
     """Fastest reachable speed when the laser + optics budget is fixed.
 
@@ -176,8 +160,7 @@ def maximize_speed_fixed_cost(
     d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
     """
     aperture, power, beta, laser, optics = model.budget_design(**kernel_point(
-        model.budget_design, payload, sail, wavelength, diffraction_factor, array_shape,
-        beam_fraction, metrics, budget_target=total_usd,
+        model.budget_design, payload, sail, array, metrics, budget_target=total_usd
     ))
     return SpeedMaxResult(
         aperture=aperture, power=power, beta=beta,
@@ -190,10 +173,7 @@ def second_derivative_at(
     beta: float,
     payload: Payload,
     sail: SailSpec,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
+    array: ArraySpec,
     metrics: CostMetrics,
 ) -> float:
     """Analytic curvature of the constrained cost in the array size:
@@ -201,28 +181,21 @@ def second_derivative_at(
     the stationary point is always a minimum."""
     if aperture <= 0:
         raise DomainError(f"d must be > 0 (got {aperture!r})")
-    _, optics_coeff, beta_coeff = reduced_coefficients(
-        sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
-    )
+    _, optics_coeff, beta_coeff = reduced_coefficients(payload, sail, array, metrics)
     return 2 * beta_coeff * beta**2 / aperture**3 + 2 * optics_coeff
 
 
 def speed_curve_fixed_cost(
     total_usd: float,
     aperture: float,
-    sail: SailSpec,
     payload: Payload,
-    wavelength: float,
-    diffraction_factor: float,
-    array_shape: float,
-    beam_fraction: float,
+    sail: SailSpec,
+    array: ArraySpec,
     metrics: CostMetrics,
 ) -> float:
     """beta^2 attainable at a given array size under a fixed budget; the
     independent scan used to verify the speed maximum."""
-    _, optics_coeff, beta_coeff = reduced_coefficients(
-        sail, payload, wavelength, diffraction_factor, array_shape, beam_fraction, metrics
-    )
+    _, optics_coeff, beta_coeff = reduced_coefficients(payload, sail, array, metrics)
     return (total_usd * aperture - optics_coeff * aperture**3) / beta_coeff
 
 
@@ -267,10 +240,8 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
         kernel = model.fixed_aperture_design
     else:
         kernel = model.cost_optimum
-    array = scenario.array
     args = kernel_point(
-        kernel, scenario.payload, scenario.sail, array.wavelength, array.diffraction_factor,
-        array.shape_factor, array.beam_fraction, scenario.metrics,
+        kernel, scenario.payload, scenario.sail, scenario.array, scenario.metrics,
         beta_target=scenario.beta_target, budget_target=scenario.budget_target,
     )
     if name not in args:

@@ -11,7 +11,7 @@ import warnings
 
 from .errors import DomainError
 from .costs import a1_for_budget, closed_form_optimum, OptimumDesign
-from .params import CostMetrics, Payload, Record, SailSpec
+from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import TechCurve
 
 BACKWARD_EXTRAPOLATION_HALVINGS = 10
@@ -111,6 +111,7 @@ def plan_stages(
     Uses the perfect-reflector circular-array closed forms, matching the
     budget inversion.
     """
+    array = ArraySpec(wavelength, 1.22, math.pi / 4, beam_fraction)
     stages = []
     for x in designations:
         beta = x / 100.0
@@ -120,9 +121,6 @@ def plan_stages(
         )
         entry = _entry_month(curve, a1_entry)
         stage_metrics = metrics.replace(laser_usd_per_watt=a1_entry)
-        design = closed_form_optimum(
-            beta, payload, sail, wavelength, 1.22, math.pi / 4,
-            beam_fraction, stage_metrics,
-        )
+        design = closed_form_optimum(beta, payload, sail, array, stage_metrics)
         stages.append(Stage(x, beta, stage_metrics, entry, design))
     return StagePlan(tuple(stages))

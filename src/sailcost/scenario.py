@@ -21,9 +21,7 @@ import json
 import math
 
 from .errors import DomainError, NumericRangeError, ParseError, UnitError, ValidationError
-from .params import (
-    ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec, check_array,
-)
+from .params import ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec
 from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
@@ -135,26 +133,17 @@ _KERNEL_SOURCES = {
 }
 
 
-def kernel_point(
-    kernel, payload, sail, wavelength, diffraction_factor, array_shape, beam_fraction, metrics,
-    **top,
-) -> dict:
+def kernel_point(kernel, payload, sail, array, metrics, **top) -> dict:
     """The flat SI point a path kernel of ``model`` takes by keyword:
     {parameter: value} for each of its parameters in order (so the values
     are its positional arguments), read from the field that the
-    kernel-name column of FIELDS names.  The arguments are those of the
-    record API (the records, the array fields as floats) plus the
-    Scenario's own fields by attribute (``beta_target=``,
-    ``budget_target=``); a field that is not given is None.  The loose
-    array floats get the ArraySpec checks here, the one place where they
-    enter a kernel."""
-    check_array(wavelength, diffraction_factor, array_shape, beam_fraction)
+    kernel-name column of FIELDS names.  The arguments are the records of
+    the record API plus the Scenario's own fields by attribute
+    (``beta_target=``, ``budget_target=``); a field that is not given is
+    None."""
     holders = {
-        None: top, "payload": vars(payload), "sail": vars(sail), "metrics": vars(metrics),
-        "array": {
-            "wavelength": wavelength, "diffraction_factor": diffraction_factor,
-            "shape_factor": array_shape, "beam_fraction": beam_fraction,
-        },
+        None: top, "payload": vars(payload), "sail": vars(sail), "array": vars(array),
+        "metrics": vars(metrics),
     }
     code = kernel.__code__
     point = {}

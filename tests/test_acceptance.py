@@ -24,7 +24,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 XI = math.pi / 4
 SAIL = sc.SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = sc.Payload(mass=1e-3)
-GEOM = (1e-6, 1.22, XI, 1.0)
+ARRAY = sc.ArraySpec(1e-6, 1.22, XI, 1.0)
 
 
 def _report(criterion, passed, detail=""):
@@ -35,7 +35,7 @@ def _report(criterion, passed, detail=""):
 
 def test_criterion_01_worked_example_baseline():
     start = time.perf_counter()
-    design = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, *GEOM, sc.CostMetrics(1.0, 1000.0))
+    design = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(1.0, 1000.0))
     elapsed = time.perf_counter() - start
     ok = (
         abs(design.aperture - 9.1e3) / 9.1e3 <= 0.02
@@ -48,7 +48,7 @@ def test_criterion_01_worked_example_baseline():
 
 
 def test_criterion_02_worked_example_cheap_laser():
-    design = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, *GEOM, sc.CostMetrics(0.1, 1000.0))
+    design = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(0.1, 1000.0))
     ok = (
         abs(design.aperture - 4.2e3) / 4.2e3 <= 0.02
         and abs(design.power - 272e9) / 272e9 <= 0.025
@@ -61,11 +61,11 @@ def test_criterion_02_worked_example_cheap_laser():
 def test_criterion_03_two_thirds_rule():
     worst = 0.0
     for a1, a2, beta in [(1.0, 1000.0, 0.2), (0.1, 1000.0, 0.2), (5.0, 300.0, 0.05)]:
-        b = sc.closed_form_optimum(beta, PAYLOAD, SAIL, *GEOM, sc.CostMetrics(a1, a2)).breakdown
+        b = sc.closed_form_optimum(beta, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(a1, a2)).breakdown
         worst = max(worst, abs(b.laser - 2 * b.optics) / b.total)
-    plain = sc.minimize_cost_numeric(0.2, PAYLOAD, SAIL, *GEOM, sc.CostMetrics(1.0, 1000.0))
+    plain = sc.minimize_cost_numeric(0.2, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(1.0, 1000.0))
     loaded = sc.minimize_cost_numeric(
-        0.2, PAYLOAD, SAIL, *GEOM, sc.CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, shots=100.0)
+        0.2, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, shots=100.0)
     )
     shift = abs(loaded.aperture - plain.aperture) / plain.aperture
     _report(3, worst <= 1e-9 and shift <= 1e-6,
@@ -77,15 +77,9 @@ def test_criterion_04_oracle_equivalence_1000_random_cases():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        beta, payload, sail, metrics, geom = checks._random_case(rng)
-        closed = sc.closed_form_optimum(
-            beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-            geom["array_shape"], geom["beam_fraction"], metrics,
-        )
-        numeric = sc.minimize_cost_numeric(
-            beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-            geom["array_shape"], geom["beam_fraction"], metrics,
-        )
+        beta, payload, sail, metrics, array = checks._random_case(rng)
+        closed = sc.closed_form_optimum(beta, payload, sail, array, metrics)
+        numeric = sc.minimize_cost_numeric(beta, payload, sail, array, metrics)
         worst = max(worst, abs(numeric.aperture - closed.aperture) / closed.aperture)
     elapsed = time.perf_counter() - start
     _report(4, worst <= 1e-6 and elapsed < 10.0,
@@ -95,9 +89,9 @@ def test_criterion_04_oracle_equivalence_1000_random_cases():
 def test_criterion_05_fixed_cost_speed_maximum():
     metrics = sc.CostMetrics(1.0, 1000.0)
     budget = 193085264928.40485
-    result = sc.maximize_speed_fixed_cost(budget, PAYLOAD, SAIL, *GEOM, metrics)
+    result = sc.maximize_speed_fixed_cost(budget, PAYLOAD, SAIL, ARRAY, metrics)
     third = abs(result.breakdown.optics - budget / 3) / budget
-    dual = sc.closed_form_optimum(result.beta, PAYLOAD, SAIL, *GEOM, metrics)
+    dual = sc.closed_form_optimum(result.beta, PAYLOAD, SAIL, ARRAY, metrics)
     round_trip = abs(dual.breakdown.total - budget) / budget
     _report(5, third <= 1e-9 and round_trip <= 1e-6,
             f"|C2-C_T/3|/C_T={third:.2e}, duality round-trip={round_trip:.2e}")
@@ -149,7 +143,7 @@ def test_criterion_08_scaling_laws():
     metrics = sc.CostMetrics(1.0, 1000.0)
 
     def total(beta):
-        return sc.closed_form_optimum(beta, PAYLOAD, SAIL, *GEOM, metrics).breakdown.total
+        return sc.closed_form_optimum(beta, PAYLOAD, SAIL, ARRAY, metrics).breakdown.total
 
     doubling = total(0.4) / total(0.2)
     beta_ok = abs(doubling - 2 ** (4 / 3)) / 2 ** (4 / 3) <= 1e-9
@@ -159,7 +153,7 @@ def test_criterion_08_scaling_laws():
         and abs(total(0.2) / total(0.01) - ratio) / ratio <= 1e-9
     )
     a1 = sc.a1_for_budget(41e9, 0.2, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
-    back = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, *GEOM, sc.CostMetrics(a1, 1000.0))
+    back = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(a1, 1000.0))
     round_trip = abs(back.breakdown.total - 41e9) / 41e9
     _report(8, beta_ok and stage_ok and round_trip <= 1e-6,
             f"beta-doubling={doubling!r}, stage ratio={ratio:.4g}, "
@@ -171,9 +165,8 @@ def test_criterion_09_curvature_positive_and_matches_fd():
     worst = 0.0
     positive = True
     for _ in range(50):
-        beta, payload, sail, metrics, geom = checks._random_case(rng)
-        args = (beta, payload, sail, geom["wavelength"], geom["diffraction_factor"],
-                geom["array_shape"], geom["beam_fraction"], metrics)
+        beta, payload, sail, metrics, array = checks._random_case(rng)
+        args = (beta, payload, sail, array, metrics)
         d = sc.closed_form_optimum(*args).aperture * rng.uniform(0.5, 2.0)
         analytic = sc.second_derivative_at(d, *args)
         positive = positive and analytic > 0

@@ -1,12 +1,21 @@
+import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sailcost.checks import CheckResult
 from sailcost.cli import main
+from sailcost.scenario import FIELDS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 EX1 = os.path.join(FIXTURES, "example1.scn")
@@ -207,6 +216,9 @@ def test_bad_flag_values_are_validation_errors(capsys, argv):
         ("sweep", EX1, "--axis", "array.d", "--from", "1 m", "--to", "1e300 m", "--points", "3",
          "--log"),
         ("roadmap", EX3, "--stages", "1e-300"),
+        # The laser metric that fits the budget overflows, or underflows to 0.
+        ("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=1e-300 usd/m2"),
+        ("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=1e300 usd/m2"),
     ],
 )
 def test_finite_inputs_out_of_float_range_are_numeric_errors(capsys, tmp_path, argv):
@@ -345,3 +357,94 @@ def test_validate_writes_to_output_path(capsys, monkeypatch, tmp_path):
     path = tmp_path / "validate.txt"
     assert _run(capsys, "validate", "-o", str(path)) == (code, "", "") == (1, "", "")
     assert path.read_bytes() == printed.encode("utf-8") == b"PASS first: ok\nFAIL second: off by 2\n"
+
+
+# The fuzzer's base invocation of each subcommand, before the drawn --set values.
+_FUZZ_BASE = {
+    "solve": (EX1, "--set", "array.P0=100 GW", "--set", "array.d=10 km"),
+    "optimize": (EX1,),
+    "max-speed": (EX3,),
+    "energy": (EX1, "--set", "array.P0=100 GW", "--lifetime-hours", "1e5"),
+    "roadmap": (EX3, "--stages", "1,10,20"),
+}
+# Sweep axis -> (fixture, --from, --to).
+_FUZZ_SWEEPS = {
+    "metrics.a1": (EX1, "0.1 usd/W", "1 usd/W"),
+    "array.d": (EX1, "1 km", "20 km"),
+    "metrics.a2": (EX3, "100 usd/m2", "1000 usd/m2"),
+}
+_FUZZ_KEYS = sorted(key for key, (kind, *_) in FIELDS.items() if kind != "string")
+_SPECIAL_VALUES = [0.0, 1.0, 1e300, 1e-300, 1e12, 1e-12]
+_fuzz_values = st.tuples(
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from(_SPECIAL_VALUES) | st.floats(-300, 300).map(lambda e: 10.0**e),
+).map(lambda pair: pair[0] * pair[1])
+
+
+@st.composite
+def _fuzz_sets(draw):
+    """1-3 ``--set`` values, each with the unit of its FIELDS row."""
+    sets = []
+    for key in draw(st.lists(st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=3)):
+        kind = FIELDS[key][0]
+        unit = "" if kind in ("number", "reserved-zero") else f" {kind}"
+        sets.append(f"{key}={draw(_fuzz_values)!r}{unit}")
+    return sets
+
+
+def _finite_numbers(text, fmt):
+    """Whether every number in a JSON or CSV output is finite."""
+    if fmt == "csv":
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        return all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def walk(node):
+        if isinstance(node, dict):
+            return all(walk(value) for value in node.values())
+        if isinstance(node, list):
+            return all(walk(value) for value in node)
+        return not isinstance(node, float) or math.isfinite(node)
+
+    return walk(json.loads(text))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(sorted(_FUZZ_BASE) + ["sweep"]),
+    sets=_fuzz_sets(),
+    axis=st.sampled_from(sorted(_FUZZ_SWEEPS)),
+    points=st.integers(0, 50),
+    log=st.booleans(),
+)
+@example(
+    command="roadmap", sets=["metrics.a2=1e-300 usd/m2"], axis="metrics.a1", points=3, log=False
+)
+def test_cli_contract_holds_for_any_set_value(command, sets, axis, points, log):
+    """Every run either succeeds with only finite numbers in its output,
+    or fails with exactly one ``code: message`` line, exit 1, 2 or 3,
+    and no output file; never an ``internal_error``."""
+    if command == "sweep":
+        fixture, start, stop = _FUZZ_SWEEPS[axis]
+        argv = [command, fixture, "--axis", axis, "--from", start, "--to", stop,
+                "--points", str(points), *(["--log"] if log else [])]
+    else:
+        argv = [command, *_FUZZ_BASE[command]]
+    for value in sets:
+        argv += ["--set", value]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([*argv, "-o", path])
+        assert out.getvalue() == ""
+        if code == 0:
+            assert err.getvalue() == ""
+            with open(path, encoding="utf-8") as fh:
+                fmt = "csv" if command in ("sweep", "roadmap") else "json"
+                assert _finite_numbers(fh.read(), fmt), argv
+        else:
+            assert code in (1, 2, 3), argv
+            assert re.fullmatch(r"[a-z_]+: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
+            assert not err.getvalue().startswith("internal_error"), (argv, err.getvalue())
+            assert not os.path.exists(path), argv

@@ -20,7 +20,7 @@ XI = math.pi / 4
 
 
 def _optimum(metrics, beta=0.2, sail=SAIL, payload=PAYLOAD):
-    return closed_form_optimum(beta, payload, sail, 1e-6, 1.22, XI, 1.0, metrics)
+    return closed_form_optimum(beta, payload, sail, ArraySpec(1e-6, 1.22, XI, 1.0), metrics)
 
 
 def test_worked_example_baseline():
@@ -123,7 +123,8 @@ def test_shot_beam_energy_matches_power_times_time():
 
 def test_cost_components_at_explicit_point():
     metrics = CostMetrics(1.0, 1000.0, 2e-9, 3e-6, 0.5, 10.0)
-    b = cost_components(1e11, 100.0, 1e4, metrics, 0.8, XI)
+    array = ArraySpec(1e-6, shape_factor=XI, beam_fraction=0.8, aperture=1e4, power=1e11)
+    b = cost_components(array, 100.0, metrics)
     assert b.laser == pytest.approx(1e11 / 0.8)
     assert b.optics == pytest.approx(1000.0 * XI * 1e8)
     assert b.energy == pytest.approx(10 * 2e-9 * 1e13)

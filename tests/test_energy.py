@@ -5,7 +5,7 @@ import pytest
 from sailcost.costs import cost_components
 from sailcost.energy import energy_per_shot, energy_used_lifetime, storage_cost
 from sailcost.errors import DomainError
-from sailcost.params import CostMetrics
+from sailcost.params import ArraySpec, CostMetrics
 from sailcost.units import C
 
 
@@ -86,7 +86,8 @@ def test_domain_checks():
 
 def test_total_cost_with_energy_breakdown():
     metrics = CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, 0.5, 100.0)
-    b = cost_components(1e11, 140.0, 1e4, metrics, 1.0, math.pi / 4)
+    array = ArraySpec(1e-6, 1.22, math.pi / 4, 1.0, aperture=1e4, power=1e11)
+    b = cost_components(array, 140.0, metrics)
     beam_energy = 1e11 * 140.0
     assert b.energy == pytest.approx(100 * 1.4e-8 * beam_energy, rel=1e-14)
     assert b.storage == pytest.approx(2.8e-5 * beam_energy / 0.5, rel=1e-14)

@@ -1,6 +1,7 @@
 import ast
 import collections
 import importlib
+import inspect
 import json
 import re
 import subprocess
@@ -130,3 +131,30 @@ def test_every_module_function_is_named_somewhere_in_the_package():
         and not (func.name.startswith("__") and func.name.endswith("__"))
     ]
     assert unused == []
+
+
+_LOOSE_ARRAY_FLOATS = {"wavelength", "diffraction_factor", "array_shape", "beam_fraction"}
+_RECORD_ORDER = ("payload", "sail", "array", "metrics")
+
+
+def test_record_functions_take_the_array_spec_in_scenario_order():
+    """A public cost or optimizer function that takes a parameter record
+    takes the array as one ``ArraySpec``, never as its loose floats, and
+    takes its records in the Scenario's order."""
+    from sailcost import costs, optimize
+
+    checked = []
+    for module in (costs, optimize):
+        for name, func in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(func):
+                continue
+            if func.__module__ != module.__name__:
+                continue
+            params = list(inspect.signature(func).parameters)
+            if not {"payload", "sail", "metrics"} & set(params):
+                continue
+            checked.append(name)
+            assert not _LOOSE_ARRAY_FLOATS & set(params), (name, params)
+            records = [p for p in params if p in _RECORD_ORDER]
+            assert records == [p for p in _RECORD_ORDER if p in records], (name, params)
+    assert {"closed_form_optimum", "cost_components", "speed_curve_fixed_cost"} <= set(checked)

@@ -250,9 +250,9 @@ def test_kernel_names_match_the_path_kernels_one_to_one():
 def test_kernel_point_reads_each_field_under_its_kernel_name():
     sail = SailSpec(1e-6, 1000.0, 0.9, 0.2, shape_factor=0.5, diameter=3.0)
     metrics = CostMetrics(1.0, 1000.0, 2e-9, 3e-6, 0.5, 10.0)
+    array = ArraySpec(1e-6, 1.5, 1.0, 0.9)
     point = kernel_point(
-        model.fixed_aperture_design, Payload(1e-3), sail, 1e-6, 1.5, 1.0, 0.9, metrics,
-        beta_target=0.2,
+        model.fixed_aperture_design, Payload(1e-3), sail, array, metrics, beta_target=0.2
     )
     assert list(point) == list(inspect.signature(model.fixed_aperture_design).parameters)
     assert point == {
@@ -262,8 +262,7 @@ def test_kernel_point_reads_each_field_under_its_kernel_name():
         "a2": 1000.0, "a3": 2e-9, "a4": 3e-6, "storage_efficiency": 0.5, "shots": 10.0,
     }
     budget = kernel_point(
-        model.budget_design, Payload(1e-3), sail, 1e-6, 1.5, 1.0, 0.9, metrics,
-        budget_target=4e10,
+        model.budget_design, Payload(1e-3), sail, array, metrics, budget_target=4e10
     )
     assert budget["total_usd"] == 4e10 and "a3" not in budget
 

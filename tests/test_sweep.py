@@ -76,24 +76,23 @@ def _record_row(scenario, axis, value):
     """One sweep row from the public record functions."""
     point = scenario_with(scenario, axis, value)
     array = point.array
-    geom = (array.wavelength, array.diffraction_factor, array.shape_factor, array.beam_fraction)
     speed = []
     if point.beta_target is None:
         design = maximize_speed_fixed_cost(
-            point.budget_target, point.payload, point.sail, *geom, point.metrics
+            point.budget_target, point.payload, point.sail, array, point.metrics
         )
         aperture, power, breakdown = design.aperture, design.power, design.breakdown
         speed = [design.beta]
     elif axis == "array.d":
         aperture = value
         breakdown = constrained_cost(
-            value, point.beta_target, point.payload, point.sail, *geom, point.metrics
+            value, point.beta_target, point.payload, point.sail, array, point.metrics
         )
         power = required_power(point.beta_target, array, point.sail, point.payload)
     else:
         require_cost_mode(point.mode)
         design = closed_form_optimum(
-            point.beta_target, point.payload, point.sail, *geom, point.metrics
+            point.beta_target, point.payload, point.sail, array, point.metrics
         )
         aperture, power, breakdown = design.aperture, design.power, design.breakdown
     row = [
