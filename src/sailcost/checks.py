@@ -32,28 +32,20 @@ class CheckResult(Record):
     detail: str
 
 
-def _reference_sail() -> SailSpec:
-    # 1 um sail at 1 g/cc, perfect reflector, circular.
-    return SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
-
-
-def _reference_payload() -> Payload:
-    return Payload(mass=1e-3)  # 1 gram
-
-
+# The reference craft: a 1 um sail at 1 g/cc, perfect reflector,
+# circular, carrying 1 gram, on a circular 1 um array.
+_SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
+_PAYLOAD = Payload(mass=1e-3)
 _WAVELENGTH = 1e-6
-_XI_ARR = math.pi / 4
+_ARRAY = ArraySpec(wavelength=_WAVELENGTH)
+
+# Draws and seeds of the two randomized checks.
+_ORACLE_DRAWS, _ORACLE_SEED = 1000, 20240817
+_CURVATURE_DRAWS, _CURVATURE_SEED = 50, 20240818
 
 
-def _reference_array() -> ArraySpec:
-    return ArraySpec(wavelength=_WAVELENGTH, shape_factor=_XI_ARR)
-
-
-def _closed(beta, metrics, sail=None, payload=None):
-    return closed_form_optimum(
-        beta, payload or _reference_payload(), sail or _reference_sail(), _reference_array(),
-        metrics,
-    )
+def _closed(beta, metrics):
+    return closed_form_optimum(beta, _PAYLOAD, _SAIL, _ARRAY, metrics)
 
 
 def _rel(a, b):
@@ -96,7 +88,7 @@ def check_two_thirds_rule() -> CheckResult:
     rule = abs(b.laser - 2 * b.optics) / b.total <= 1e-9
     base = CostMetrics(1.0, 1000.0)
     energetic = CostMetrics(1.0, 1000.0, 1.4e-8, 2.8e-5, shots=100)
-    args = (_reference_payload(), _reference_sail(), _reference_array())
+    args = (_PAYLOAD, _SAIL, _ARRAY)
     d_plain = minimize_cost_numeric(0.2, *args, base).aperture
     d_energy = minimize_cost_numeric(0.2, *args, energetic).aperture
     shift = _rel(d_energy, d_plain)
@@ -128,10 +120,10 @@ def _random_case(rng):
     return beta, payload, sail, metrics, array
 
 
-def check_oracle_equivalence(draws: int = 1000, seed: int = 20240817) -> CheckResult:
-    rng = random.Random(seed)
+def check_oracle_equivalence() -> CheckResult:
+    rng = random.Random(_ORACLE_SEED)
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(_ORACLE_DRAWS):
         beta, payload, sail, metrics, array = _random_case(rng)
         closed = closed_form_optimum(beta, payload, sail, array, metrics)
         numeric = minimize_cost_numeric(beta, payload, sail, array, metrics, SearchSpec())
@@ -139,16 +131,14 @@ def check_oracle_equivalence(draws: int = 1000, seed: int = 20240817) -> CheckRe
     return CheckResult(
         "oracle-equivalence",
         worst <= 1e-6,
-        f"worst relative gap over {draws} draws: {worst:.2e}",
+        f"worst relative gap over {_ORACLE_DRAWS} draws: {worst:.2e}",
     )
 
 
 def check_fixed_cost_speed() -> CheckResult:
     metrics = CostMetrics(1.0, 1000.0)
     budget = 193e9
-    result = maximize_speed_fixed_cost(
-        budget, _reference_payload(), _reference_sail(), _reference_array(), metrics
-    )
+    result = maximize_speed_fixed_cost(budget, _PAYLOAD, _SAIL, _ARRAY, metrics)
     third = abs(result.breakdown.optics - budget / 3) / budget
     dual = _rel(_closed(result.beta, metrics).breakdown.total, budget)
     return CheckResult(
@@ -169,11 +159,8 @@ def _loglog_slope(xs, ys):
 
 
 def check_kinematics_invariants() -> CheckResult:
-    sail, payload = _reference_sail(), _reference_payload()
-    array = ArraySpec(
-        wavelength=_WAVELENGTH, aperture=9064.0, power=1.287e11,
-        shape_factor=_XI_ARR,
-    )
+    sail, payload = _SAIL, _PAYLOAD
+    array = _ARRAY.replace(aperture=9064.0, power=1.287e11)
     opt = kinematics_optimized(array, sail, payload)
     coast = abs(opt.coast_speed - math.sqrt(2) * opt.speed) / opt.coast_speed
     sized = sail.replace(diameter=optimal_sail_diameter(sail, payload))
@@ -195,10 +182,8 @@ def check_kinematics_invariants() -> CheckResult:
 
 
 def check_energy() -> CheckResult:
-    sail, payload = _reference_sail(), _reference_payload()
-    array = ArraySpec(
-        wavelength=_WAVELENGTH, aperture=10e3, power=100e9, shape_factor=_XI_ARR
-    )
+    sail, payload = _SAIL, _PAYLOAD
+    array = _ARRAY.replace(aperture=10e3, power=100e9)
     kin = kinematics_optimized(array, sail, payload)
     shot = energy_per_shot(kin.beta, kin.total_mass, sail.coupling)
     cost_1g = storage_cost(shot, 2.8e-5)
@@ -241,11 +226,11 @@ def check_scaling_laws() -> CheckResult:
     )
 
 
-def check_curvature(draws: int = 50, seed: int = 20240818) -> CheckResult:
-    rng = random.Random(seed)
+def check_curvature() -> CheckResult:
+    rng = random.Random(_CURVATURE_SEED)
     worst_fd = 0.0
     all_positive = True
-    for _ in range(draws):
+    for _ in range(_CURVATURE_DRAWS):
         beta, payload, sail, metrics, array = _random_case(rng)
         design = closed_form_optimum(beta, payload, sail, array, metrics)
         d = design.aperture * rng.uniform(0.5, 2.0)

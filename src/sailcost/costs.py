@@ -152,6 +152,9 @@ def a1_for_budget(
         raise DomainError(f"budget must be > 0 (got {total_usd!r})")
     if not 0 < beta < 1:
         raise DomainError(f"beta must be in (0, 1) (got {beta!r})")
+    name = "the laser metric a1 that fits the budget"
+    if optics_usd_per_m2 <= 0:
+        raise DomainError(f"{name} needs a2 > 0 (got {optics_usd_per_m2!r})")
     xi = xi_arr = math.pi / 4
     eta = 2.0
     alpha_d = 1.22
@@ -159,13 +162,12 @@ def a1_for_budget(
     geom = model.cost_geometry(
         wavelength, alpha_d, xi_arr, eta, model.mass_term(xi, thickness, density, payload_mass)
     )
-    a1 = model.check_finite(
-        "the laser metric a1 that fits the budget",
-        beam_fraction * optics_usd_per_m2 * aperture**3 / (C**3 * beta**2 * geom),
-    )
+    try:
+        a1 = beam_fraction * optics_usd_per_m2 * aperture**3 / (C**3 * beta**2 * geom)
+    except OverflowError:
+        a1 = math.inf
+    model.check_finite(name, a1)
     if a1 <= 0:
-        raise NumericRangeError(
-            f"the laser metric a1 that fits the budget is {a1!r}; inputs out of numeric range"
-        )
+        raise NumericRangeError(f"{name} is {a1!r}; inputs out of numeric range")
     return a1
 

@@ -15,17 +15,7 @@ from .errors import (
     ValidationError,
 )
 from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_cost_mode
-from .params import (
-    ArraySpec,
-    CostMetrics,
-    Payload,
-    Record,
-    SailSpec,
-    check_array,
-    check_metrics,
-    check_payload,
-    check_sail,
-)
+from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import SWEEP_FIELDS, kernel_point
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
@@ -199,10 +189,6 @@ def speed_curve_fixed_cost(
     return (total_usd * aperture - optics_coeff * aperture**3) / beta_coeff
 
 
-# The float check of each parameter record, by its Scenario attribute.
-_RECORD_CHECKS = {
-    "payload": check_payload, "sail": check_sail, "array": check_array, "metrics": check_metrics,
-}
 _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 
 
@@ -219,12 +205,14 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
     in optimized mode only, and a field is rejected when the path's
     kernel has no parameter by its kernel name in ``scenario.FIELDS``.
     The kernel's arguments are built once, as a list in its parameter
-    order, and per point only the swept slot is set.  A swept value gets
-    the check of its record, so a bad value fails as the record would.
-    Each check accepts an interval of each single field and refuses NaN,
-    so a grid without NaN whose least and greatest values pass is checked
-    only there.  No record is built per point, and each row is kept only
-    as its formatted line.
+    order, and per point only the swept slot is set.  A swept value is
+    checked by rebuilding the scenario's record with it
+    (``record.replace``), so a bad value fails as the record would.  A
+    record accepts an interval of each single field and refuses NaN, so
+    for a grid without NaN the record is rebuilt only at the grid's least
+    and greatest values, and per point only when one of those fails.  No
+    other record is built, and each row is kept only as its formatted
+    line.
     """
     require_cost_mode(scenario.mode)
     _, group, attr, name = SWEEP_FIELDS[axis]
@@ -251,22 +239,19 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
         )
     point, names = list(args.values()), list(args)
     slot, shape = names.index(name), names.index("array_shape")
-    check = _RECORD_CHECKS.get(group)
-    swept = dict(vars(getattr(scenario, group))) if check else None
-    if check and grid and all(value == value for value in grid):
+    record = getattr(scenario, group) if group else None
+    if record is not None and grid and all(value == value for value in grid):
         with suppress(ValidationError):  # a bound is crossed: check per point
             for value in (min(grid), max(grid)):
-                swept[attr] = value
-                check(**swept)
-            check = None
+                record.replace(**{attr: value})
+            record = None
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     lines = [f"{header}\n" if at_speed else f"{header},beta0\n"]
     prefix = suffix = ""
     isfinite = math.isfinite
     for value in grid:
-        if check is not None:
-            swept[attr] = value
-            check(**swept)
+        if record is not None:
+            record.replace(**{attr: value})
         point[slot] = value
         if at_speed:
             aperture, power, c1, c2, c3, c4 = kernel(*point)

@@ -77,28 +77,6 @@ class Record:
         return type(self)(**{**self.__dict__, **changes})
 
 
-def check_sail(
-    thickness, density, reflectivity, absorptivity, shape_factor, diameter, yield_strength,
-    stress_factor,
-) -> None:
-    """The SailSpec field checks, for callers holding the fields as floats."""
-    require(thickness > 0, "sail.h", "h > 0", thickness)
-    require(density > 0, "sail.rho", "rho > 0", density)
-    require(0 <= reflectivity <= 1, "sail.eps_r", "0 <= eps_r <= 1", reflectivity)
-    require(0 <= absorptivity <= 1, "sail.alpha", "0 <= alpha <= 1", absorptivity)
-    require(shape_factor > 0, "sail.xi", "xi > 0", shape_factor)
-    if diameter is not None:
-        require(diameter > 0, "sail.D", "D > 0", diameter)
-    if yield_strength is not None:
-        require(yield_strength > 0, "sail.S_y", "S_y > 0", yield_strength)
-    require(stress_factor > 0, "sail.s", "s > 0", stress_factor)
-    # A sail that neither reflects nor absorbs feels no thrust.
-    require(
-        model.coupling(reflectivity, absorptivity) > 0,
-        "sail", "2 eps_r + (1 - eps_r) alpha > 0", (reflectivity, absorptivity),
-    )
-
-
 class SailSpec(Record):
     """Sail material and geometry.
 
@@ -120,7 +98,22 @@ class SailSpec(Record):
     stress_factor: float = 1.0
 
     def __post_init__(self):
-        check_sail(**vars(self))
+        require(self.thickness > 0, "sail.h", "h > 0", self.thickness)
+        require(self.density > 0, "sail.rho", "rho > 0", self.density)
+        reflectivity, absorptivity = self.reflectivity, self.absorptivity
+        require(0 <= reflectivity <= 1, "sail.eps_r", "0 <= eps_r <= 1", reflectivity)
+        require(0 <= absorptivity <= 1, "sail.alpha", "0 <= alpha <= 1", absorptivity)
+        require(self.shape_factor > 0, "sail.xi", "xi > 0", self.shape_factor)
+        if self.diameter is not None:
+            require(self.diameter > 0, "sail.D", "D > 0", self.diameter)
+        if self.yield_strength is not None:
+            require(self.yield_strength > 0, "sail.S_y", "S_y > 0", self.yield_strength)
+        require(self.stress_factor > 0, "sail.s", "s > 0", self.stress_factor)
+        # A sail that neither reflects nor absorbs feels no thrust.
+        require(
+            model.coupling(reflectivity, absorptivity) > 0,
+            "sail", "2 eps_r + (1 - eps_r) alpha > 0", (reflectivity, absorptivity),
+        )
 
     @property
     def coupling(self) -> float:
@@ -134,20 +127,6 @@ class SailSpec(Record):
         if self.diameter is None:
             raise ValidationError("sail.D: diameter required to compute sail mass")
         return model.sail_mass(self.shape_factor, self.diameter, self.thickness, self.density)
-
-
-def check_array(
-    wavelength, diffraction_factor, shape_factor, beam_fraction, aperture=None, power=None
-) -> None:
-    """The ArraySpec field checks, for callers holding the fields as floats."""
-    require(wavelength > 0, "array.lambda", "lambda > 0", wavelength)
-    require(diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", diffraction_factor)
-    require(shape_factor > 0, "array.xi_arr", "xi_arr > 0", shape_factor)
-    require(0 < beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", beam_fraction)
-    if aperture is not None:
-        require(aperture > 0, "array.d", "d > 0", aperture)
-    if power is not None:
-        require(power >= 0, "array.P0", "P0 >= 0", power)
 
 
 class ArraySpec(Record):
@@ -166,7 +145,16 @@ class ArraySpec(Record):
     power: float | None = None
 
     def __post_init__(self):
-        check_array(**vars(self))
+        require(self.wavelength > 0, "array.lambda", "lambda > 0", self.wavelength)
+        require(
+            self.diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", self.diffraction_factor
+        )
+        require(self.shape_factor > 0, "array.xi_arr", "xi_arr > 0", self.shape_factor)
+        require(0 < self.beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", self.beam_fraction)
+        if self.aperture is not None:
+            require(self.aperture > 0, "array.d", "d > 0", self.aperture)
+        if self.power is not None:
+            require(self.power >= 0, "array.P0", "P0 >= 0", self.power)
 
     @property
     def optical_power(self) -> float:
@@ -176,43 +164,18 @@ class ArraySpec(Record):
         return self.power / self.beam_fraction
 
 
-def check_payload(mass) -> None:
-    """The Payload field check, for callers holding the mass as a float."""
-    require(mass > 0, "payload.m0", "m0 > 0", mass)
-
-
 class Payload(Record):
     """Payload mass m0 [kg]."""
 
     mass: float
 
     def __post_init__(self):
-        check_payload(**vars(self))
+        require(self.mass > 0, "payload.m0", "m0 > 0", self.mass)
 
 
 # Cost items beyond the four modeled ones (personnel, land, launch,
 # payload) are reserved: configs may name them but only with value 0.
 RESERVED_COST_ITEMS = ("a5", "a6", "a7", "a8", "a9")
-
-
-def check_metrics(
-    laser_usd_per_watt, optics_usd_per_m2, energy_usd_per_joule, storage_usd_per_joule,
-    storage_efficiency, shots,
-) -> None:
-    """The CostMetrics field checks, for callers holding the fields as floats."""
-    require(laser_usd_per_watt >= 0, "metrics.a1", "a1 >= 0", laser_usd_per_watt)
-    require(optics_usd_per_m2 >= 0, "metrics.a2", "a2 >= 0", optics_usd_per_m2)
-    require(energy_usd_per_joule >= 0, "metrics.a3", "a3 >= 0", energy_usd_per_joule)
-    require(storage_usd_per_joule >= 0, "metrics.a4", "a4 >= 0", storage_usd_per_joule)
-    require(
-        laser_usd_per_watt > 0 or optics_usd_per_m2 > 0,
-        "metrics", "a1 > 0 or a2 > 0", (laser_usd_per_watt, optics_usd_per_m2),
-    )
-    require(
-        0 < storage_efficiency <= 1,
-        "metrics.eps_storage", "0 < eps_storage <= 1", storage_efficiency,
-    )
-    require(shots >= 1, "metrics.N_shot", "N_shot >= 1", shots)
 
 
 class CostMetrics(Record):
@@ -229,5 +192,17 @@ class CostMetrics(Record):
     shots: float = 1.0
 
     def __post_init__(self):
-        check_metrics(**vars(self))
+        a1, a2 = self.laser_usd_per_watt, self.optics_usd_per_m2
+        require(a1 >= 0, "metrics.a1", "a1 >= 0", a1)
+        require(a2 >= 0, "metrics.a2", "a2 >= 0", a2)
+        require(self.energy_usd_per_joule >= 0, "metrics.a3", "a3 >= 0", self.energy_usd_per_joule)
+        require(
+            self.storage_usd_per_joule >= 0, "metrics.a4", "a4 >= 0", self.storage_usd_per_joule
+        )
+        require(a1 > 0 or a2 > 0, "metrics", "a1 > 0 or a2 > 0", (a1, a2))
+        require(
+            0 < self.storage_efficiency <= 1,
+            "metrics.eps_storage", "0 < eps_storage <= 1", self.storage_efficiency,
+        )
+        require(self.shots >= 1, "metrics.N_shot", "N_shot >= 1", self.shots)
 

@@ -219,6 +219,7 @@ def test_bad_flag_values_are_validation_errors(capsys, argv):
         # The laser metric that fits the budget overflows, or underflows to 0.
         ("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=1e-300 usd/m2"),
         ("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=1e300 usd/m2"),
+        ("roadmap", EX3, "--stages", "1,10,20", "--set", "target.budget=1e300 usd"),
     ],
 )
 def test_finite_inputs_out_of_float_range_are_numeric_errors(capsys, tmp_path, argv):
@@ -230,6 +231,72 @@ def test_finite_inputs_out_of_float_range_are_numeric_errors(capsys, tmp_path, a
         code, out, err = _run(capsys, *argv, *extra)
         assert (code, out) == (3, "")
         assert err.startswith("numeric_error: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
+with open(EX3, encoding="utf-8") as _fh:
+    _EX3_TEXT = _fh.read()
+# Scenario texts that the rejection rows name in place of a file path.
+SCENARIO_TEXTS = {
+    "no-curve.scn": _EX3_TEXT[:_EX3_TEXT.index("[techcurve]")],
+    "unterminated.scn": "[sail\n",
+    "empty-section.scn": "[ ]\n",
+    "junk.scn": "junk\n",
+}
+_DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "line"),
+    [
+        (("energy", EX1, "--set", "mode=strength-limited", "--set", "sail.S_y=1 GPa"), 1,
+         "validation_error: strength-limited mode requires array.P0"),
+        (("solve", EX1, "--set", "mode=non-optimized", *_DESIGN_POINT), 1,
+         "validation_error: non-optimized mode requires sail.D"),
+        (("solve", EX1, "--set", "sail.D=10 m", *_DESIGN_POINT), 1,
+         "validation_error: optimized mode derives sail.D; remove it"),
+        (("optimize", EX3), 1, "validation_error: optimize requires a target.beta0 scenario"),
+        (("energy", EX3), 1, "validation_error: energy requires a target.beta0 scenario"),
+        (("energy", EX1, "--lifetime-hours", "1000"), 1,
+         "validation_error: lifetime energy cost requires array.P0"),
+        (("roadmap", EX1, "--stages", "1,10,20"), 1,
+         "validation_error: roadmap requires a target.budget scenario"),
+        (("roadmap", "no-curve.scn", "--stages", "1,10,20"), 1,
+         "validation_error: roadmap requires a [techcurve] block"),
+        (("max-speed", EX3, "--set", "metrics.a1=0 usd/W"), 1,
+         "domain_error: fixed-budget speed maximum needs a1 > 0 and a2 > 0"),
+        (("optimize", "unterminated.scn"), 1, "parse_error: line 1: unterminated section header"),
+        (("optimize", "empty-section.scn"), 1, "parse_error: line 1: empty section name"),
+        (("optimize", "junk.scn"), 1, "parse_error: line 1: expected 'key = value' (got 'junk')"),
+        (("optimize", EX1, "--set", "sail.h"), 1,
+         "validation_error: override must be field.path=value (got 'sail.h')"),
+        (("optimize", EX1, "--set", "metrics.a5=abc"), 1,
+         "validation_error: metrics.a5 (line 0): expected 0, got 'abc'"),
+        (("optimize", EX1, "--set", "mode=fast"), 1,
+         "validation_error: mode: expected one of "
+         "('optimized', 'non-optimized', 'strength-limited') (got 'fast')"),
+        (("max-speed", EX3, "--set", "target.budget=0 usd"), 1,
+         "validation_error: target.budget: must be > 0 (got 0.0)"),
+        (("optimize", EX1, "--set", "sail.h=1 um extra"), 1,
+         "unit_error: line 0: sail.h: cannot parse quantity '1 um extra'"),
+        (("optimize", EX1, "--set", "sail.h=one um"), 1,
+         "unit_error: line 0: sail.h: bad number 'one'"),
+        # A zero optics metric leaves no array size that fits the budget.
+        (("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=0 usd/m2"), 1,
+         "domain_error: the laser metric a1 that fits the budget needs a2 > 0 (got 0.0)"),
+    ],
+)
+def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):
+    """Each rejection exits with its code, prints exactly its one error
+    line and nothing on stdout, and writes no output file."""
+    for name, text in SCENARIO_TEXTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    command, scenario, *rest = argv
+    if scenario in SCENARIO_TEXTS:
+        scenario = str(tmp_path / scenario)
+    out_path = tmp_path / "out"
+    for extra in ((), ("-o", str(out_path))):
+        assert _run(capsys, command, scenario, *rest, *extra) == (code, "", f"{line}\n")
     assert not out_path.exists()
 
 

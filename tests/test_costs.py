@@ -143,3 +143,6 @@ def test_a1_for_budget_rejects_bad_inputs():
         a1_for_budget(-1.0, 0.2, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
     with pytest.raises(DomainError):
         a1_for_budget(1e9, 1.5, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
+    for a2 in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            a1_for_budget(1e9, 0.2, a2, 1e-6, 1e-6, 1000.0, 1e-3)

@@ -18,7 +18,6 @@ from sailcost.costs import closed_form_optimum
 from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
 from sailcost.kinematics import required_power
 from sailcost.optimize import (
-    _RECORD_CHECKS,
     _SWEEP_COLUMNS,
     constrained_cost,
     maximize_speed_fixed_cost,
@@ -35,6 +34,8 @@ from sailcost.scenario import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+# The parameter record class of each Scenario attribute.
+RECORD_CLASSES = {"payload": Payload, "sail": SailSpec, "array": ArraySpec, "metrics": CostMetrics}
 EXAMPLES = ("example1", "example2", "example3")
 # Non-default values for every term the defaults leave at 0 or 1.
 VARIED = [
@@ -240,20 +241,28 @@ def _sweep_cli(example, axis, start, stop, points, *extra):
 @SWEEP_PATHS
 def test_sweep_builds_no_records_per_point(monkeypatch, example, axis, start, stop):
     """A 1000-point sweep validates the four records of the scenario load
-    and nothing per point."""
+    and the swept record at the grid's two extremes, the same records as a
+    10-point run of the same sweep: nothing per point."""
     built = []
-    for cls in (SailSpec, ArraySpec, Payload, CostMetrics):
+    for cls in RECORD_CLASSES.values():
         def counted(record, original=cls.__post_init__):
             built.append(type(record).__name__)
             original(record)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    code, out, _ = _cli(
-        "sweep", os.path.join(FIXTURES, f"{example}.scn"), "--axis", axis,
-        "--from", start, "--to", stop, "--points", "1000", "--log",
+    swept = RECORD_CLASSES[SWEEP_FIELDS[axis][1]].__name__
+    runs = []
+    for points in (1000, 10):
+        built.clear()
+        code, out, _ = _cli(
+            "sweep", os.path.join(FIXTURES, f"{example}.scn"), "--axis", axis,
+            "--from", start, "--to", stop, "--points", str(points), "--log",
+        )
+        assert code == 0 and out.count("\n") == points + 1
+        runs.append(sorted(built))
+    assert runs[0] == runs[1] == sorted(
+        ["ArraySpec", "CostMetrics", "Payload", "SailSpec", swept, swept]
     )
-    assert code == 0 and out.count("\n") == 1001
-    assert sorted(built) == ["ArraySpec", "CostMetrics", "Payload", "SailSpec"]
 
 
 @SWEEP_PATHS
@@ -370,16 +379,17 @@ def test_empty_grid_gives_the_header_alone():
     ],
 )
 def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis, start, stop):
-    group = SWEEP_FIELDS[axis][1]
+    cls = RECORD_CLASSES[SWEEP_FIELDS[axis][1]]
+    scenario = _scenario(example, [])
     calls = []
 
-    def counted(*args, original=_RECORD_CHECKS[group], **kwargs):
-        calls.append(kwargs)
-        original(*args, **kwargs)
+    def counted(record, original=cls.__post_init__):
+        calls.append(record)
+        original(record)
 
-    monkeypatch.setitem(_RECORD_CHECKS, group, counted)
+    monkeypatch.setattr(cls, "__post_init__", counted)
     grid = [start * (stop / start) ** (i / 999) for i in range(1000)]
-    assert len(sweep_lines(_scenario(example, []), axis, grid)) == 1001
+    assert len(sweep_lines(scenario, axis, grid)) == 1001
     assert len(calls) <= 2
 
 
@@ -392,8 +402,8 @@ def _values(lo, hi):
     return st.sampled_from(_EDGES) | st.floats(lo, hi)
 
 
-# Every sweepable field whose record has a float check.
-CHECKED_FIELDS = [axis for axis, row in SWEEP_FIELDS.items() if row[1] in _RECORD_CHECKS]
+# Every sweepable field of a parameter record.
+CHECKED_FIELDS = [axis for axis, row in SWEEP_FIELDS.items() if row[1] in RECORD_CLASSES]
 _AXES = {(row[1], row[2]): axis for axis, row in SWEEP_FIELDS.items()}
 # Values of either sign from 1e-12 to 1e12, sixteen to a decade.
 _LADDER = [sign * 10 ** (k / 16) for sign in (-1.0, 1.0) for k in range(-192, 193)]
@@ -404,14 +414,13 @@ _LADDER = [sign * 10 ** (k / 16) for sign in (-1.0, 1.0) for k in range(-192, 19
 @given(data=st.data())
 def test_record_checks_accept_an_interval_of_each_field(axis, data):
     """What lets a sweep check its record only at the grid's extremes: the
-    values of one field that its record check accepts form an interval,
-    whatever the record's other fields are.  So a check that passes at lo
-    and at hi passes at every value in between."""
+    values of one field that its record accepts form an interval,
+    whatever the record's other fields are.  So a record that builds at lo
+    and at hi builds at every value in between."""
     _, group, attr, _ = SWEEP_FIELDS[axis]
-    check = _RECORD_CHECKS[group]
-    code = check.__code__
+    cls = RECORD_CLASSES[group]
     fields = {}
-    for name in code.co_varnames[:code.co_argcount]:
+    for name in cls._fields:
         values = _values(*RANGES[_AXES[group, name]])
         fields[name] = data.draw(values | st.none() if name in OPTIONAL else values, label=name)
     lo, hi = RANGES[axis]
@@ -421,7 +430,7 @@ def test_record_checks_accept_an_interval_of_each_field(axis, data):
 
     def passes(value):
         try:
-            check(**{**fields, attr: value})
+            cls(**{**fields, attr: value})
         except ValidationError:
             return False
         return True
