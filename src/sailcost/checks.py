@@ -36,8 +36,7 @@ class CheckResult(Record):
 # circular, carrying 1 gram, on a circular 1 um array.
 _SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 _PAYLOAD = Payload(mass=1e-3)
-_WAVELENGTH = 1e-6
-_ARRAY = ArraySpec(wavelength=_WAVELENGTH)
+_ARRAY = ArraySpec(wavelength=1e-6)
 
 # Draws and seeds of the two randomized checks.
 _ORACLE_DRAWS, _ORACLE_SEED = 1000, 20240817
@@ -214,7 +213,7 @@ def check_scaling_laws() -> CheckResult:
         _rel(stage_cost_ratio(20, 1), 20 ** (4 / 3)) <= 1e-9
         and _rel(ladder, stage_cost_ratio(20, 1)) <= 1e-9
     )
-    a1 = a1_for_budget(41e9, 0.2, 1000.0, _WAVELENGTH, 1e-6, 1000.0, 1e-3)
+    a1 = a1_for_budget(41e9, 0.2, _PAYLOAD, _SAIL, _ARRAY, metrics)
     round_trip = _rel(
         _closed(0.2, CostMetrics(a1, 1000.0)).breakdown.total, 41e9
     )

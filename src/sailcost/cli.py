@@ -19,9 +19,9 @@ from .scenario import (
     SweepSpec,
     apply_overrides,
     build_scenario,
-    parse_entries,
     parse_number,
     parse_sweep_value,
+    read_entries,
     write_results,
     write_text,
 )
@@ -33,9 +33,7 @@ OUTPUT_DIR_ENV = "SAILCOST_OUTPUT_DIR"
 
 
 def _load(args):
-    with open(args.scenario, encoding="utf-8") as fh:
-        entries = parse_entries(fh.read())
-    return build_scenario(apply_overrides(entries, args.set or []))
+    return build_scenario(apply_overrides(read_entries(args.scenario), args.set or []))
 
 
 def _destination(args):
@@ -240,8 +238,7 @@ def _cmd_roadmap(args):
     designations = [parse_number(x, "--stages") for x in args.stages.split(",")]
     plan = plan_stages(
         designations, scenario.budget_target, scenario.curve,
-        scenario.payload, scenario.sail, scenario.array.wavelength,
-        scenario.metrics, scenario.array.beam_fraction,
+        scenario.payload, scenario.sail, scenario.array, scenario.metrics,
     )
     rows = [
         {

@@ -8,10 +8,8 @@ stationary point is always a minimum and the laser cost there is exactly
 twice the optics cost.
 """
 
-import math
-
 from . import model
-from .errors import DomainError, NumericRangeError, ValidationError
+from .errors import DomainError, ValidationError
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import kernel_point
 from .units import C
@@ -131,43 +129,12 @@ def cost_scaling_exponents() -> dict[str, dict[str, float]]:
 
 
 def a1_for_budget(
-    total_usd: float,
-    beta: float,
-    optics_usd_per_m2: float,
-    wavelength: float,
-    thickness: float,
-    density: float,
-    payload_mass: float,
-    beam_fraction: float = 1.0,
+    total_usd: float, beta: float, payload: Payload, sail: SailSpec, array: ArraySpec,
+    metrics: CostMetrics,
 ) -> float:
-    """Laser cost metric a1 at which the minimum system cost equals the
-    budget, for a perfectly reflective sail on a circular array
-    (eps_r = 1, alpha_d = 1.22, xi = xi_arr = pi/4).
-
-    Inverts the closed form through d* = sqrt(C_T / (3 a2 xi_arr)):
-    a1 = eps_b a2 d*^3 / (c^3 beta^2 G) with
-    G = lambda alpha_d / (xi_arr eta) * sqrt(xi h rho m0).
-    """
-    if total_usd <= 0:
-        raise DomainError(f"budget must be > 0 (got {total_usd!r})")
-    if not 0 < beta < 1:
-        raise DomainError(f"beta must be in (0, 1) (got {beta!r})")
-    name = "the laser metric a1 that fits the budget"
-    if optics_usd_per_m2 <= 0:
-        raise DomainError(f"{name} needs a2 > 0 (got {optics_usd_per_m2!r})")
-    xi = xi_arr = math.pi / 4
-    eta = 2.0
-    alpha_d = 1.22
-    aperture = model.budget_aperture(total_usd, optics_usd_per_m2, xi_arr)
-    geom = model.cost_geometry(
-        wavelength, alpha_d, xi_arr, eta, model.mass_term(xi, thickness, density, payload_mass)
-    )
-    try:
-        a1 = beam_fraction * optics_usd_per_m2 * aperture**3 / (C**3 * beta**2 * geom)
-    except OverflowError:
-        a1 = math.inf
-    model.check_finite(name, a1)
-    if a1 <= 0:
-        raise NumericRangeError(f"{name} is {a1!r}; inputs out of numeric range")
-    return a1
-
+    """Laser cost metric a1 at which the closed-form minimum cost for beta
+    equals the budget; ``metrics.a1`` is not read."""
+    return model.budget_laser_metric(**kernel_point(
+        model.budget_laser_metric, payload, sail, array, metrics,
+        beta_target=beta, budget_target=total_usd,
+    ))

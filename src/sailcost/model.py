@@ -1,7 +1,8 @@
 """The model's closed forms on plain floats, each written once: the
 physics path (power, then kinematics, then costs), every formula more
-than one function evaluates, and one function for each sweep path (the
-closed-form cost optimum, a fixed array size, a fixed budget).
+than one function evaluates, one function for each sweep path (the
+closed-form cost optimum, a fixed array size, a fixed budget), and the
+budget inversion of the staged roadmap.
 Arguments are SI floats the caller has validated: the public functions
 check their records once and call these, and a sweep checks its swept
 values with the float checks of ``params``, so no internal path rebuilds
@@ -178,10 +179,10 @@ def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
     return math.sqrt(total_usd / (3 * a2 * array_shape))
 
 
-# The three path kernels, called with the point that
-# scenario.kernel_point builds: each parameter is a kernel name of
-# scenario.FIELDS.  The record functions closed_form_optimum,
-# constrained_cost and maximize_speed_fixed_cost wrap them.
+# The path kernels, called with the point that scenario.kernel_point
+# builds: each parameter is a kernel name of scenario.FIELDS.  The record
+# functions closed_form_optimum, constrained_cost,
+# maximize_speed_fixed_cost and a1_for_budget wrap them.
 
 
 def cost_optimum(
@@ -260,3 +261,42 @@ def budget_design(
         wavelength, diffraction_factor, array_shape,
     )
     return aperture, power, beta, laser_cost(a1, power, beam_fraction), optics
+
+
+def budget_laser_metric(
+    total_usd, beta, m0, h, rho, xi, reflectivity, absorptivity, wavelength,
+    diffraction_factor, array_shape, beam_fraction, a2, a3, a4, storage_efficiency, shots,
+) -> float:
+    """Laser cost metric a1 at which the closed-form minimum cost for beta
+    equals the budget C_T.  At the optimum C3 + C4 depend on neither d nor
+    a1, and C1 = 2 C2, so the optics take a third of the remainder:
+    d* = sqrt((C_T - C3 - C4) / (3 a2 xi_arr)) and
+    a1 = eps_b a2 d*^3 / (c^3 beta^2 cost_geometry)."""
+    if total_usd <= 0:
+        raise DomainError(f"budget must be > 0 (got {total_usd!r})")
+    if not 0 < beta < 1:
+        raise DomainError(f"beta must be in (0, 1) (got {beta!r})")
+    name = "the laser metric a1 that fits the budget"
+    if a2 <= 0:
+        raise DomainError(f"{name} needs a2 > 0 (got {a2!r})")
+    eta = coupling(reflectivity, absorptivity)
+    energy = beam_energy(beta, optimized_craft_mass(m0), eta)
+    energy_side = energy_cost(shots, a3, energy) + storage_cost(a4, energy, storage_efficiency)
+    remainder = total_usd - energy_side
+    if remainder <= 0:
+        raise InfeasibleBudgetError(
+            f"energy and storage at beta = {beta!r} cost {energy_side!r} USD; the budget "
+            f"of {total_usd!r} USD leaves nothing for the laser and optics"
+        )
+    try:
+        aperture = budget_aperture(remainder, a2, array_shape)
+        geom = cost_geometry(
+            wavelength, diffraction_factor, array_shape, eta, mass_term(xi, h, rho, m0)
+        )
+        a1 = beam_fraction * a2 * aperture**3 / (C**3 * beta**2 * geom)
+    except (OverflowError, ZeroDivisionError):
+        a1 = math.inf
+    check_finite(name, a1)
+    if a1 <= 0:
+        raise NumericRangeError(f"{name} is {a1!r}; inputs out of numeric range")
+    return a1

@@ -66,26 +66,17 @@ def project_metric(curve: TechCurve, month: float) -> float:
 
 
 def time_of_entry(
-    curve: TechCurve,
-    budget: float,
-    beta: float,
-    payload: Payload,
-    sail: SailSpec,
-    wavelength: float,
-    optics_usd_per_m2: float,
-    beam_fraction: float = 1.0,
+    curve: TechCurve, budget: float, beta: float, payload: Payload, sail: SailSpec,
+    array: ArraySpec, metrics: CostMetrics,
 ) -> float:
     """Earliest month at which the projected laser metric is cheap enough
     that the minimum system cost fits the budget.
 
-    Only the laser metric rides the curve; optics are held flat.  The
-    result is a fractional month index: the projected metric equals the
-    affordable metric exactly there.
+    Only the laser metric rides the curve; the other metrics are held
+    flat.  The result is a fractional month index: the projected metric
+    equals the affordable metric exactly there.
     """
-    return _entry_month(curve, a1_for_budget(
-        budget, beta, optics_usd_per_m2, wavelength,
-        sail.thickness, sail.density, payload.mass, beam_fraction,
-    ))
+    return _entry_month(curve, a1_for_budget(budget, beta, payload, sail, array, metrics))
 
 
 def _entry_month(curve: TechCurve, needed: float) -> float:
@@ -96,31 +87,17 @@ def _entry_month(curve: TechCurve, needed: float) -> float:
 
 
 def plan_stages(
-    designations: list[float],
-    budget: float,
-    curve: TechCurve,
-    payload: Payload,
-    sail: SailSpec,
-    wavelength: float,
-    metrics: CostMetrics,
-    beam_fraction: float = 1.0,
+    designations: list[float], budget: float, curve: TechCurve, payload: Payload,
+    sail: SailSpec, array: ArraySpec, metrics: CostMetrics,
 ) -> StagePlan:
     """Entry dates and optimal designs for a ladder of stage goals, each
-    funded at the same budget.
-
-    Uses the perfect-reflector circular-array closed forms, matching the
-    budget inversion.
-    """
-    array = ArraySpec(wavelength, 1.22, math.pi / 4, beam_fraction)
+    funded at the same budget: a stage's laser metric is the one at which
+    its minimum system cost equals the budget."""
     stages = []
     for x in designations:
         beta = x / 100.0
-        a1_entry = a1_for_budget(
-            budget, beta, metrics.optics_usd_per_m2, wavelength,
-            sail.thickness, sail.density, payload.mass, beam_fraction,
-        )
-        entry = _entry_month(curve, a1_entry)
+        a1_entry = a1_for_budget(budget, beta, payload, sail, array, metrics)
         stage_metrics = metrics.replace(laser_usd_per_watt=a1_entry)
         design = closed_form_optimum(beta, payload, sail, array, stage_metrics)
-        stages.append(Stage(x, beta, stage_metrics, entry, design))
+        stages.append(Stage(x, beta, stage_metrics, _entry_month(curve, a1_entry), design))
     return StagePlan(tuple(stages))

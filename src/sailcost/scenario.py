@@ -316,9 +316,19 @@ def build_scenario(entries: dict[str, tuple[str, int]]) -> Scenario:
     return Scenario(**top, **{record: _RECORDS[record](**kw) for record, kw in values.items()})
 
 
+def read_entries(path) -> dict[str, tuple[str, int]]:
+    """``parse_entries`` of a scenario file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    return parse_entries(text)
+
+
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return build_scenario(parse_entries(fh.read()))
+    return build_scenario(read_entries(path))
 
 
 def dump_scenario(scenario: Scenario) -> str:

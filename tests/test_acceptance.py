@@ -152,7 +152,7 @@ def test_criterion_08_scaling_laws():
         abs(ratio - 20 ** (4 / 3)) / 20 ** (4 / 3) <= 1e-9
         and abs(total(0.2) / total(0.01) - ratio) / ratio <= 1e-9
     )
-    a1 = sc.a1_for_budget(41e9, 0.2, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
+    a1 = sc.a1_for_budget(41e9, 0.2, PAYLOAD, SAIL, ARRAY, metrics)
     back = sc.closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, sc.CostMetrics(a1, 1000.0))
     round_trip = abs(back.breakdown.total - 41e9) / 41e9
     _report(8, beta_ok and stage_ok and round_trip <= 1e-6,

@@ -234,14 +234,15 @@ def test_finite_inputs_out_of_float_range_are_numeric_errors(capsys, tmp_path, a
     assert not out_path.exists()
 
 
-with open(EX3, encoding="utf-8") as _fh:
+with open(EX3, "rb") as _fh:
     _EX3_TEXT = _fh.read()
-# Scenario texts that the rejection rows name in place of a file path.
+# Scenario file contents that the rejection rows name in place of a file path.
 SCENARIO_TEXTS = {
-    "no-curve.scn": _EX3_TEXT[:_EX3_TEXT.index("[techcurve]")],
-    "unterminated.scn": "[sail\n",
-    "empty-section.scn": "[ ]\n",
-    "junk.scn": "junk\n",
+    "no-curve.scn": _EX3_TEXT[:_EX3_TEXT.index(b"[techcurve]")],
+    "unterminated.scn": b"[sail\n",
+    "empty-section.scn": b"[ ]\n",
+    "junk.scn": b"junk\n",
+    "not-utf8.scn": b"\xff\xfe",
 }
 _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
 
@@ -284,13 +285,18 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         # A zero optics metric leaves no array size that fits the budget.
         (("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=0 usd/m2"), 1,
          "domain_error: the laser metric a1 that fits the budget needs a2 > 0 (got 0.0)"),
+        # Grid energy alone costs more than the budget at the faster stage.
+        (("roadmap", EX3, "--stages", "1,20", "--set", "metrics.a3=1e-2 usd/J"), 1,
+         "infeasible_budget: energy and storage at beta = 0.2 cost 179751035747.36353 USD; "
+         "the budget of 100000000000.0 USD leaves nothing for the laser and optics"),
+        (("optimize", "not-utf8.scn"), 1, "parse_error: byte 0 is not UTF-8 (invalid start byte)"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):
     """Each rejection exits with its code, prints exactly its one error
     line and nothing on stdout, and writes no output file."""
     for name, text in SCENARIO_TEXTS.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(text)
     command, scenario, *rest = argv
     if scenario in SCENARIO_TEXTS:
         scenario = str(tmp_path / scenario)
@@ -312,6 +318,18 @@ def test_sweep_grid_that_overflows_is_rejected(capsys, start, stop, scale):
     )
     assert (code, out) == (1, "")
     assert err.startswith("validation_error: sweep: ") and err.count("\n") == 1
+
+
+def test_roadmap_stages_cost_the_budget_with_the_scenarios_own_fields(capsys):
+    """Each stage's laser metric makes its minimum cost the budget with the
+    scenario's sail, array and energy terms, not a default sail and array."""
+    code, out, err = _run(
+        capsys, "roadmap", EX3, "--stages", "1,10,20", "--set", "target.budget=41e9 usd",
+        "--set", "sail.eps_r=0.9", "--set", "array.alpha_d=1.5", "--set", "array.xi_arr=1",
+        "--set", "metrics.a3=1e-8 usd/J",
+    )
+    assert (code, err) == (0, "")
+    assert [row["C_T"] for row in csv.DictReader(io.StringIO(out))] == ["41000000000.0"] * 3
 
 
 def test_techcurve_keys_without_base_are_rejected(capsys, tmp_path):
@@ -498,6 +516,11 @@ def test_cli_contract_holds_for_any_set_value(command, sets, axis, points, log):
         argv = [command, *_FUZZ_BASE[command]]
     for value in sets:
         argv += ["--set", value]
+    _assert_contract(argv)
+
+
+def _assert_contract(argv):
+    """Run ``argv`` in process with ``-o`` and check the CLI contract."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
         out, err = io.StringIO(), io.StringIO()
@@ -508,10 +531,96 @@ def test_cli_contract_holds_for_any_set_value(command, sets, axis, points, log):
         if code == 0:
             assert err.getvalue() == ""
             with open(path, encoding="utf-8") as fh:
-                fmt = "csv" if command in ("sweep", "roadmap") else "json"
+                fmt = "csv" if argv[0] in ("sweep", "roadmap") else "json"
                 assert _finite_numbers(fh.read(), fmt), argv
         else:
             assert code in (1, 2, 3), argv
             assert re.fullmatch(r"[a-z_]+: [^\n]+\n", err.getvalue()), (argv, err.getvalue())
             assert not err.getvalue().startswith("internal_error"), (argv, err.getvalue())
             assert not os.path.exists(path), argv
+
+
+_MUTATIONS = ("drop", "duplicate", "unknown", "unit", "byte")
+_BAD_UNITS = ("", "furlong", "kg", "usd/W", "um um")
+_BAD_BYTES = (b"\xff", b"\x80", b"\xc3")
+
+
+def _mutate(text, kind, at, unit, byte):
+    """The scenario text with one defect of ``kind``: a key line dropped,
+    duplicated, preceded by an unknown key or given a bad unit suffix, or
+    a byte that is not UTF-8 inserted; ``at`` picks the place."""
+    lines = text.split(b"\n")
+    keyed = [i for i, line in enumerate(lines) if b"=" in line.split(b"#")[0]]
+    i = keyed[at % len(keyed)]
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "unknown":
+        lines.insert(i, b"bogus = 1")
+    elif kind == "unit":
+        key, value = lines[i].split(b"#")[0].split(b"=", 1)
+        lines[i] = key + b"= " + value.split()[0] + b" " + unit.encode()
+    else:
+        at %= len(text) + 1
+        return text[:at] + byte + text[at:]
+    return b"\n".join(lines)
+
+
+@st.composite
+def _fuzz_range(draw):
+    """Sweep endpoints that are reversed, equal, overflowing, or any two values."""
+    shape = draw(st.sampled_from(["reversed", "equal", "overflowing", "any"]))
+    if shape == "overflowing":
+        big = draw(st.floats(1e308, 1.7e308))
+        return draw(st.sampled_from([(-big, big), (1 / big, big)]))
+    start, stop = draw(_fuzz_values), draw(_fuzz_values)
+    if shape == "equal":
+        return start, start
+    if shape == "reversed":
+        return max(start, stop), min(start, stop)
+    return start, stop
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    # Half the runs sweep, so that half of those reach the drawn range.
+    command=st.sampled_from(sorted(_FUZZ_BASE) + ["sweep"] * len(_FUZZ_BASE)),
+    axis=st.sampled_from(sorted(_FUZZ_SWEEPS)),
+    bounds=_fuzz_range(),
+    points=st.integers(0, 50),
+    log=st.booleans(),
+    mutation=st.tuples(
+        st.sampled_from(_MUTATIONS), st.integers(0, 10**4), st.sampled_from(_BAD_UNITS),
+        st.sampled_from(_BAD_BYTES),
+    ),
+    mutate=st.booleans(),
+)
+@example(
+    command="optimize", axis="metrics.a1", bounds=(1.0, 2.0), points=3, log=False,
+    mutation=("byte", 0, "", b"\xff"), mutate=True,
+)
+def test_cli_contract_holds_for_any_sweep_range_or_scenario_text(
+    command, axis, bounds, points, log, mutation, mutate
+):
+    """The contract of ``test_cli_contract_holds_for_any_set_value`` for
+    sweep ranges that are reversed, equal or overflow, and for scenario
+    files with a dropped, duplicated or unknown key, a bad unit suffix, or
+    bytes that are not UTF-8.  Every run but half the sweeps reads a
+    mutated scenario file."""
+    if command == "sweep":
+        fixture = _FUZZ_SWEEPS[axis][0]
+        unit = FIELDS[axis][0]
+        start, stop = (f"{value!r} {unit}" for value in bounds)
+        rest = ["--axis", axis, "--from", start, "--to", stop, "--points", str(points),
+                *(["--log"] if log else [])]
+    else:
+        fixture, *rest = _FUZZ_BASE[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        if mutate or command != "sweep":
+            with open(fixture, "rb") as fh:
+                text = _mutate(fh.read(), *mutation)
+            fixture = os.path.join(tmp, "mutated.scn")
+            with open(fixture, "wb") as fh:
+                fh.write(text)
+        _assert_contract([command, fixture, *rest])

@@ -10,17 +10,24 @@ from sailcost.costs import (
     cost_scaling_exponents,
     shot_beam_energy,
 )
-from sailcost.errors import DegenerateOptimumError, DomainError
+from sailcost.errors import (
+    DegenerateOptimumError,
+    DomainError,
+    InfeasibleBudgetError,
+    NumericRangeError,
+    ValidationError,
+)
 from sailcost.kinematics import kinematics_optimized
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = Payload(mass=1e-3)
 XI = math.pi / 4
+ARRAY = ArraySpec(1e-6, 1.22, XI, 1.0)
 
 
 def _optimum(metrics, beta=0.2, sail=SAIL, payload=PAYLOAD):
-    return closed_form_optimum(beta, payload, sail, ArraySpec(1e-6, 1.22, XI, 1.0), metrics)
+    return closed_form_optimum(beta, payload, sail, ARRAY, metrics)
 
 
 def test_worked_example_baseline():
@@ -133,16 +140,32 @@ def test_cost_components_at_explicit_point():
 
 def test_a1_for_budget_round_trip():
     for budget in (1e9, 41e9, 193e9, 5e12):
-        a1 = a1_for_budget(budget, 0.2, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
+        a1 = a1_for_budget(budget, 0.2, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
         design = _optimum(CostMetrics(a1, 1000.0))
         assert design.breakdown.total == pytest.approx(budget, rel=1e-9)
 
 
 def test_a1_for_budget_rejects_bad_inputs():
     with pytest.raises(DomainError):
-        a1_for_budget(-1.0, 0.2, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
+        a1_for_budget(-1.0, 0.2, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
     with pytest.raises(DomainError):
-        a1_for_budget(1e9, 1.5, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
-    for a2 in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            a1_for_budget(1e9, 0.2, a2, 1e-6, 1e-6, 1000.0, 1e-3)
+        a1_for_budget(1e9, 1.5, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
+    with pytest.raises(DomainError):
+        a1_for_budget(1e9, 0.2, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 0.0))
+    with pytest.raises(ValidationError):
+        a1_for_budget(1e9, 0.2, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, -1.0))
+
+
+def test_a1_for_budget_underflowing_denominator_is_a_numeric_error():
+    """beta^2 underflows to 0, so the needed laser metric is not finite."""
+    with pytest.raises(NumericRangeError, match="non-finite"):
+        a1_for_budget(1e11, 1e-302, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
+
+
+def test_a1_for_budget_funds_the_laser_and_optics_from_what_energy_leaves():
+    metrics = CostMetrics(1.0, 1000.0, 1e-8, 1e-6, 0.5, 10.0)
+    a1 = a1_for_budget(41e9, 0.2, PAYLOAD, SAIL, ARRAY, metrics)
+    b = _optimum(metrics.replace(laser_usd_per_watt=a1)).breakdown
+    assert b.total == pytest.approx(41e9, rel=1e-12)
+    with pytest.raises(InfeasibleBudgetError):
+        a1_for_budget(b.energy + b.storage, 0.2, PAYLOAD, SAIL, ARRAY, metrics)

@@ -1,0 +1,107 @@
+"""Dimensional homogeneity of the ``model`` path kernels.
+
+Rescaling the units of length, mass, time and currency must rescale each
+kernel output by its own dimension.  The test reads no formula: the input
+dimensions come from the unit column of ``scenario.FIELDS``, and only the
+speed of light is restated in the new units.
+"""
+
+import math
+import random
+
+import pytest
+
+from sailcost import model
+from sailcost.checks import _random_case
+from sailcost.costs import closed_form_optimum
+from sailcost.scenario import FIELDS, kernel_point
+from sailcost.units import C, _UNITS, dimension_of
+
+# Exponents of (length, mass, time, currency) for each dimension name of units._UNITS.
+EXPONENTS = {
+    "length": (1, 0, 0, 0),
+    "mass": (0, 1, 0, 0),
+    "time": (0, 0, 1, 0),
+    "power": (2, 1, -3, 0),
+    "energy": (2, 1, -2, 0),
+    "flux": (0, 1, -3, 0),
+    "density": (-3, 1, 0, 0),
+    "stress": (-1, 1, -2, 0),
+    "speed": (1, 0, -1, 0),
+    "cost": (0, 0, 0, 1),
+    "cost_per_watt": (-2, -1, 3, 1),
+    "cost_per_area": (-2, 0, 0, 1),
+    "cost_per_joule": (-2, -1, 2, 1),
+    "number": (0, 0, 0, 0),
+}
+# Each kernel's outputs, in order, by dimension name.
+_DESIGN = ("length", "power", "cost", "cost", "cost", "cost")
+OUTPUTS = {
+    model.cost_optimum: _DESIGN,
+    model.fixed_aperture_design: _DESIGN,
+    model.budget_design: ("length", "power", "number", "cost", "cost"),
+    model.budget_laser_metric: ("cost_per_watt",),
+}
+# Kernel name -> the dimension name of the field that feeds it.
+_INPUTS = {
+    name: "number" if kind == "number" else dimension_of(kind)
+    for kind, _, _, name in FIELDS.values() if name is not None
+}
+DRAWS = 300
+
+
+def test_every_dimension_name_has_exponents():
+    assert {dim for dim, _ in _UNITS.values()} | set(_INPUTS.values()) <= set(EXPONENTS)
+
+
+def _point(kernel, rng):
+    """A valid SI point of ``kernel``: a random scenario with energy terms,
+    near its closed-form optimum's array size, with that optimum's cost as
+    the budget (only its laser and optics share for ``budget_design``,
+    which prices nothing else)."""
+    beta, payload, sail, metrics, array = _random_case(rng)
+    metrics = metrics.replace(
+        energy_usd_per_joule=1.4e-8 * 10 ** rng.uniform(-1, 1),
+        storage_usd_per_joule=2.8e-5 * 10 ** rng.uniform(-1, 1),
+        storage_efficiency=rng.uniform(0.5, 1.0),
+        shots=float(rng.choice((1, 10, 100))),
+    )
+    design = closed_form_optimum(beta, payload, sail, array, metrics)
+    array = array.replace(aperture=design.aperture * rng.uniform(0.5, 2.0))
+    costs = design.breakdown
+    budget = costs.laser + costs.optics if kernel is model.budget_design else costs.total
+    return kernel_point(
+        kernel, payload, sail, array, metrics, beta_target=beta, budget_target=budget
+    )
+
+
+def _factor(dimension, scales):
+    return math.prod(s**e for s, e in zip(scales, EXPONENTS[dimension]))
+
+
+def _outputs(kernel, point):
+    out = kernel(**point)
+    out = out if isinstance(out, tuple) else (out,)
+    assert len(out) == len(OUTPUTS[kernel])
+    return out
+
+
+@pytest.mark.parametrize("kernel", list(OUTPUTS), ids=lambda kernel: kernel.__name__)
+def test_kernel_outputs_scale_with_their_dimensions(kernel, monkeypatch):
+    rng = random.Random(20240820)
+    worst = 0.0
+    for _ in range(DRAWS):
+        point = _point(kernel, rng)
+        base = _outputs(kernel, point)
+        scales = [10 ** rng.uniform(-3, 3) for _ in range(4)]
+        scaled_point = {
+            name: value if value is None else value * _factor(_INPUTS[name], scales)
+            for name, value in point.items()
+        }
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "C", C * _factor("speed", scales))
+            scaled = _outputs(kernel, scaled_point)
+        for dimension, value, rescaled in zip(OUTPUTS[kernel], base, scaled):
+            expected = value * _factor(dimension, scales)
+            worst = max(worst, abs(rescaled - expected) / abs(expected))
+    assert worst <= 1e-12

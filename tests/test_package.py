@@ -138,13 +138,13 @@ _RECORD_ORDER = ("payload", "sail", "array", "metrics")
 
 
 def test_record_functions_take_the_array_spec_in_scenario_order():
-    """A public cost or optimizer function that takes a parameter record
-    takes the array as one ``ArraySpec``, never as its loose floats, and
-    takes its records in the Scenario's order."""
-    from sailcost import costs, optimize
+    """A public cost, optimizer or roadmap function that takes a parameter
+    record takes the array as one ``ArraySpec``, never as its loose floats,
+    and takes its records in the Scenario's order."""
+    from sailcost import costs, optimize, roadmap
 
     checked = []
-    for module in (costs, optimize):
+    for module in (costs, optimize, roadmap):
         for name, func in vars(module).items():
             if name.startswith("_") or not inspect.isfunction(func):
                 continue
@@ -157,4 +157,7 @@ def test_record_functions_take_the_array_spec_in_scenario_order():
             assert not _LOOSE_ARRAY_FLOATS & set(params), (name, params)
             records = [p for p in params if p in _RECORD_ORDER]
             assert records == [p for p in _RECORD_ORDER if p in records], (name, params)
-    assert {"closed_form_optimum", "cost_components", "speed_curve_fixed_cost"} <= set(checked)
+    assert {
+        "a1_for_budget", "closed_form_optimum", "cost_components", "plan_stages",
+        "speed_curve_fixed_cost", "time_of_entry",
+    } <= set(checked)

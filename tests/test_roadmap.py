@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
+from sailcost.checks import _random_case
 from sailcost.costs import a1_for_budget
-from sailcost.errors import DomainError
-from sailcost.params import CostMetrics, Payload, SailSpec
+from sailcost.errors import DomainError, InfeasibleBudgetError
+from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.roadmap import (
     Stage,
     StagePlan,
@@ -19,6 +21,8 @@ from sailcost.roadmap import (
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = Payload(mass=1e-3)
+ARRAY = ArraySpec(1e-6)
+METRICS = CostMetrics(1.0, 1000.0)
 
 
 def test_designation_is_percent_of_light_speed():
@@ -52,25 +56,25 @@ def test_project_metric_warns_far_backward():
 
 def test_time_of_entry_crosses_exactly_at_the_affordable_metric():
     curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
-    month = time_of_entry(curve, 100e9, 0.01, PAYLOAD, SAIL, 1e-6, 1000.0)
-    needed = a1_for_budget(100e9, 0.01, 1000.0, 1e-6, 1e-6, 1000.0, 1e-3)
+    month = time_of_entry(curve, 100e9, 0.01, PAYLOAD, SAIL, ARRAY, METRICS)
+    needed = a1_for_budget(100e9, 0.01, PAYLOAD, SAIL, ARRAY, METRICS)
     assert project_metric(curve, month) == pytest.approx(needed, rel=1e-12)
 
 
 def test_time_of_entry_halving_shifts_entry_by_one_halving_time():
     curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
-    t1 = time_of_entry(curve, 100e9, 0.1, PAYLOAD, SAIL, 1e-6, 1000.0)
+    t1 = time_of_entry(curve, 100e9, 0.1, PAYLOAD, SAIL, ARRAY, METRICS)
     # half the budget => needed a1 scales as budget^2 through d*^3 ... verify
     # empirically: doubling a1_base delays entry by exactly 18 months.
     later = TechCurve(base_value=200.0, reference_month=0.0, halving_months=18.0)
-    t2 = time_of_entry(later, 100e9, 0.1, PAYLOAD, SAIL, 1e-6, 1000.0)
+    t2 = time_of_entry(later, 100e9, 0.1, PAYLOAD, SAIL, ARRAY, METRICS)
     assert t2 - t1 == pytest.approx(18.0, abs=1e-9)
 
 
 def test_plan_stages_ladder():
     curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
     metrics = CostMetrics(1.0, 1000.0)
-    plan = plan_stages([0.1, 1.0, 20.0], 100e9, curve, PAYLOAD, SAIL, 1e-6, metrics)
+    plan = plan_stages([0.1, 1.0, 20.0], 100e9, curve, PAYLOAD, SAIL, ARRAY, metrics)
     months = [s.entry_month for s in plan.stages]
     assert months == sorted(months)
     # every stage design hits the budget exactly
@@ -85,13 +89,45 @@ def test_plan_stages_ladder():
     assert months[1] - months[0] == pytest.approx(18.0 * math.log2(100), rel=1e-9)
 
 
+PLANS = 3000
+
+
+def test_every_stage_costs_the_budget_with_the_scenarios_own_fields():
+    """Over random scenarios, half of them with energy and storage terms,
+    each stage's minimum cost equals the budget, or the plan raises
+    InfeasibleBudgetError because energy and storage take it all."""
+    rng = random.Random(20240821)
+    curve = TechCurve(base_value=100.0)
+    worst, infeasible = 0.0, 0
+    for plan in range(PLANS):
+        beta, payload, sail, metrics, array = _random_case(rng)
+        if plan % 2:
+            metrics = metrics.replace(
+                energy_usd_per_joule=1.4e-8 * 10 ** rng.uniform(-1, 1),
+                storage_usd_per_joule=2.8e-5 * 10 ** rng.uniform(-1, 1),
+                storage_efficiency=rng.uniform(0.5, 1.0),
+                shots=float(rng.choice((1, 10, 100))),
+            )
+        budget = 10 ** rng.uniform(8, 13)
+        ladder = [25 * beta, 50 * beta, 100 * beta]
+        try:
+            stages = plan_stages(ladder, budget, curve, payload, sail, array, metrics).stages
+        except InfeasibleBudgetError:
+            infeasible += 1
+            continue
+        for stage in stages:
+            worst = max(worst, abs(stage.design.breakdown.total - budget) / budget)
+    assert worst <= 1e-12
+    assert 0 < infeasible < PLANS / 2
+
+
 def test_stage_plan_requires_strictly_increasing_designations():
     curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
     metrics = CostMetrics(1.0, 1000.0)
     with pytest.raises(DomainError):
-        plan_stages([1.0, 1.0], 100e9, curve, PAYLOAD, SAIL, 1e-6, metrics)
+        plan_stages([1.0, 1.0], 100e9, curve, PAYLOAD, SAIL, ARRAY, metrics)
     with pytest.raises(DomainError):
-        plan_stages([20.0, 1.0], 100e9, curve, PAYLOAD, SAIL, 1e-6, metrics)
+        plan_stages([20.0, 1.0], 100e9, curve, PAYLOAD, SAIL, ARRAY, metrics)
 
 
 def test_curve_validation():

@@ -145,6 +145,13 @@ def test_overrides_merge_and_revalidate():
         build_scenario(apply_overrides(parse_entries(MINIMAL), ["sail.h=2"]))
 
 
+def test_load_scenario_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes(MINIMAL.encode("utf-8") + "# café\n".encode("latin-1"))
+    with pytest.raises(ParseError, match=rf"byte {len(MINIMAL) + 5} is not UTF-8"):
+        load_scenario(path)
+
+
 def test_dump_load_fixed_point():
     sc = _scenario(MINIMAL + "[techcurve]\na1_base = 100 usd/W\n")
     text = dump_scenario(sc)
