@@ -235,6 +235,7 @@ def _cmd_roadmap(args):
         raise ValidationError("roadmap requires a target.budget scenario")
     if scenario.curve is None:
         raise ValidationError("roadmap requires a [techcurve] block")
+    require_cost_mode(scenario.mode)
     designations = [parse_number(x, "--stages") for x in args.stages.split(",")]
     plan = plan_stages(
         designations, scenario.budget_target, scenario.curve,

@@ -133,7 +133,9 @@ def a1_for_budget(
     metrics: CostMetrics,
 ) -> float:
     """Laser cost metric a1 at which the closed-form minimum cost for beta
-    equals the budget; ``metrics.a1`` is not read."""
+    equals the budget; ``metrics.a1`` is not read.  The optimum is that of
+    the optimized regime, so a sail with a given diameter is refused
+    (``DomainError``)."""
     return model.budget_laser_metric(**kernel_point(
         model.budget_laser_metric, payload, sail, array, metrics,
         beta_target=beta, budget_target=total_usd,

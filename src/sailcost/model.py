@@ -109,6 +109,12 @@ def launch(
     return v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass
 
 
+def refuse_sail_diameter(sail_diameter) -> None:
+    """The optimized regime derives the sail diameter, so a given one is an error."""
+    if sail_diameter is not None:
+        raise DomainError("sail.D must be absent in the optimized regime (it is derived)")
+
+
 def optimized_launch(
     power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
     array_shape,
@@ -116,8 +122,7 @@ def optimized_launch(
     """``launch`` in the mass-optimized regime, where the sail diameter is
     derived (sail mass = payload mass), so a given ``sail_diameter`` is an
     error."""
-    if sail_diameter is not None:
-        raise DomainError("sail.D must be absent in the optimized regime (it is derived)")
+    refuse_sail_diameter(sail_diameter)
     diameter = optimal_sail_diameter(xi, h, rho, m0)
     require(diameter > 0, "sail.D", "D > 0", diameter)
     total_mass = sail_mass(xi, diameter, h, rho) + m0
@@ -264,14 +269,16 @@ def budget_design(
 
 
 def budget_laser_metric(
-    total_usd, beta, m0, h, rho, xi, reflectivity, absorptivity, wavelength,
+    total_usd, beta, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
     diffraction_factor, array_shape, beam_fraction, a2, a3, a4, storage_efficiency, shots,
 ) -> float:
     """Laser cost metric a1 at which the closed-form minimum cost for beta
     equals the budget C_T.  At the optimum C3 + C4 depend on neither d nor
     a1, and C1 = 2 C2, so the optics take a third of the remainder:
     d* = sqrt((C_T - C3 - C4) / (3 a2 xi_arr)) and
-    a1 = eps_b a2 d*^3 / (c^3 beta^2 cost_geometry)."""
+    a1 = eps_b a2 d*^3 / (c^3 beta^2 cost_geometry).  The optimum is that
+    of the optimized regime, so a given ``sail_diameter`` is an error."""
+    refuse_sail_diameter(sail_diameter)
     if total_usd <= 0:
         raise DomainError(f"budget must be > 0 (got {total_usd!r})")
     if not 0 < beta < 1:

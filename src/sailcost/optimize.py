@@ -4,6 +4,9 @@ cost), the fixed-budget speed maximum, and the analytic cost curvature.
 """
 
 import math
+import os
+import sys
+import warnings
 from contextlib import suppress
 
 from . import model
@@ -190,12 +193,22 @@ def speed_curve_fixed_cost(
 
 
 _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
+# A sweep grid is split only when every chunk gets at least this many
+# points: one fork-and-reap round trip takes ~3.4 ms on a 2-vCPU host, the
+# time of ~225 points.
+_MIN_CHUNK = 2000
+_END = "\0"  # ends a child's text; no row holds it
+_PIECE = 65536  # characters read from a child at a time
 
 
 def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
-    """CSV lines of a sweep of one scenario field over ``grid`` (a list
-    of SI values), each ending in a newline: the header, then one row per
-    value.
+    """The CSV text of a sweep of one scenario field over ``grid`` (a list
+    of SI values), as pieces to write in order: the header line, then one
+    line per value, ending in a newline.  Joined, the pieces are the
+    same text however the grid was split; a grid of at least
+    2 × ``_MIN_CHUNK`` points is run in chunks, one per usable CPU
+    (``_rows_in_chunks``), and a forked chunk's rows come back as pieces
+    of up to ``_PIECE`` characters, not one per line.
 
     Under a speed target an ``array.d`` sweep holds the target at each
     aperture (``model.fixed_aperture_design``) and any other field
@@ -212,7 +225,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
     for a grid without NaN the record is rebuilt only at the grid's least
     and greatest values, and per point only when one of those fails.  No
     other record is built, and each row is kept only as its formatted
-    line.
+    text.
     """
     require_cost_mode(scenario.mode)
     _, group, attr, name = SWEEP_FIELDS[axis]
@@ -246,30 +259,127 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
                 record.replace(**{attr: value})
             record = None
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
-    lines = [f"{header}\n" if at_speed else f"{header},beta0\n"]
-    prefix = suffix = ""
     isfinite = math.isfinite
-    for value in grid:
-        if record is not None:
-            record.replace(**{attr: value})
-        point[slot] = value
-        if at_speed:
-            aperture, power, c1, c2, c3, c4 = kernel(*point)
-        else:
-            aperture, power, beta, c1, c2 = kernel(*point)
-            c3 = c4 = 0.0
-            suffix = f",{beta!r}"
-        if not fixed_aperture:
-            prefix = f"{value!r},"
-        total = c1 + c2 + c3 + c4
-        flux = model.aperture_flux(power, point[shape], aperture)
-        # No cost term is negative, so a finite total means finite terms.
-        if not (isfinite(total) and isfinite(flux) and isfinite(power) and isfinite(aperture)):
-            raise NumericRangeError(
-                f"sweep: the row at {axis} = {value!r} is non-finite; inputs out of numeric range"
+
+    def rows(values):
+        lines = []
+        prefix = suffix = ""
+        for value in values:
+            if record is not None:
+                record.replace(**{attr: value})
+            point[slot] = value
+            if at_speed:
+                aperture, power, c1, c2, c3, c4 = kernel(*point)
+            else:
+                aperture, power, beta, c1, c2 = kernel(*point)
+                c3 = c4 = 0.0
+                suffix = f",{beta!r}"
+            if not fixed_aperture:
+                prefix = f"{value!r},"
+            total = c1 + c2 + c3 + c4
+            flux = model.aperture_flux(power, point[shape], aperture)
+            # No cost term is negative, so a finite total means finite terms.
+            if not (isfinite(total) and isfinite(flux) and isfinite(power) and isfinite(aperture)):
+                raise NumericRangeError(
+                    f"sweep: the row at {axis} = {value!r} is non-finite; "
+                    "inputs out of numeric range"
+                )
+            lines.append(
+                f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
+                f"{total!r},{flux!r}{suffix}\n"
             )
-        lines.append(
-            f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
-            f"{total!r},{flux!r}{suffix}\n"
-        )
-    return lines
+        return lines
+
+    return [f"{header}\n" if at_speed else f"{header},beta0\n", *_rows_in_chunks(rows, grid)]
+
+
+def _chunks(grid: list[float]) -> list[list[float]]:
+    """``grid`` cut into contiguous chunks, one per usable CPU, each of at
+    least ``_MIN_CHUNK`` points; one chunk where ``os.fork`` is missing,
+    or while another thread runs, which a forked child would lack."""
+    count = 1
+    threading = sys.modules.get("threading")
+    if (
+        hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        and (threading is None or threading.active_count() == 1)
+    ):
+        count = max(1, min(len(os.sched_getaffinity(0)), len(grid) // _MIN_CHUNK))
+    bounds = [len(grid) * i // count for i in range(count + 1)]
+    return [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _rows_in_chunks(rows, grid: list[float]) -> list[str]:
+    """``rows(grid)`` as text pieces in grid order, each chunk of
+    ``_chunks(grid)`` but the first run in a forked child while this
+    process runs the first.  A child's text is used only when the child
+    exited 0 after its end marker, so its chunk raised and warned nothing;
+    otherwise, or when no child could be forked, this process runs that
+    chunk itself, in grid order, so every error and warning comes from the
+    one serial loop.  Every child is reaped before this returns or raises;
+    when a chunk raises, the children not yet collected are killed first."""
+    first, *rest = _chunks(grid)
+    children = []  # (pid, read end) of each forked chunk not yet collected
+    try:
+        for chunk in rest:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this process runs the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # pragma: no cover - runs in the child, which exits
+                _stream_rows(rows, chunk, write, [read, *(fd for _, fd in children)])
+            os.close(write)
+            children.append((pid, read))
+        lines = rows(first)
+        for chunk in rest:
+            pieces = _collect(*children.pop(0)) if children else None
+            lines += rows(chunk) if pieces is None else pieces
+        return lines
+    finally:
+        if children:  # a chunk raised, so no child's rows are needed
+            from signal import SIGKILL
+
+            for pid, read in children:
+                os.kill(pid, SIGKILL)
+                os.close(read)
+                os.waitpid(pid, 0)
+
+
+def _collect(pid: int, read: int) -> list[str] | None:
+    """A child's text, read to its end in pieces of ``_PIECE`` characters,
+    without its end marker; None unless the child exited 0 after writing
+    the marker.  Closes the read end and reaps the child."""
+    pieces = []
+    try:
+        with open(read, encoding="utf-8", newline="") as stream:
+            while piece := stream.read(_PIECE):
+                pieces.append(piece)
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status != 0 or not pieces or not pieces[-1].endswith(_END):
+        return None
+    pieces[-1] = pieces[-1][:-1]
+    return pieces
+
+
+def _stream_rows(rows, chunk: list[float], write: int, readers: list[int]) -> None:
+    """In a forked child: write ``rows(chunk)`` and then the end marker to
+    the pipe's ``write`` end, as UTF-8, and exit 0 only when the chunk
+    raised and warned nothing.  The inherited ``readers`` are closed
+    first.  Touches neither stdout nor stderr, and never returns."""
+    status = 1
+    try:
+        for fd in readers:
+            os.close(fd)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lines = rows(chunk)
+        if not caught:
+            with open(write, "w", encoding="utf-8", newline="") as stream:
+                stream.writelines(lines)
+                stream.write(_END)
+            status = 0
+    finally:
+        os._exit(status)

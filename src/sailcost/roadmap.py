@@ -92,7 +92,10 @@ def plan_stages(
 ) -> StagePlan:
     """Entry dates and optimal designs for a ladder of stage goals, each
     funded at the same budget: a stage's laser metric is the one at which
-    its minimum system cost equals the budget."""
+    its minimum system cost equals the budget.  Like every cost optimum,
+    a plan is defined in optimized mode only (``require_cost_mode``, which
+    the caller applies to its scenario's mode), and a sail with a given
+    diameter is refused (``DomainError``)."""
     stages = []
     for x in designations:
         beta = x / 100.0

@@ -371,15 +371,26 @@ def test_energy_uses_the_sail_mass_of_the_mode(capsys, overrides):
         ("sweep", EX1, "--axis", "array.d", "--from", "1 km", "--to", "2 km", "--points", "3"),
         ("sweep", EX3, "--axis", "metrics.a2", "--from", "100 usd/m2", "--to", "1000 usd/m2",
          "--points", "3"),
+        ("roadmap", EX3, "--stages", "1,20"),
     ],
 )
 def test_cost_paths_refuse_other_modes(capsys, argv, overrides):
-    """max-speed and every sweep path are defined for the mass-optimized
-    sail only, like optimize."""
+    """max-speed, every sweep path and roadmap (which inverts the cost
+    optimum) are defined for the mass-optimized sail only, like optimize."""
     sets = [arg for o in overrides for arg in ("--set", o)]
     assert _run(capsys, *argv, *sets) == (
         1, "", "validation_error: cost optimization is defined in optimized mode\n"
     )
+
+
+def test_roadmap_refuses_a_given_sail_diameter(capsys):
+    """The optimized regime derives sail.D, so roadmap refuses a given one
+    with the line optimize prints."""
+    refused = (
+        1, "", "domain_error: sail.D must be absent in the optimized regime (it is derived)\n"
+    )
+    assert _run(capsys, "optimize", EX1, "--set", "sail.D=10 m") == refused
+    assert _run(capsys, "roadmap", EX3, "--stages", "1,20", "--set", "sail.D=10 m") == refused
 
 
 def test_max_speed_checks_the_target_before_the_mode(capsys):

@@ -33,19 +33,31 @@ EXPONENTS = {
     "cost_per_area": (-2, 0, 0, 1),
     "cost_per_joule": (-2, -1, 2, 1),
     "number": (0, 0, 0, 0),
+    # Dimensions of kernel values that no unit of units._UNITS names.
+    "acceleration": (1, 0, -2, 0),
+    "linear_density": (-1, 1, 0, 0),
 }
 # Each kernel's outputs, in order, by dimension name.
 _DESIGN = ("length", "power", "cost", "cost", "cost", "cost")
+_LAUNCH = ("speed", "number", "time", "length", "speed", "acceleration", "flux", "mass")
 OUTPUTS = {
     model.cost_optimum: _DESIGN,
     model.fixed_aperture_design: _DESIGN,
     model.budget_design: ("length", "power", "number", "cost", "cost"),
     model.budget_laser_metric: ("cost_per_watt",),
+    model.launch: _LAUNCH,
+    model.optimized_launch: _LAUNCH,
+    model.required_power: ("power",),
+    model.beam_energy: ("energy",),
 }
-# Kernel name -> the dimension name of the field that feeds it.
+# Kernel name -> the dimension name of the field that feeds it, and of
+# the kernel parameters that no field feeds.
 _INPUTS = {
     name: "number" if kind == "number" else dimension_of(kind)
     for kind, _, _, name in FIELDS.values() if name is not None
+} | {
+    "power": "power", "eta": "number", "mass_term": "linear_density",
+    "diameter": "length", "total_mass": "mass",
 }
 DRAWS = 300
 
@@ -58,7 +70,8 @@ def _point(kernel, rng):
     """A valid SI point of ``kernel``: a random scenario with energy terms,
     near its closed-form optimum's array size, with that optimum's cost as
     the budget (only its laser and optics share for ``budget_design``,
-    which prices nothing else)."""
+    which prices nothing else), and the power that reaches the scenario's
+    speed with that array size in the optimized regime."""
     beta, payload, sail, metrics, array = _random_case(rng)
     metrics = metrics.replace(
         energy_usd_per_joule=1.4e-8 * 10 ** rng.uniform(-1, 1),
@@ -70,9 +83,22 @@ def _point(kernel, rng):
     array = array.replace(aperture=design.aperture * rng.uniform(0.5, 2.0))
     costs = design.breakdown
     budget = costs.laser + costs.optics if kernel is model.budget_design else costs.total
-    return kernel_point(
-        kernel, payload, sail, array, metrics, beta_target=beta, budget_target=budget
+    point = kernel_point(
+        model.fixed_aperture_design, payload, sail, array, metrics, beta_target=beta
     )
+    m0, h, rho, xi = (point[name] for name in ("m0", "h", "rho", "xi"))
+    eta = model.coupling(point["reflectivity"], point["absorptivity"])
+    mass = model.mass_term(xi, h, rho, m0)
+    point.update(
+        total_usd=budget, eta=eta, mass_term=mass,
+        power=model.required_power(
+            beta, point["wavelength"], point["diffraction_factor"], eta, point["aperture"], mass
+        ),
+        diameter=model.optimal_sail_diameter(xi, h, rho, m0),
+        total_mass=model.optimized_craft_mass(m0),
+    )
+    code = kernel.__code__
+    return {name: point[name] for name in code.co_varnames[:code.co_argcount]}
 
 
 def _factor(dimension, scales):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -119,6 +120,17 @@ def test_every_stage_costs_the_budget_with_the_scenarios_own_fields():
             worst = max(worst, abs(stage.design.breakdown.total - budget) / budget)
     assert worst <= 1e-12
     assert 0 < infeasible < PLANS / 2
+
+
+def test_plan_refuses_a_sail_with_a_given_diameter():
+    """The plan is the optimized regime's, which derives the sail diameter."""
+    sail = SAIL.replace(diameter=10.0)
+    curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
+    message = "sail.D must be absent in the optimized regime (it is derived)"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        plan_stages([1.0, 20.0], 1e11, curve, PAYLOAD, sail, ARRAY, METRICS)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        a1_for_budget(1e11, 0.2, PAYLOAD, sail, ARRAY, METRICS)
 
 
 def test_stage_plan_requires_strictly_increasing_designations():

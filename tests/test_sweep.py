@@ -6,13 +6,14 @@ import contextlib
 import io
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sailcost import KinematicsResult, model
+from sailcost import KinematicsResult, model, optimize
 from sailcost.cli import main
 from sailcost.costs import closed_form_optimum
 from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
@@ -296,6 +297,147 @@ def test_sweep_memory_peak_is_under_twice_the_table(tmp_path, example, axis, sta
         tracemalloc.stop()
     assert result == (0, "", "")
     assert peak <= 2.0 * path.stat().st_size
+
+
+@pytest.fixture(params=[2, 4], ids=lambda cpus: f"{cpus}-cpus")
+def chunked(request, monkeypatch):
+    """Sweeps of 16 points or more run in chunks, one per CPU of
+    ``request.param`` usable CPUs.  Yields the pids forked; after the test
+    no child of this process is left, reaped or not, and no pipe is open."""
+    forked = []
+    open_fds = os.listdir("/proc/self/fd")
+
+    def fork(original=os.fork):
+        pid = original()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(optimize, "_MIN_CHUNK", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    monkeypatch.setattr(os, "fork", fork)
+    yield forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir("/proc/self/fd") == open_fds
+
+
+def _one_chunk(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@SWEEP_PATHS
+def test_chunked_sweep_is_byte_identical_to_one_chunk(
+    chunked, monkeypatch, example, axis, start, stop
+):
+    cpus = len(os.sched_getaffinity(0))
+    result = _sweep_cli(example, axis, start, stop, 40)
+    assert len(chunked) == cpus - 1
+    _one_chunk(monkeypatch)
+    assert _sweep_cli(example, axis, start, stop, 40) == result
+    assert result[0] == 0 and result[1].count("\n") == 41 and result[2] == ""
+
+
+def test_threaded_process_sweeps_in_one_chunk(chunked, monkeypatch):
+    """A forked child would hold no copy of another running thread, so
+    while one runs the grid is not split."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        result = _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40)
+    finally:
+        release.set()
+        thread.join()
+    assert chunked == []
+    assert _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40) == result
+    assert len(chunked) == len(os.sched_getaffinity(0)) - 1
+
+
+@pytest.mark.parametrize(("text", "status"), [("forged\n\0", 1), ("forged\n", 0)])
+def test_child_text_counts_only_with_exit_0_and_end_marker(chunked, monkeypatch, text, status):
+    def forge(rows, chunk, write, readers):  # runs in the child
+        with open(write, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os._exit(status)
+
+    monkeypatch.setattr(optimize, "_stream_rows", forge)
+    result = _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40)
+    assert len(chunked) == len(os.sched_getaffinity(0)) - 1
+    _one_chunk(monkeypatch)
+    assert _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40) == result
+
+
+def test_chunk_that_cannot_be_forked_runs_in_this_process(chunked, monkeypatch):
+    fork = os.fork
+
+    def fork_once():
+        if chunked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    result = _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40)
+    assert len(chunked) == 1
+    _one_chunk(monkeypatch)
+    assert _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40) == result
+
+
+# Sweeps whose only failing points lie in the last chunk, or in the first,
+# which this process runs while the children run theirs; with the exit
+# code and error line of the one serial loop.  The first-chunk sweep has
+# 2000 points, so each child's text overfills its pipe: when this process
+# raises, a child may still be computing or blocked writing, and must be
+# ended and reaped all the same.
+CHUNK_FAILURES = [
+    (["--axis", "metrics.N_shot", "--from", "0.5", "--to", "10", "--points", "2000"], 1,
+     "validation_error: metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)"),
+    (["--axis", "array.eps_b", "--from", "0.5", "--to", "1.01", "--points", "40"], 1,
+     "validation_error: array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.01)"),
+    (["--axis", "payload.m0", "--from", "1 g", "--to", "1e300 kg", "--log", "--points", "40"], 3,
+     "numeric_error: sweep: the row at payload.m0 = 1.7012542798525652e+292 is non-finite; "
+     "inputs out of numeric range"),
+]
+
+
+@pytest.mark.parametrize(("flags", "code", "line"), CHUNK_FAILURES)
+def test_failure_in_one_chunk_gives_the_serial_error(
+    chunked, monkeypatch, tmp_path, flags, code, line
+):
+    path = tmp_path / "rows.csv"
+    argv = ["sweep", os.path.join(FIXTURES, "example1.scn"), *flags]
+    result = _cli(*argv, "-o", str(path))
+    assert len(chunked) == len(os.sched_getaffinity(0)) - 1
+    assert result == (code, "", f"{line}\n")
+    assert not path.exists()
+    _one_chunk(monkeypatch)
+    assert _cli(*argv) == result
+
+
+def test_warning_in_a_forked_chunk_is_the_serial_warning(chunked, monkeypatch):
+    """Only the last point reaches beta = 0.5, and its warning is issued
+    once, by this process, as the serial loop issues it."""
+
+    def run():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = main([
+                "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "target.beta0",
+                "--from", "0.1", "--to", "0.5", "--points", "40",
+            ])
+        issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        return code, out.getvalue(), issued
+
+    result = run()
+    assert len(chunked) == len(os.sched_getaffinity(0)) - 1
+    code, out, issued = result
+    assert code == 0 and out.count("\n") == 41
+    assert [warning[:2] for warning in issued] == [
+        (UserWarning, "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here")
+    ]
+    _one_chunk(monkeypatch)
+    assert run() == result
 
 
 def test_sweep_ends_exactly_on_its_upper_bound():
