@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "costs": (
         "CostBreakdown", "OptimumDesign", "a1_for_budget", "closed_form_optimum",
-        "cost_components", "cost_scaling_exponents", "reduced_coefficients",
-        "shot_beam_energy",
+        "cost_components",
     ),
     "energy": ("ShotEnergy", "energy_per_shot", "energy_used_lifetime", "storage_cost"),
     "errors": (
@@ -29,24 +28,21 @@ _EXPORTS = {
         "SailcostError", "UnitError", "ValidationError",
     ),
     "kinematics": (
-        "BETA_VALIDITY_LIMIT", "KinematicsResult", "aperture_flux",
-        "kinematics_non_optimized", "kinematics_optimized", "optimal_sail_diameter",
-        "required_power", "strength_limited_beta", "strength_limited_geometry",
+        "BETA_VALIDITY_LIMIT", "KinematicsResult", "kinematics_non_optimized",
+        "kinematics_optimized", "optimal_sail_diameter", "required_power",
+        "strength_limited_geometry",
     ),
     "optimize": (
         "SearchSpec", "SpeedMaxResult", "golden_section", "maximize_speed_fixed_cost",
         "minimize_cost_numeric", "second_derivative_at",
     ),
     "params": ("ArraySpec", "CostMetrics", "Payload", "SailSpec"),
-    "roadmap": (
-        "Stage", "StagePlan", "designation_label", "plan_stages", "project_metric",
-        "stage_cost_ratio", "starlight_designation", "time_of_entry",
-    ),
+    "roadmap": ("Stage", "StagePlan", "plan_stages", "stage_cost_ratio"),
     "scenario": (
         "Scenario", "SweepSpec", "TechCurve", "dump_scenario", "load_scenario",
         "write_results",
     ),
-    "units": ("C", "from_si", "parse_quantity", "to_si"),
+    "units": ("C", "parse_quantity", "to_si"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,6 +1,6 @@
-"""Separable system cost model: laser + optics + energy + storage,
-closed-form cost minimum over the array size, its scaling exponents, and
-the laser-cost metric implied by a fixed budget.
+"""Separable system cost model: laser + optics + energy + storage, the
+closed-form cost minimum over the array size, and the laser-cost metric
+implied by a fixed budget.
 
 The cost along the physics constraint (beam power eliminated in favor of
 the array size d at fixed target speed) has the form A/d + B*d^2, so the
@@ -12,7 +12,6 @@ from . import model
 from .errors import DomainError, ValidationError
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import kernel_point
-from .units import C
 
 
 class CostBreakdown(Record):
@@ -27,10 +26,6 @@ class CostBreakdown(Record):
     @property
     def total(self) -> float:
         return self.laser + self.optics + self.energy + self.storage
-
-    @property
-    def zero_total(self) -> bool:
-        return self.total == 0
 
     @property
     def fractions(self) -> tuple[float, float, float, float]:
@@ -49,31 +44,6 @@ class OptimumDesign(Record):
     power: float
     breakdown: CostBreakdown
     method: str  # "closed-form" | "numeric"
-
-
-def reduced_coefficients(
-    payload: Payload, sail: SailSpec, array: ArraySpec, metrics: CostMetrics
-) -> tuple[float, float, float]:
-    """Coefficients (speed_coeff, optics_coeff, beta_coeff) of the
-    one-dimensional cost objective along the physics constraint,
-    C(d) = speed_coeff * v0^2 / d + optics_coeff * d^2, with beta_coeff
-    the beta-normalized variant of speed_coeff."""
-    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
-    speed_coeff = (
-        metrics.laser_usd_per_watt
-        / array.beam_fraction
-        * (2 * C * array.wavelength * array.diffraction_factor)
-        / sail.coupling
-        * mass_term
-    )
-    return speed_coeff, metrics.optics_usd_per_m2 * array.shape_factor, speed_coeff * C**2
-
-
-def shot_beam_energy(beta: float, payload: Payload, sail: SailSpec) -> float:
-    """Main-beam energy through the acceleration, optimized regime:
-    2 * beta * m0 * c^2 / eta (equals P0*t0)."""
-    # beta * (2 m0) equals 2 * beta * m0 exactly: doubling never rounds.
-    return model.beam_energy(beta, model.optimized_craft_mass(payload.mass), sail.coupling)
 
 
 def cost_components(
@@ -110,22 +80,14 @@ def closed_form_optimum(
          [lambda alpha_d / (xi_arr eta) * sqrt(xi h rho m0)]^{1/3};
     the power follows from the physics constraint at d*.  Energy and
     storage costs are a d-independent addition, so they appear in the
-    breakdown but do not move the optimum.
+    breakdown but do not move the optimum.  The optimum is that of the
+    optimized regime, so a sail with a given diameter is refused
+    (``DomainError``).
     """
     aperture, power, *terms = model.cost_optimum(**kernel_point(
         model.cost_optimum, payload, sail, array, metrics, beta_target=beta
     ))
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "closed-form")
-
-
-def cost_scaling_exponents() -> dict[str, dict[str, float]]:
-    """Power-law exponents of the closed-form optimum in the target speed
-    and the two cost metrics."""
-    return {
-        "total_cost": {"beta": 4 / 3, "a1": 2 / 3, "a2": 1 / 3},
-        "power": {"beta": 4 / 3, "a1": -1 / 3, "a2": 1 / 3},
-        "aperture": {"beta": 2 / 3, "a1": 1 / 3, "a2": -1 / 3},
-    }
 
 
 def a1_for_budget(

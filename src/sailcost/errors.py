@@ -25,7 +25,8 @@ class UnitError(SailcostError):
 
 
 class ParseError(SailcostError):
-    """Scenario text could not be parsed; carries line/column."""
+    """Scenario text could not be parsed; carries the line and the 1-based
+    column, where known."""
 
     code = "parse_error"
     exit_code = 1

@@ -33,17 +33,6 @@ class KinematicsResult(Record):
     aperture_flux: float    # main-beam power / array area [W/m^2]
     total_mass: float       # sail + payload [kg]
 
-    @property
-    def no_thrust(self) -> bool:
-        return self.accel_time is None
-
-
-def aperture_flux(array: ArraySpec) -> float:
-    """Main-beam power spread over the array area, P0 / (xi_arr d^2)."""
-    if array.power is None or array.aperture is None:
-        raise DomainError("array.P0 and array.d required for aperture flux")
-    return model.aperture_flux(array.power, array.shape_factor, array.aperture)
-
 
 def kinematics_non_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> KinematicsResult:
     """Kinematics for an explicitly sized sail (diameter given)."""
@@ -115,23 +104,3 @@ def strength_limited_geometry(
     thickness = s * power * eta / (math.pi * diameter * C * s_y)
     return model.check_finite("D", diameter), model.check_finite("h", thickness)
 
-
-def strength_limited_beta(array: ArraySpec, sail: SailSpec) -> float:
-    """Speed fraction reachable when the yield strength sets the sail:
-    beta = sqrt(d S_y / (2 rho c^2 lambda alpha_d s))."""
-    if sail.yield_strength is None:
-        raise DomainError("sail.S_y required for the strength-limited speed")
-    if array.aperture is None:
-        raise DomainError("array.d required for the strength-limited speed")
-    return math.sqrt(
-        array.aperture
-        * sail.yield_strength
-        / (
-            2
-            * sail.density
-            * C**2
-            * array.wavelength
-            * array.diffraction_factor
-            * sail.stress_factor
-        )
-    )

@@ -191,14 +191,17 @@ def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
 
 
 def cost_optimum(
-    beta, m0, h, rho, xi, reflectivity, absorptivity, wavelength, diffraction_factor,
-    array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
+    beta, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
+    diffraction_factor, array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
 ) -> tuple[float, float, float, float, float, float]:
     """Closed-form minimum-cost design for a target speed fraction:
     (d*, P0, C1, C2, C3, C4), with
     d* = c beta^{2/3} (a1/(eps_b a2))^{1/3} (cost_geometry)^{1/3} and the
     power from the physics constraint at d*.  The energy and storage
-    terms use the closed-form beam energy of a 2 m0 craft."""
+    terms use the closed-form beam energy of a 2 m0 craft.  The optimum
+    is that of the optimized regime, so a given ``sail_diameter`` is an
+    error."""
+    refuse_sail_diameter(sail_diameter)
     if not 0 < beta < 1:
         raise DomainError(f"beta must be in (0, 1) (got {beta!r})")
     if a1 == 0 or a2 == 0:

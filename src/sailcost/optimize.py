@@ -17,7 +17,7 @@ from .errors import (
     NumericRangeError,
     ValidationError,
 )
-from .costs import CostBreakdown, OptimumDesign, reduced_coefficients, require_cost_mode
+from .costs import CostBreakdown, OptimumDesign, require_cost_mode
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import SWEEP_FIELDS, kernel_point
 
@@ -169,27 +169,16 @@ def second_derivative_at(
     array: ArraySpec,
     metrics: CostMetrics,
 ) -> float:
-    """Analytic curvature of the constrained cost in the array size:
-    2 * beta_coeff * beta^2 / d^3 + 2 * a2 * xi_arr.  Always positive, so
-    the stationary point is always a minimum."""
+    """Analytic curvature of the constrained cost in the array size.  The
+    laser cost falls as 1/d and the optics cost grows as d^2, while the
+    energy and storage costs do not depend on d, so the curvature of
+    A/d + B d^2 is 2 (C1 + C2) / d^2, with C1 and C2 those of
+    ``constrained_cost`` at d.  Always positive, so the stationary point
+    is always a minimum."""
     if aperture <= 0:
         raise DomainError(f"d must be > 0 (got {aperture!r})")
-    _, optics_coeff, beta_coeff = reduced_coefficients(payload, sail, array, metrics)
-    return 2 * beta_coeff * beta**2 / aperture**3 + 2 * optics_coeff
-
-
-def speed_curve_fixed_cost(
-    total_usd: float,
-    aperture: float,
-    payload: Payload,
-    sail: SailSpec,
-    array: ArraySpec,
-    metrics: CostMetrics,
-) -> float:
-    """beta^2 attainable at a given array size under a fixed budget; the
-    independent scan used to verify the speed maximum."""
-    _, optics_coeff, beta_coeff = reduced_coefficients(payload, sail, array, metrics)
-    return (total_usd * aperture - optics_coeff * aperture**3) / beta_coeff
+    breakdown = constrained_cost(aperture, beta, payload, sail, array, metrics)
+    return 2 * (breakdown.laser + breakdown.optics) / aperture**2
 
 
 _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"

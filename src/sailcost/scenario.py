@@ -212,7 +212,7 @@ def parse_entries(text: str) -> dict[str, tuple[str, int]]:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
-                raise ParseError("unterminated section header", lineno, raw.index("["))
+                raise ParseError("unterminated section header", lineno, raw.index("[") + 1)
             section = line[1:-1].strip()
             if not section:
                 raise ParseError("empty section name", lineno)

@@ -77,11 +77,6 @@ def to_si(value: float, unit: str) -> float:
     return value * _lookup(unit)[1]
 
 
-def from_si(value: float, unit: str) -> float:
-    """Convert a canonical-unit value back to ``unit``."""
-    return value / _lookup(unit)[1]
-
-
 def parse_quantity(text: str, dimension: str, field: str = "") -> float:
     """Parse ``"<number> <unit>"`` and return the SI value.
 

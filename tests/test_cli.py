@@ -240,6 +240,7 @@ with open(EX3, "rb") as _fh:
 SCENARIO_TEXTS = {
     "no-curve.scn": _EX3_TEXT[:_EX3_TEXT.index(b"[techcurve]")],
     "unterminated.scn": b"[sail\n",
+    "indented-unterminated.scn": b"  [sail\n",
     "empty-section.scn": b"[ ]\n",
     "junk.scn": b"junk\n",
     "not-utf8.scn": b"\xff\xfe",
@@ -266,7 +267,8 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
          "validation_error: roadmap requires a [techcurve] block"),
         (("max-speed", EX3, "--set", "metrics.a1=0 usd/W"), 1,
          "domain_error: fixed-budget speed maximum needs a1 > 0 and a2 > 0"),
-        (("optimize", "unterminated.scn"), 1, "parse_error: line 1: unterminated section header"),
+        (("optimize", "unterminated.scn"), 1,
+         "parse_error: line 1, col 1: unterminated section header"),
         (("optimize", "empty-section.scn"), 1, "parse_error: line 1: empty section name"),
         (("optimize", "junk.scn"), 1, "parse_error: line 1: expected 'key = value' (got 'junk')"),
         (("optimize", EX1, "--set", "sail.h"), 1,
@@ -290,6 +292,9 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
          "infeasible_budget: energy and storage at beta = 0.2 cost 179751035747.36353 USD; "
          "the budget of 100000000000.0 USD leaves nothing for the laser and optics"),
         (("optimize", "not-utf8.scn"), 1, "parse_error: byte 0 is not UTF-8 (invalid start byte)"),
+        # Columns are 1-based: the bracket is the third character.
+        (("optimize", "indented-unterminated.scn"), 1,
+         "parse_error: line 1, col 3: unterminated section header"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):
@@ -391,6 +396,15 @@ def test_roadmap_refuses_a_given_sail_diameter(capsys):
     )
     assert _run(capsys, "optimize", EX1, "--set", "sail.D=10 m") == refused
     assert _run(capsys, "roadmap", EX3, "--stages", "1,20", "--set", "sail.D=10 m") == refused
+
+
+def test_speed_target_sweep_refuses_a_given_sail_diameter(capsys):
+    """A sweep that re-optimizes under target.beta0 is the optimized
+    regime's, like optimize, so it refuses a given sail.D with the same line."""
+    assert _run(
+        capsys, "sweep", EX1, "--set", "sail.D=10 m", "--axis", "metrics.a1",
+        "--from", "1 usd/W", "--to", "2 usd/W", "--points", "2",
+    ) == (1, "", "domain_error: sail.D must be absent in the optimized regime (it is derived)\n")
 
 
 def test_max_speed_checks_the_target_before_the_mode(capsys):

@@ -12,7 +12,6 @@ from sailcost.optimize import (
     maximize_speed_fixed_cost,
     minimize_cost_numeric,
     second_derivative_at,
-    speed_curve_fixed_cost,
 )
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 
@@ -102,6 +101,17 @@ def test_fixed_budget_optics_get_one_third():
     assert result.beta == pytest.approx(0.12210069792777399, rel=1e-11)
 
 
+def speed_curve_fixed_cost(total_usd, aperture, payload, sail, array, metrics):
+    """beta^2 attainable at a given array size under a fixed laser + optics
+    budget; the independent scan that checks the speed maximum.  At a
+    fixed array size the laser cost grows as beta^2, so what the optics
+    leave of the budget buys b^2 (C_T - C2) / C1(b), from the costs of
+    ``constrained_cost`` at any speed b."""
+    b = 0.1
+    costs = constrained_cost(aperture, b, payload, sail, array, metrics)
+    return b**2 * (total_usd - costs.optics) / costs.laser
+
+
 def test_fixed_budget_beats_nearby_apertures():
     metrics = CostMetrics(1.0, 1000.0)
     result = maximize_speed_fixed_cost(100e9, PAYLOAD, SAIL, ARRAY, metrics)
@@ -127,8 +137,7 @@ def test_infeasible_budget():
         maximize_speed_fixed_cost(0.0, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
 
 
-def test_curvature_positive_and_matches_finite_differences():
-    metrics = CostMetrics(1.0, 1000.0)
+def _check_curvature(metrics):
     design = closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, metrics)
     for d in (design.aperture * 0.5, design.aperture, design.aperture * 3):
         analytic = second_derivative_at(d, 0.2, PAYLOAD, SAIL, ARRAY, metrics)
@@ -137,6 +146,19 @@ def test_curvature_positive_and_matches_finite_differences():
         f = lambda x: constrained_cost(x, 0.2, PAYLOAD, SAIL, ARRAY, metrics).total
         fd = (f(d + step) - 2 * f(d) + f(d - step)) / step**2
         assert fd == pytest.approx(analytic, rel=1e-5)
+    return design
+
+
+def test_curvature_positive_and_matches_finite_differences():
+    _check_curvature(CostMetrics(1.0, 1000.0))
+
+
+def test_curvature_with_energy_terms_matches_finite_differences():
+    """The energy and storage costs add to the total cost but, independent
+    of the array size, not to its curvature."""
+    design = _check_curvature(CostMetrics(1.0, 1000.0, 1.4e-6, 2.8e-3, 0.8, 100.0))
+    costs = design.breakdown
+    assert costs.energy > 0 and costs.energy + costs.storage > 0.2 * costs.total
 
 
 def test_search_spec_validation():

@@ -12,25 +12,14 @@ from sailcost.roadmap import (
     Stage,
     StagePlan,
     TechCurve,
-    designation_label,
     plan_stages,
-    project_metric,
     stage_cost_ratio,
-    starlight_designation,
-    time_of_entry,
 )
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = Payload(mass=1e-3)
 ARRAY = ArraySpec(1e-6)
 METRICS = CostMetrics(1.0, 1000.0)
-
-
-def test_designation_is_percent_of_light_speed():
-    assert starlight_designation(0.2) == 20.0
-    assert starlight_designation(0.001) == pytest.approx(0.1)
-    assert designation_label(0.01) == "Starlight-1"
-    assert designation_label(0.2) == "Starlight-20"
 
 
 def test_stage_cost_ratio():
@@ -41,34 +30,26 @@ def test_stage_cost_ratio():
         stage_cost_ratio(1, 20)
 
 
-def test_project_metric_halves_every_halving_time():
-    curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
-    assert project_metric(curve, 0.0) == 100.0
-    assert project_metric(curve, 18.0) == pytest.approx(50.0, rel=1e-14)
-    assert project_metric(curve, 36.0) == pytest.approx(25.0, rel=1e-14)
-    assert project_metric(curve, -18.0) == pytest.approx(200.0, rel=1e-14)
-
-
-def test_project_metric_warns_far_backward():
-    curve = TechCurve(base_value=1.0, reference_month=0.0, halving_months=18.0)
-    with pytest.warns(UserWarning, match="unreliable"):
-        project_metric(curve, -200 * 18.0)
+def _entry_month(curve, designation):
+    """Entry month of a one-stage plan at a 100e9 USD budget."""
+    plan = plan_stages([designation], 100e9, curve, PAYLOAD, SAIL, ARRAY, METRICS)
+    return plan.stages[0].entry_month
 
 
 def test_time_of_entry_crosses_exactly_at_the_affordable_metric():
     curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
-    month = time_of_entry(curve, 100e9, 0.01, PAYLOAD, SAIL, ARRAY, METRICS)
+    month = _entry_month(curve, 1.0)
     needed = a1_for_budget(100e9, 0.01, PAYLOAD, SAIL, ARRAY, METRICS)
-    assert project_metric(curve, month) == pytest.approx(needed, rel=1e-12)
+    # The halving law: the metric is base * 2^(-(month - reference) / halving).
+    assert 100.0 * 2.0 ** (-month / 18.0) == pytest.approx(needed, rel=1e-12)
 
 
 def test_time_of_entry_halving_shifts_entry_by_one_halving_time():
     curve = TechCurve(base_value=100.0, reference_month=0.0, halving_months=18.0)
-    t1 = time_of_entry(curve, 100e9, 0.1, PAYLOAD, SAIL, ARRAY, METRICS)
-    # half the budget => needed a1 scales as budget^2 through d*^3 ... verify
-    # empirically: doubling a1_base delays entry by exactly 18 months.
+    t1 = _entry_month(curve, 10.0)
+    # Doubling a1_base delays the entry by exactly one halving time.
     later = TechCurve(base_value=200.0, reference_month=0.0, halving_months=18.0)
-    t2 = time_of_entry(later, 100e9, 0.1, PAYLOAD, SAIL, ARRAY, METRICS)
+    t2 = _entry_month(later, 10.0)
     assert t2 - t1 == pytest.approx(18.0, abs=1e-9)
 
 

@@ -61,7 +61,7 @@ OPTIONAL = ("diameter", "yield_strength", "aperture", "power")
 # the path: a sweep of one is rejected, since only its first column
 # would change.
 UNREAD = {
-    "target.beta0": {"sail.D", "sail.S_y", "sail.s", "array.P0", "target.budget"},
+    "target.beta0": {"sail.S_y", "sail.s", "array.P0", "target.budget"},
     "target.budget": {
         "sail.S_y", "sail.s", "array.P0",
         "metrics.a3", "metrics.a4", "metrics.eps_storage", "metrics.N_shot",
