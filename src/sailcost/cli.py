@@ -19,6 +19,7 @@ from .scenario import (
     SweepSpec,
     apply_overrides,
     build_scenario,
+    kernel_point,
     parse_number,
     parse_sweep_value,
     read_entries,
@@ -111,8 +112,6 @@ def _solve_kinematics(scenario):
     if array.power is None or array.aperture is None:
         raise ValidationError("solve requires array.P0 and array.d in the scenario")
     if scenario.mode == "optimized":
-        if sail.diameter is not None:
-            raise ValidationError("optimized mode derives sail.D; remove it")
         return kinematics_optimized(array, sail, payload)
     return kinematics_non_optimized(array, _sized_sail(scenario), payload)
 
@@ -182,7 +181,10 @@ def _cmd_energy(args):
     scenario = _load(args)
     beta = _require_beta_target(scenario, "energy")
     if scenario.mode == "optimized":
-        total_mass = model.optimized_craft_mass(scenario.payload.mass)
+        model.refuse_sail_diameter(**kernel_point(model.refuse_sail_diameter, sail=scenario.sail))
+        total_mass = model.optimized_craft_mass(
+            **kernel_point(model.optimized_craft_mass, scenario.payload)
+        )
     else:
         total_mass = _sized_sail(scenario).mass + scenario.payload.mass
     shot = energy_per_shot(

@@ -54,15 +54,13 @@ def cost_components(
 
     accel_time None (zero-power design) contributes zero energy cost.
     """
-    power, aperture = array.power, array.aperture
-    if power is None or aperture is None:
+    power = array.power
+    if power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for the cost components")
     beam_energy = 0.0 if accel_time is None else power * accel_time
-    return CostBreakdown(*model.cost_terms(
-        power, aperture, beam_energy, array.beam_fraction, array.shape_factor,
-        metrics.laser_usd_per_watt, metrics.optics_usd_per_m2, metrics.energy_usd_per_joule,
-        metrics.storage_usd_per_joule, metrics.storage_efficiency, metrics.shots,
-    ))
+    return CostBreakdown(*model.cost_terms(**kernel_point(
+        model.cost_terms, array=array, metrics=metrics, beam_energy=beam_energy
+    )))
 
 
 def require_cost_mode(mode: str) -> None:
@@ -85,7 +83,7 @@ def closed_form_optimum(
     (``DomainError``).
     """
     aperture, power, *terms = model.cost_optimum(**kernel_point(
-        model.cost_optimum, payload, sail, array, metrics, beta_target=beta
+        model.cost_optimum, payload, sail, array, metrics, beta=beta
     ))
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "closed-form")
 
@@ -99,6 +97,5 @@ def a1_for_budget(
     the optimized regime, so a sail with a given diameter is refused
     (``DomainError``)."""
     return model.budget_laser_metric(**kernel_point(
-        model.budget_laser_metric, payload, sail, array, metrics,
-        beta_target=beta, budget_target=total_usd,
+        model.budget_laser_metric, payload, sail, array, metrics, beta=beta, total_usd=total_usd
     ))

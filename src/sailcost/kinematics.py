@@ -8,13 +8,11 @@ of light; a warning is issued above beta = 0.5 and beta >= 1 is an error.
 No relativistic correction is applied.
 """
 
-import math
-
 from . import model
 from .errors import DomainError
 from .model import BETA_VALIDITY_LIMIT
 from .params import ArraySpec, Payload, Record, SailSpec
-from .units import C
+from .scenario import kernel_point
 
 
 class KinematicsResult(Record):
@@ -40,15 +38,14 @@ def kinematics_non_optimized(array: ArraySpec, sail: SailSpec, payload: Payload)
         raise DomainError("sail.D required for the non-optimized kinematics")
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    return KinematicsResult(*model.launch(
-        array.power, array.aperture, sail.diameter, sail.mass + payload.mass,
-        array.wavelength, array.diffraction_factor, sail.coupling, array.shape_factor,
-    ))
+    return KinematicsResult(*model.launch(**kernel_point(
+        model.launch, payload, sail, array, eta=sail.coupling
+    )))
 
 
 def optimal_sail_diameter(sail: SailSpec, payload: Payload) -> float:
     """Diameter at which sail mass equals payload mass: sqrt(m0/(xi h rho))."""
-    return model.optimal_sail_diameter(sail.shape_factor, sail.thickness, sail.density, payload.mass)
+    return model.optimal_sail_diameter(**kernel_point(model.optimal_sail_diameter, payload, sail))
 
 
 def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> KinematicsResult:
@@ -59,11 +56,9 @@ def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> 
     """
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    return KinematicsResult(*model.optimized_launch(
-        array.power, array.aperture, sail.diameter, payload.mass, sail.thickness, sail.density,
-        sail.shape_factor, sail.coupling, array.wavelength, array.diffraction_factor,
-        array.shape_factor,
-    ))
+    return KinematicsResult(*model.optimized_launch(**kernel_point(
+        model.optimized_launch, payload, sail, array, eta=sail.coupling
+    )))
 
 
 def required_power(
@@ -76,31 +71,19 @@ def required_power(
     """
     if array.aperture is None:
         raise DomainError("array.d required to compute the required power")
-    mass_term = model.mass_term(sail.shape_factor, sail.thickness, sail.density, payload.mass)
-    return model.required_power(
-        beta_target, array.wavelength, array.diffraction_factor, sail.coupling, array.aperture,
-        mass_term,
-    )
+    mass_term = model.mass_term(**kernel_point(model.mass_term, payload, sail))
+    return model.required_power(**kernel_point(
+        model.required_power, payload, sail, array,
+        beta=beta_target, eta=sail.coupling, mass_term=mass_term,
+    ))
 
 
 def strength_limited_geometry(
     power: float, sail: SailSpec, payload: Payload
 ) -> tuple[float, float]:
-    """Sail diameter and thickness set by the material yield strength.
-
-    Solves the two conditions of the strength-limited optimized regime:
-    the stress-limited thickness h = s P0 eta / (pi D c S_y), and the
-    mass-optimized condition m0 = xi D^2 h rho with xi = pi/4.  Returns
-    (diameter, thickness).
-    """
-    if sail.yield_strength is None:
-        raise DomainError("sail.S_y required for the strength-limited geometry")
-    if power <= 0:
-        raise DomainError(f"P0 must be > 0 (got {power!r})")
-    s_y = sail.yield_strength
-    eta = sail.coupling
-    s = sail.stress_factor
-    diameter = 4 * payload.mass * C * s_y / (sail.density * s * power * eta)
-    thickness = s * power * eta / (math.pi * diameter * C * s_y)
-    return model.check_finite("D", diameter), model.check_finite("h", thickness)
-
+    """Sail diameter and thickness set by the material yield strength at
+    main-beam power ``power`` (``model.strength_limited_geometry``):
+    (diameter, thickness)."""
+    return model.strength_limited_geometry(**kernel_point(
+        model.strength_limited_geometry, payload, sail, power=power, eta=sail.coupling
+    ))

@@ -1,12 +1,12 @@
 """The model's closed forms on plain floats, each written once: the
 physics path (power, then kinematics, then costs), every formula more
-than one function evaluates, one function for each sweep path (the
-closed-form cost optimum, a fixed array size, a fixed budget), and the
-budget inversion of the staged roadmap.
-Arguments are SI floats the caller has validated: the public functions
-check their records once and call these, and a sweep checks its swept
-values with the float checks of ``params``, so no internal path rebuilds
-or revalidates a parameter record.
+than one function evaluates, the strength-limited sail sizing, one
+function for each sweep path (the closed-form cost optimum, a fixed
+array size, a fixed budget), and the budget inversion of the staged
+roadmap.  Arguments are SI floats: each parameter record checks its own
+fields when built, the public functions read them in through
+``scenario.kernel_point``, and a sweep checks a swept value by
+rebuilding its record with it, so no kernel revalidates a record.
 """
 
 import math
@@ -90,13 +90,15 @@ def aperture_flux(power: float, array_shape: float, aperture: float) -> float:
 
 
 def launch(
-    power, aperture, diameter, total_mass, wavelength, diffraction_factor, eta, array_shape
+    power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor, array_shape
 ) -> tuple:
     """Speed v0, time t0 and distance L0 where the diffraction-limited
     spot grows to the sail size, with the coast speed sqrt(2) v0:
     (v0, beta, t0, L0, v_inf, mean_accel, flux, total_mass), the fields
-    of ``kinematics.KinematicsResult`` in order; t0 is None at zero power."""
-    spot_term = aperture * diameter / (wavelength * diffraction_factor)
+    of ``kinematics.KinematicsResult`` in order, for the sail of the given
+    diameter plus the payload; t0 is None at zero power."""
+    total_mass = sail_mass(xi, sail_diameter, h, rho) + m0
+    spot_term = aperture * sail_diameter / (wavelength * diffraction_factor)
     l0 = check_finite("L0", spot_term / 2)
     flux = aperture_flux(power, array_shape, aperture)
     if power == 0:
@@ -116,8 +118,7 @@ def refuse_sail_diameter(sail_diameter) -> None:
 
 
 def optimized_launch(
-    power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor,
-    array_shape,
+    power, aperture, sail_diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor, array_shape
 ) -> tuple:
     """``launch`` in the mass-optimized regime, where the sail diameter is
     derived (sail mass = payload mass), so a given ``sail_diameter`` is an
@@ -125,10 +126,22 @@ def optimized_launch(
     refuse_sail_diameter(sail_diameter)
     diameter = optimal_sail_diameter(xi, h, rho, m0)
     require(diameter > 0, "sail.D", "D > 0", diameter)
-    total_mass = sail_mass(xi, diameter, h, rho) + m0
     return launch(
-        power, aperture, diameter, total_mass, wavelength, diffraction_factor, eta, array_shape
+        power, aperture, diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor, array_shape
     )
+
+
+def strength_limited_geometry(power, m0, rho, eta, yield_strength, stress_factor) -> tuple:
+    """Sail (diameter, thickness) set by the material yield strength: the
+    stress-limited thickness h = s P0 eta / (pi D c S_y) together with the
+    mass-optimized condition m0 = xi D^2 h rho at xi = pi/4."""
+    if yield_strength is None:
+        raise DomainError("sail.S_y required for the strength-limited geometry")
+    if power <= 0:
+        raise DomainError(f"P0 must be > 0 (got {power!r})")
+    diameter = 4 * m0 * C * yield_strength / (rho * stress_factor * power * eta)
+    thickness = stress_factor * power * eta / (math.pi * diameter * C * yield_strength)
+    return check_finite("D", diameter), check_finite("h", thickness)
 
 
 def beam_energy(beta: float, total_mass: float, eta: float) -> float:

@@ -105,12 +105,10 @@ def constrained_cost(
     """Cost of hitting the target speed with a given array size, along the
     physics path (power, then kinematics, then costs); the array's own
     aperture, if any, is not used."""
-    args = kernel_point(
-        model.fixed_aperture_design, payload, sail, array, metrics, beta_target=beta
-    )
     model.require(aperture > 0, "array.d", "d > 0", aperture)
-    args["aperture"] = aperture
-    return CostBreakdown(*model.fixed_aperture_design(**args)[2:])
+    return CostBreakdown(*model.fixed_aperture_design(**kernel_point(
+        model.fixed_aperture_design, payload, sail, array, metrics, aperture=aperture, beta=beta
+    ))[2:])
 
 
 def minimize_cost_numeric(
@@ -128,9 +126,7 @@ def minimize_cost_numeric(
     and an evaluation, the final one at the optimum included, changes
     only the array size in those arguments."""
     search = search or SearchSpec()
-    args = kernel_point(
-        model.fixed_aperture_design, payload, sail, array, metrics, beta_target=beta
-    )
+    args = kernel_point(model.fixed_aperture_design, payload, sail, array, metrics, beta=beta)
     point, slot = list(args.values()), list(args).index("aperture")
 
     def objective(d: float) -> float:
@@ -153,7 +149,7 @@ def maximize_speed_fixed_cost(
     d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
     """
     aperture, power, beta, laser, optics = model.budget_design(**kernel_point(
-        model.budget_design, payload, sail, array, metrics, budget_target=total_usd
+        model.budget_design, payload, sail, array, metrics, total_usd=total_usd
     ))
     return SpeedMaxResult(
         aperture=aperture, power=power, beta=beta,
@@ -175,8 +171,6 @@ def second_derivative_at(
     A/d + B d^2 is 2 (C1 + C2) / d^2, with C1 and C2 those of
     ``constrained_cost`` at d.  Always positive, so the stationary point
     is always a minimum."""
-    if aperture <= 0:
-        raise DomainError(f"d must be > 0 (got {aperture!r})")
     breakdown = constrained_cost(aperture, beta, payload, sail, array, metrics)
     return 2 * (breakdown.laser + breakdown.optics) / aperture**2
 
@@ -232,7 +226,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
         kernel = model.cost_optimum
     args = kernel_point(
         kernel, scenario.payload, scenario.sail, scenario.array, scenario.metrics,
-        beta_target=scenario.beta_target, budget_target=scenario.budget_target,
+        beta=scenario.beta_target, total_usd=scenario.budget_target,
     )
     if name not in args:
         path_target = "target.beta0" if at_speed else "target.budget"

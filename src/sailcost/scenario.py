@@ -79,8 +79,8 @@ _RECORDS = {
 # kind is the SI unit of a dimensioned field, or "number" (bare
 # dimensionless), "string" or "reserved-zero".  Defaults are those of the
 # record class; a field without one is required.  The kernel name is the
-# parameter the field feeds in the path kernels of ``model``, or None
-# where no path kernel reads the field.
+# parameter the field feeds in the kernels of ``model`` (``kernel_point``),
+# or None where no kernel reads the field.
 FIELDS: dict[str, tuple[str, str | None, str | None, str | None]] = {
     "name": ("string", None, "name", None),
     "mode": ("string", None, "mode", None),
@@ -92,15 +92,15 @@ FIELDS: dict[str, tuple[str, str | None, str | None, str | None]] = {
     "sail.eps_r": ("number", "sail", "reflectivity", "reflectivity"),
     "sail.alpha": ("number", "sail", "absorptivity", "absorptivity"),
     "sail.xi": ("number", "sail", "shape_factor", "xi"),
-    "sail.s": ("number", "sail", "stress_factor", None),
+    "sail.s": ("number", "sail", "stress_factor", "stress_factor"),
     "sail.D": ("m", "sail", "diameter", "sail_diameter"),
-    "sail.S_y": ("Pa", "sail", "yield_strength", None),
+    "sail.S_y": ("Pa", "sail", "yield_strength", "yield_strength"),
     "array.lambda": ("m", "array", "wavelength", "wavelength"),
     "array.alpha_d": ("number", "array", "diffraction_factor", "diffraction_factor"),
     "array.xi_arr": ("number", "array", "shape_factor", "array_shape"),
     "array.eps_b": ("number", "array", "beam_fraction", "beam_fraction"),
     "array.d": ("m", "array", "aperture", "aperture"),
-    "array.P0": ("W", "array", "power", None),
+    "array.P0": ("W", "array", "power", "power"),
     "metrics.a1": ("usd/W", "metrics", "laser_usd_per_watt", "a1"),
     "metrics.a2": ("usd/m2", "metrics", "optics_usd_per_m2", "a2"),
     "metrics.a3": ("usd/J", "metrics", "energy_usd_per_joule", "a3"),
@@ -133,23 +133,28 @@ _KERNEL_SOURCES = {
 }
 
 
-def kernel_point(kernel, payload, sail, array, metrics, **top) -> dict:
-    """The flat SI point a path kernel of ``model`` takes by keyword:
+def kernel_point(kernel, payload=None, sail=None, array=None, metrics=None, **given) -> dict:
+    """The flat SI point a kernel of ``model`` takes by keyword:
     {parameter: value} for each of its parameters in order (so the values
-    are its positional arguments), read from the field that the
-    kernel-name column of FIELDS names.  The arguments are the records of
-    the record API plus the Scenario's own fields by attribute
-    (``beta_target=``, ``budget_target=``); a field that is not given is
-    None."""
-    holders = {
-        None: top, "payload": vars(payload), "sail": vars(sail), "array": vars(array),
-        "metrics": vars(metrics),
-    }
+    are its positional arguments).  A parameter named in ``given`` takes
+    that value (a target, a trial aperture, a derived ``eta``); any other
+    is read from the field that the kernel-name column of FIELDS names,
+    and is None when that field or its record is not given.  A ``given``
+    name that is neither a parameter of the kernel nor a kernel name of
+    FIELDS is a TypeError."""
+    holders = {None: None, "payload": payload, "sail": sail, "array": array, "metrics": metrics}
     code = kernel.__code__
+    params = code.co_varnames[:code.co_argcount]
+    unknown = given.keys() - set(params) - _KERNEL_SOURCES.keys()
+    if unknown:
+        raise TypeError(f"{kernel.__name__}: no parameter or kernel name {sorted(unknown)}")
     point = {}
-    for name in code.co_varnames[:code.co_argcount]:
-        record, attr = _KERNEL_SOURCES[name]
-        point[name] = holders[record].get(attr)
+    for name in params:
+        if name in given:
+            point[name] = given[name]
+        else:
+            record, attr = _KERNEL_SOURCES[name]
+            point[name] = getattr(holders[record], attr, None)
     return point
 
 

@@ -256,7 +256,7 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         (("solve", EX1, "--set", "mode=non-optimized", *_DESIGN_POINT), 1,
          "validation_error: non-optimized mode requires sail.D"),
         (("solve", EX1, "--set", "sail.D=10 m", *_DESIGN_POINT), 1,
-         "validation_error: optimized mode derives sail.D; remove it"),
+         "domain_error: sail.D must be absent in the optimized regime (it is derived)"),
         (("optimize", EX3), 1, "validation_error: optimize requires a target.beta0 scenario"),
         (("energy", EX3), 1, "validation_error: energy requires a target.beta0 scenario"),
         (("energy", EX1, "--lifetime-hours", "1000"), 1,
@@ -396,6 +396,15 @@ def test_roadmap_refuses_a_given_sail_diameter(capsys):
     )
     assert _run(capsys, "optimize", EX1, "--set", "sail.D=10 m") == refused
     assert _run(capsys, "roadmap", EX3, "--stages", "1,20", "--set", "sail.D=10 m") == refused
+
+
+def test_energy_refuses_a_given_sail_diameter_in_optimized_mode(capsys):
+    """energy accelerates the 2 m0 craft of the optimized regime, which
+    derives sail.D, so a given one is refused with optimize's line, not
+    dropped."""
+    assert _run(capsys, "energy", EX1, "--set", "sail.D=10 m") == (
+        1, "", "domain_error: sail.D must be absent in the optimized regime (it is derived)\n"
+    )
 
 
 def test_speed_target_sweep_refuses_a_given_sail_diameter(capsys):

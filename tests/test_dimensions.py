@@ -49,6 +49,8 @@ OUTPUTS = {
     model.optimized_launch: _LAUNCH,
     model.required_power: ("power",),
     model.beam_energy: ("energy",),
+    model.strength_limited_geometry: ("length", "length"),
+    model.cost_terms: ("cost", "cost", "cost", "cost"),
 }
 # Kernel name -> the dimension name of the field that feeds it, and of
 # the kernel parameters that no field feeds.
@@ -56,8 +58,8 @@ _INPUTS = {
     name: "number" if kind == "number" else dimension_of(kind)
     for kind, _, _, name in FIELDS.values() if name is not None
 } | {
-    "power": "power", "eta": "number", "mass_term": "linear_density",
-    "diameter": "length", "total_mass": "mass",
+    "eta": "number", "mass_term": "linear_density", "total_mass": "mass",
+    "beam_energy": "energy",
 }
 DRAWS = 300
 
@@ -67,12 +69,15 @@ def test_every_dimension_name_has_exponents():
 
 
 def _point(kernel, rng):
-    """A valid SI point of ``kernel``: a random scenario with energy terms,
-    near its closed-form optimum's array size, with that optimum's cost as
-    the budget (only its laser and optics share for ``budget_design``,
-    which prices nothing else), and the power that reaches the scenario's
-    speed with that array size in the optimized regime."""
+    """A valid SI point of ``kernel``: a random scenario with energy terms
+    and a yield strength, near its closed-form optimum's array size, with
+    that optimum's cost as the budget (only its laser and optics share for
+    ``budget_design``, which prices nothing else), the power that reaches
+    the scenario's speed with that array size in the optimized regime, and
+    the beam energy of the 2 m0 craft at that speed.  ``launch`` gets the
+    derived sail diameter, which ``optimized_launch`` refuses."""
     beta, payload, sail, metrics, array = _random_case(rng)
+    sail = sail.replace(yield_strength=10 ** rng.uniform(8, 10))
     metrics = metrics.replace(
         energy_usd_per_joule=1.4e-8 * 10 ** rng.uniform(-1, 1),
         storage_usd_per_joule=2.8e-5 * 10 ** rng.uniform(-1, 1),
@@ -83,22 +88,26 @@ def _point(kernel, rng):
     array = array.replace(aperture=design.aperture * rng.uniform(0.5, 2.0))
     costs = design.breakdown
     budget = costs.laser + costs.optics if kernel is model.budget_design else costs.total
-    point = kernel_point(
-        model.fixed_aperture_design, payload, sail, array, metrics, beta_target=beta
-    )
-    m0, h, rho, xi = (point[name] for name in ("m0", "h", "rho", "xi"))
-    eta = model.coupling(point["reflectivity"], point["absorptivity"])
-    mass = model.mass_term(xi, h, rho, m0)
-    point.update(
-        total_usd=budget, eta=eta, mass_term=mass,
-        power=model.required_power(
-            beta, point["wavelength"], point["diffraction_factor"], eta, point["aperture"], mass
-        ),
-        diameter=model.optimal_sail_diameter(xi, h, rho, m0),
-        total_mass=model.optimized_craft_mass(m0),
-    )
+    eta = sail.coupling
+    mass = model.mass_term(**kernel_point(model.mass_term, payload, sail))
+    power = model.required_power(**kernel_point(
+        model.required_power, payload, sail, array, beta=beta, eta=eta, mass_term=mass
+    ))
+    total_mass = model.optimized_craft_mass(payload.mass)
+    given = {
+        "beta": beta, "total_usd": budget, "eta": eta, "mass_term": mass, "power": power,
+        "total_mass": total_mass, "beam_energy": model.beam_energy(beta, total_mass, eta),
+    }
+    if kernel is model.launch:
+        given["sail_diameter"] = model.optimal_sail_diameter(
+            **kernel_point(model.optimal_sail_diameter, payload, sail)
+        )
     code = kernel.__code__
-    return {name: point[name] for name in code.co_varnames[:code.co_argcount]}
+    params = code.co_varnames[:code.co_argcount]
+    return kernel_point(
+        kernel, payload, sail, array, metrics,
+        **{name: value for name, value in given.items() if name in params},
+    )
 
 
 def _factor(dimension, scales):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sailcost.costs import closed_form_optimum
-from sailcost.errors import BoundaryOptimumError, InfeasibleBudgetError
+from sailcost.errors import BoundaryOptimumError, InfeasibleBudgetError, ValidationError
 from sailcost.optimize import (
     SearchSpec,
     constrained_cost,
@@ -159,6 +159,14 @@ def test_curvature_with_energy_terms_matches_finite_differences():
     design = _check_curvature(CostMetrics(1.0, 1000.0, 1.4e-6, 2.8e-3, 0.8, 100.0))
     costs = design.breakdown
     assert costs.energy > 0 and costs.energy + costs.storage > 0.2 * costs.total
+
+
+@pytest.mark.parametrize("aperture", [0.0, -1.0])
+@pytest.mark.parametrize("func", [constrained_cost, second_derivative_at])
+def test_nonpositive_aperture_is_one_validation_error(func, aperture):
+    """The cost and its curvature refuse d <= 0 with the same error."""
+    with pytest.raises(ValidationError, match=r"^array\.d: must satisfy d > 0 "):
+        func(aperture, 0.2, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
 
 
 def test_search_spec_validation():

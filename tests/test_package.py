@@ -187,3 +187,33 @@ def test_record_functions_take_the_array_spec_in_scenario_order():
     assert {
         "a1_for_budget", "closed_form_optimum", "cost_components", "plan_stages",
     } <= set(checked)
+
+
+# Modules that may read a parameter record's fields into a ``model`` call:
+# the records themselves, and the one argument table.
+_FIELD_READERS = {"params", "scenario"}
+
+
+def test_model_calls_take_no_record_field_outside_the_argument_table():
+    """Outside ``params`` and ``scenario``, no ``model.<fn>(...)`` call reads
+    a field of a parameter record (``sail.thickness``, ``payload.mass``,
+    ...) into its arguments: those fields reach a kernel only through
+    ``scenario.kernel_point``."""
+    from sailcost.scenario import FIELDS
+
+    fields = {attr for _, record, attr, _ in FIELDS.values() if record in _RECORD_ORDER}
+    found = []
+    for path in sorted((ROOT / "src" / "sailcost").glob("*.py")):
+        if path.stem in _FIELD_READERS:
+            continue
+        for call in ast.walk(ast.parse(path.read_text())):
+            func = getattr(call, "func", None)
+            if not (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "model"):
+                continue
+            args = [*call.args, *(keyword.value for keyword in call.keywords)]
+            found += [
+                f"{path.stem}:{node.lineno} model.{func.attr}(... .{node.attr} ...)"
+                for arg in args for node in ast.walk(arg)
+                if isinstance(node, ast.Attribute) and node.attr in fields
+            ]
+    assert found == []

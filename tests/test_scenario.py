@@ -1,8 +1,10 @@
+import ast
 import inspect
 import io
 import json
 import math
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -237,30 +239,53 @@ def test_scenario_with_replaces_nested_field():
 
 
 PATH_KERNELS = (model.cost_optimum, model.fixed_aperture_design, model.budget_design)
+# Kernel parameters that no field feeds: each caller derives and gives them.
+DERIVED = {"eta", "mass_term", "beam_energy"}
+SRC = Path(__file__).resolve().parent.parent / "src" / "sailcost"
+
+
+def _fed_kernels():
+    """The kernels of ``model`` that the package passes to ``kernel_point``
+    by name, as ``kernel_point(model.<kernel>, ...)``."""
+    fed = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "kernel_point":
+                first = node.args[0]
+                if isinstance(first, ast.Attribute) and getattr(first.value, "id", None) == "model":
+                    fed.add(getattr(model, first.attr))
+    return fed
 
 
 def test_kernel_names_match_the_path_kernels_one_to_one():
-    """Every path-kernel parameter is the kernel name of exactly one field,
-    and every kernel name is read by some path kernel.  ``shape_factor``
-    sits on both the sail and the array, so a clash, or a renamed
-    parameter, would otherwise surface as an error in a user's run."""
+    """Every path-kernel parameter is the kernel name of exactly one field;
+    every parameter of another kernel that a record function feeds through
+    ``kernel_point`` is one too, or a derived value that its caller gives;
+    and every kernel name is read by some kernel.  ``shape_factor`` sits
+    on both the sail and the array, so a clash, or a renamed parameter,
+    would otherwise surface as an error in a user's run."""
     names = [row[3] for row in FIELDS.values() if row[3] is not None]
     assert len(names) == len(set(names))
+    fed = _fed_kernels()
+    assert {
+        model.launch, model.optimized_launch, model.required_power,
+        model.strength_limited_geometry, model.cost_terms, model.budget_laser_metric,
+    } <= fed
     read = set()
-    for kernel in PATH_KERNELS:
+    for kernel in (*PATH_KERNELS, *fed):
         params = set(inspect.signature(kernel).parameters)
-        assert params <= set(names), (kernel.__name__, params - set(names))
+        allowed = set(names) | (set() if kernel in PATH_KERNELS else DERIVED)
+        assert params <= allowed, (kernel.__name__, params - allowed)
         read |= params
-    assert read == set(names)
+    assert read - DERIVED == set(names)
+    assert {"power", "yield_strength", "stress_factor"} <= read
 
 
 def test_kernel_point_reads_each_field_under_its_kernel_name():
     sail = SailSpec(1e-6, 1000.0, 0.9, 0.2, shape_factor=0.5, diameter=3.0)
     metrics = CostMetrics(1.0, 1000.0, 2e-9, 3e-6, 0.5, 10.0)
     array = ArraySpec(1e-6, 1.5, 1.0, 0.9)
-    point = kernel_point(
-        model.fixed_aperture_design, Payload(1e-3), sail, array, metrics, beta_target=0.2
-    )
+    point = kernel_point(model.fixed_aperture_design, Payload(1e-3), sail, array, metrics, beta=0.2)
     assert list(point) == list(inspect.signature(model.fixed_aperture_design).parameters)
     assert point == {
         "aperture": None, "beta": 0.2, "m0": 1e-3, "h": 1e-6, "rho": 1000.0, "xi": 0.5,
@@ -268,10 +293,30 @@ def test_kernel_point_reads_each_field_under_its_kernel_name():
         "diffraction_factor": 1.5, "array_shape": 1.0, "beam_fraction": 0.9, "a1": 1.0,
         "a2": 1000.0, "a3": 2e-9, "a4": 3e-6, "storage_efficiency": 0.5, "shots": 10.0,
     }
+    # A target the kernel does not take is a kernel name, so it is ignored.
     budget = kernel_point(
-        model.budget_design, Payload(1e-3), sail, array, metrics, budget_target=4e10
+        model.budget_design, Payload(1e-3), sail, array, metrics, beta=0.2, total_usd=4e10
     )
-    assert budget["total_usd"] == 4e10 and "a3" not in budget
+    assert budget["total_usd"] == 4e10 and "a3" not in budget and "beta" not in budget
+
+
+def test_kernel_point_gives_by_kernel_name_and_refuses_other_names():
+    sail = SailSpec(1e-6, 1000.0, 0.9, yield_strength=2e9, stress_factor=3.0)
+    array = ArraySpec(1e-6, aperture=10.0, power=5e9)
+    # A given value replaces the field's; a record not given leaves None.
+    point = kernel_point(model.cost_terms, array=array, aperture=20.0, beam_energy=1.0)
+    assert (point["power"], point["aperture"], point["beam_energy"]) == (5e9, 20.0, 1.0)
+    assert point["a1"] is None
+    assert kernel_point(
+        model.strength_limited_geometry, Payload(1e-3), sail, array, eta=1.8
+    ) == {
+        "power": 5e9, "m0": 1e-3, "rho": 1000.0, "eta": 1.8, "yield_strength": 2e9,
+        "stress_factor": 3.0,
+    }
+    with pytest.raises(TypeError, match="beta_target"):
+        kernel_point(model.cost_optimum, Payload(1e-3), sail, array, beta_target=0.2)
+    with pytest.raises(TypeError, match="eta"):
+        kernel_point(model.cost_optimum, Payload(1e-3), sail, array, eta=1.8)
 
 
 def test_sweep_grids():
