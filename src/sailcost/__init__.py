@@ -29,19 +29,15 @@ _EXPORTS = {
     ),
     "kinematics": (
         "BETA_VALIDITY_LIMIT", "KinematicsResult", "kinematics_non_optimized",
-        "kinematics_optimized", "optimal_sail_diameter", "required_power",
-        "strength_limited_geometry",
+        "kinematics_optimized", "optimal_sail_diameter", "strength_limited_geometry",
     ),
     "optimize": (
-        "SearchSpec", "SpeedMaxResult", "golden_section", "maximize_speed_fixed_cost",
+        "SpeedMaxResult", "golden_section", "maximize_speed_fixed_cost",
         "minimize_cost_numeric", "second_derivative_at",
     ),
     "params": ("ArraySpec", "CostMetrics", "Payload", "SailSpec"),
     "roadmap": ("Stage", "StagePlan", "plan_stages", "stage_cost_ratio"),
-    "scenario": (
-        "Scenario", "SweepSpec", "TechCurve", "dump_scenario", "load_scenario",
-        "write_results",
-    ),
+    "scenario": ("Scenario", "SweepSpec", "TechCurve", "dump_scenario", "load_scenario"),
     "units": ("C", "parse_quantity", "to_si"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

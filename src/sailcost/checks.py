@@ -16,7 +16,6 @@ from .kinematics import (
     optimal_sail_diameter,
 )
 from .optimize import (
-    SearchSpec,
     constrained_cost,
     maximize_speed_fixed_cost,
     minimize_cost_numeric,
@@ -125,7 +124,7 @@ def check_oracle_equivalence() -> CheckResult:
     for _ in range(_ORACLE_DRAWS):
         beta, payload, sail, metrics, array = _random_case(rng)
         closed = closed_form_optimum(beta, payload, sail, array, metrics)
-        numeric = minimize_cost_numeric(beta, payload, sail, array, metrics, SearchSpec())
+        numeric = minimize_cost_numeric(beta, payload, sail, array, metrics)
         worst = max(worst, _rel(numeric.aperture, closed.aperture))
     return CheckResult(
         "oracle-equivalence",

@@ -7,6 +7,8 @@ Output is deterministic byte-for-byte unless --metadata is given.
 """
 
 import argparse
+import json
+import math
 import os
 import sys
 
@@ -23,7 +25,6 @@ from .scenario import (
     parse_number,
     parse_sweep_value,
     read_entries,
-    write_results,
     write_text,
 )
 
@@ -54,7 +55,11 @@ def _emit(doc, args):
         from datetime import datetime, timezone
 
         records.append({"generated_at": datetime.now(timezone.utc).isoformat()})
-    write_results(records, "json", _destination(args))
+    try:
+        text = json.dumps(records, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericRangeError("non-finite result; inputs out of numeric range") from None
+    write_text([text], _destination(args))
 
 
 def _breakdown_doc(breakdown):
@@ -243,19 +248,21 @@ def _cmd_roadmap(args):
         designations, scenario.budget_target, scenario.curve,
         scenario.payload, scenario.sail, scenario.array, scenario.metrics,
     )
+    columns = ("designation", "beta0", "entry_month", "a1_usd_per_W", "d_m", "P0_W", "C_T")
     rows = [
-        {
-            "designation": stage.designation,
-            "beta0": stage.beta,
-            "entry_month": stage.entry_month,
-            "a1_usd_per_W": stage.metrics.laser_usd_per_watt,
-            "d_m": stage.design.aperture,
-            "P0_W": stage.design.power,
-            "C_T": stage.design.breakdown.total,
-        }
+        (
+            stage.designation, stage.beta, stage.entry_month,
+            stage.metrics.laser_usd_per_watt, stage.design.aperture, stage.design.power,
+            stage.design.breakdown.total,
+        )
         for stage in plan.stages
     ]
-    write_results(rows, "csv", _destination(args))
+    for row in rows:
+        for column, cell in zip(columns, row):
+            if not math.isfinite(cell):
+                raise NumericRangeError(f"{column} is non-finite; inputs out of numeric range")
+    lines = [",".join(map(repr, row)) + "\n" for row in rows]
+    write_text([",".join(columns) + "\n", *lines], _destination(args))
     return 0
 
 

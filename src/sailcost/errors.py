@@ -67,7 +67,10 @@ class BoundaryOptimumError(SailcostError):
     exit_code = 1
 
     def __init__(self, bound, best):
-        super().__init__(f"minimum at {bound} search bound d={best!r} m; widen the bounds")
+        super().__init__(
+            f"minimum at {bound} search bound d={best!r} m; the optimum lies outside "
+            "the numeric search range, so use the closed form"
+        )
         self.bound = bound
         self.best = best
 

@@ -61,23 +61,6 @@ def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> 
     )))
 
 
-def required_power(
-    beta_target: float, array: ArraySpec, sail: SailSpec, payload: Payload
-) -> float:
-    """Main-beam power that reaches beta_target in the optimized regime.
-
-    Inverse of the optimized speed equation:
-    P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0).
-    """
-    if array.aperture is None:
-        raise DomainError("array.d required to compute the required power")
-    mass_term = model.mass_term(**kernel_point(model.mass_term, payload, sail))
-    return model.required_power(**kernel_point(
-        model.required_power, payload, sail, array,
-        beta=beta_target, eta=sail.coupling, mass_term=mass_term,
-    ))
-
-
 def strength_limited_geometry(
     power: float, sail: SailSpec, payload: Payload
 ) -> tuple[float, float]:

@@ -13,7 +13,6 @@ from . import model
 from .errors import (
     BoundaryOptimumError,
     ConvergenceError,
-    DomainError,
     NumericRangeError,
     ValidationError,
 )
@@ -23,26 +22,13 @@ from .scenario import SWEEP_FIELDS, kernel_point
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 
-# Fig.-style sweeps span meter-to-10,000-km array sizes; default bounds
-# comfortably contain every regime the closed forms produce.
-DEFAULT_D_MIN = 1.0
-DEFAULT_D_MAX = 1e7
+# The numeric search is fixed.  Fig.-style sweeps span meter-to-10,000-km
+# array sizes; these bounds comfortably contain every closed-form regime.
+D_MIN = 1.0
+D_MAX = 1e7
+REL_TOL = 1e-10  # golden-section stops at this interval width relative to its location
+MAX_ITER = 200
 _BRACKET_POINTS = 41
-
-
-class SearchSpec(Record):
-    """Bounds and tolerances for the one-dimensional search."""
-
-    d_min: float = DEFAULT_D_MIN
-    d_max: float = DEFAULT_D_MAX
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not 0 < self.d_min < self.d_max:
-            raise DomainError(f"need 0 < d_min < d_max (got {self.d_min!r}, {self.d_max!r})")
-        if self.rel_tol <= 0:
-            raise DomainError(f"rel_tol must be > 0 (got {self.rel_tol!r})")
 
 
 class SpeedMaxResult(Record):
@@ -55,9 +41,10 @@ class SpeedMaxResult(Record):
     breakdown: CostBreakdown
 
 
-def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-10, max_iter: int = 200) -> float:
+def golden_section(f, lo: float, hi: float) -> float:
     """Minimize a unimodal f on [lo, hi]; returns the interval midpoint
-    once its width falls below rel_tol relative to its location.
+    once its width falls below ``REL_TOL`` relative to its location, or
+    raises ConvergenceError after ``MAX_ITER`` steps.
 
     Ties and flat stretches resolve toward the smaller argument, so the
     result is deterministic.
@@ -66,8 +53,8 @@ def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-10, max_iter: in
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if (b - a) <= rel_tol * (abs(a) + abs(b)) / 2:
+    for _ in range(MAX_ITER):
+        if (b - a) <= REL_TOL * (abs(a) + abs(b)) / 2:
             return (a + b) / 2
         if fc <= fd:
             b, d, fd = d, c, fc
@@ -77,7 +64,7 @@ def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-10, max_iter: in
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
-    raise ConvergenceError(f"no convergence in {max_iter} iterations", (a + b) / 2)
+    raise ConvergenceError(f"no convergence in {MAX_ITER} iterations", (a + b) / 2)
 
 
 def _bracket(f, lo: float, hi: float) -> tuple[float, float]:
@@ -117,15 +104,14 @@ def minimize_cost_numeric(
     sail: SailSpec,
     array: ArraySpec,
     metrics: CostMetrics,
-    search: SearchSpec | None = None,
 ) -> OptimumDesign:
-    """Minimize the constrained cost over the array size by bracketing on
-    a geometric grid and refining with golden-section.  The kernel's
-    arguments are built once, before the search: every evaluated size
-    lies inside the search bounds, which ``SearchSpec`` keeps positive,
-    and an evaluation, the final one at the optimum included, changes
-    only the array size in those arguments."""
-    search = search or SearchSpec()
+    """Minimize the constrained cost over the array size in
+    [``D_MIN``, ``D_MAX``] by bracketing on a geometric grid and refining
+    with golden-section; an optimum at a bound is a BoundaryOptimumError.
+    The kernel's arguments are built once, before the search: every
+    evaluated size lies inside those positive bounds, and an evaluation,
+    the final one at the optimum included, changes only the array size in
+    those arguments."""
     args = kernel_point(model.fixed_aperture_design, payload, sail, array, metrics, beta=beta)
     point, slot = list(args.values()), list(args).index("aperture")
 
@@ -134,8 +120,8 @@ def minimize_cost_numeric(
         _, _, laser, optics, energy, storage = model.fixed_aperture_design(*point)
         return laser + optics + energy + storage
 
-    lo, hi = _bracket(objective, search.d_min, search.d_max)
-    point[slot] = golden_section(objective, lo, hi, search.rel_tol, search.max_iter)
+    lo, hi = _bracket(objective, D_MIN, D_MAX)
+    point[slot] = golden_section(objective, lo, hi)
     aperture, power, *terms = model.fixed_aperture_design(*point)
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric")
 

@@ -1,5 +1,5 @@
 """Scenario files: a strict, unit-suffixed key-value format, plus the
-deterministic CSV/JSON result emitters.
+text writer that every result leaves through.
 
 Grammar (one statement per line):
 
@@ -16,11 +16,9 @@ keys are errors.  Exactly one of target.beta0 / target.budget must be
 present.
 """
 
-import io
-import json
 import math
 
-from .errors import DomainError, NumericRangeError, ParseError, UnitError, ValidationError
+from .errors import DomainError, ParseError, UnitError, ValidationError
 from .params import ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec
 from .units import dimension_of, parse_quantity
 
@@ -357,55 +355,6 @@ def dump_scenario(scenario: Scenario) -> str:
         else:
             lines.append(f"{name} = {value!r} {kind}")
     return "\n".join(lines) + "\n"
-
-
-def scenario_with(scenario: Scenario, axis: str, si_value: float) -> Scenario:
-    """Copy of a scenario with one sweepable field replaced (SI value)."""
-    _, record, attr, _ = sweep_field(axis)
-    if record is None:
-        return scenario.replace(**{attr: si_value})
-    return scenario.replace(**{record: getattr(scenario, record).replace(**{attr: si_value})})
-
-
-def format_number(value, name: str) -> str:
-    """Shortest decimal that round-trips to the same float; a non-finite
-    float ``name`` is a NumericRangeError."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise NumericRangeError(f"{name} is non-finite; inputs out of numeric range")
-        return repr(value)
-    return str(value)
-
-
-def write_results(records: list[dict], fmt: str, destination) -> int:
-    """Write records deterministically; returns the byte count.
-
-    CSV keeps the column order of the first record; JSON preserves key
-    order.  Identical inputs always produce byte-identical output (LF
-    line endings, UTF-8, shortest round-trip floats, no timestamps).  A
-    non-finite float is a NumericRangeError, and then nothing is written.
-    """
-    if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        columns = list(records[0].keys()) if records else []
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for record in records:
-            if list(record.keys()) != columns:
-                raise ValidationError("records must be homogeneous for CSV output")
-            writer.writerow([format_number(record[c], c) for c in columns])
-        payload = buf.getvalue()
-    elif fmt == "json":
-        try:
-            payload = json.dumps(records, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            raise NumericRangeError("non-finite result; inputs out of numeric range") from None
-    else:
-        raise ValidationError(f"unknown output format {fmt!r}")
-    write_text([payload], destination)
-    return len(payload) if payload.isascii() else len(payload.encode("utf-8"))
 
 
 def write_text(lines: list[str], destination) -> None:

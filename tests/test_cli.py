@@ -220,6 +220,9 @@ def test_bad_flag_values_are_validation_errors(capsys, argv):
         ("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=1e-300 usd/m2"),
         ("roadmap", EX3, "--stages", "1,10,20", "--set", "metrics.a2=1e300 usd/m2"),
         ("roadmap", EX3, "--stages", "1,10,20", "--set", "target.budget=1e300 usd"),
+        # A stage whose entry month overflows: the CSV table's own check.
+        ("roadmap", EX3, "--stages", "1,20", "--set", "metrics.a2=1e100 usd/m2",
+         "--set", "techcurve.a1_base=1e300 usd/W"),
     ],
 )
 def test_finite_inputs_out_of_float_range_are_numeric_errors(capsys, tmp_path, argv):

@@ -4,9 +4,15 @@ import random
 import pytest
 
 from sailcost.costs import closed_form_optimum
-from sailcost.errors import BoundaryOptimumError, InfeasibleBudgetError, ValidationError
+from sailcost.errors import (
+    BoundaryOptimumError,
+    ConvergenceError,
+    InfeasibleBudgetError,
+    ValidationError,
+)
 from sailcost.optimize import (
-    SearchSpec,
+    D_MAX,
+    D_MIN,
     constrained_cost,
     golden_section,
     maximize_speed_fixed_cost,
@@ -75,12 +81,23 @@ def test_numeric_matches_closed_form_randomized():
 
 
 def test_boundary_optimum_reported():
-    metrics = CostMetrics(1.0, 1000.0)
-    with pytest.raises(BoundaryOptimumError) as info:
-        minimize_cost_numeric(
-            0.2, PAYLOAD, SAIL, ARRAY, metrics, SearchSpec(d_min=1e6, d_max=1e7)
-        )
-    assert info.value.bound == "lower"
+    """An optimum outside the fixed search range is reported at the bound
+    it lies beyond, on either side."""
+    for metrics, bound, best in (
+        (CostMetrics(1e4, 1e-3), "upper", D_MAX),  # d* = 1.95e7 m
+        (CostMetrics(1e-12, 1e3), "lower", D_MIN),  # d* = 0.905 m
+    ):
+        outside = closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, metrics).aperture
+        assert not D_MIN < outside < D_MAX
+        with pytest.raises(BoundaryOptimumError) as info:
+            minimize_cost_numeric(0.2, PAYLOAD, SAIL, ARRAY, metrics)
+        assert (info.value.bound, info.value.best) == (bound, best)
+
+
+def test_golden_section_reports_an_exhausted_iteration_budget():
+    """A minimum at 0 is never met by the relative width test."""
+    with pytest.raises(ConvergenceError):
+        golden_section(lambda t: t, 0.0, 1.0)
 
 
 def test_constrained_cost_exceeds_optimum_off_the_minimum():
@@ -167,12 +184,3 @@ def test_nonpositive_aperture_is_one_validation_error(func, aperture):
     """The cost and its curvature refuse d <= 0 with the same error."""
     with pytest.raises(ValidationError, match=r"^array\.d: must satisfy d > 0 "):
         func(aperture, 0.2, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
-
-
-def test_search_spec_validation():
-    from sailcost.errors import DomainError
-
-    with pytest.raises(DomainError):
-        SearchSpec(d_min=10.0, d_max=1.0)
-    with pytest.raises(DomainError):
-        SearchSpec(rel_tol=0.0)

@@ -8,14 +8,14 @@ from sailcost.costs import CostBreakdown, OptimumDesign
 from sailcost.energy import ShotEnergy
 from sailcost.errors import ValidationError
 from sailcost.kinematics import KinematicsResult
-from sailcost.optimize import SearchSpec, SpeedMaxResult
+from sailcost.optimize import SpeedMaxResult
 from sailcost.params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from sailcost.roadmap import Stage, StagePlan
 from sailcost.scenario import Scenario, SweepSpec, TechCurve
 
 RECORDS = [
     SailSpec, ArraySpec, Payload, CostMetrics, CostBreakdown, OptimumDesign,
-    KinematicsResult, ShotEnergy, TechCurve, Scenario, SweepSpec, SearchSpec,
+    KinematicsResult, ShotEnergy, TechCurve, Scenario, SweepSpec,
     SpeedMaxResult, Stage, StagePlan, CheckResult,
 ]
 

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import io
 import json
 import math
 import textwrap
@@ -9,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from sailcost import model
-from sailcost.errors import NumericRangeError, ParseError, UnitError, ValidationError
+from sailcost import model, roadmap
+from sailcost.cli import main
+from sailcost.errors import ParseError, UnitError, ValidationError
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.scenario import (
     FIELDS,
@@ -24,8 +24,7 @@ from sailcost.scenario import (
     kernel_point,
     load_scenario,
     parse_entries,
-    scenario_with,
-    write_results,
+    write_text,
 )
 
 MINIMAL = textwrap.dedent("""\
@@ -230,14 +229,6 @@ def test_load_scenario_from_file(tmp_path):
     assert load_scenario(path).name == "t"
 
 
-def test_scenario_with_replaces_nested_field():
-    sc = _scenario()
-    varied = scenario_with(sc, "metrics.a1", 0.5)
-    assert varied.metrics.laser_usd_per_watt == 0.5
-    assert varied.sail == sc.sail
-    assert scenario_with(sc, "payload.m0", 2e-3).payload.mass == 2e-3
-
-
 PATH_KERNELS = (model.cost_optimum, model.fixed_aperture_design, model.budget_design)
 # Kernel parameters that no field feeds: each caller derives and gives them.
 DERIVED = {"eta", "mass_term", "beam_energy"}
@@ -268,8 +259,8 @@ def test_kernel_names_match_the_path_kernels_one_to_one():
     assert len(names) == len(set(names))
     fed = _fed_kernels()
     assert {
-        model.launch, model.optimized_launch, model.required_power,
-        model.strength_limited_geometry, model.cost_terms, model.budget_laser_metric,
+        model.launch, model.optimized_launch, model.strength_limited_geometry,
+        model.cost_terms, model.budget_laser_metric,
     } <= fed
     read = set()
     for kernel in (*PATH_KERNELS, *fed):
@@ -356,49 +347,81 @@ def test_sweep_validation():
         SweepSpec("array.d", -1.0, 2.0, 3, scale="log")
 
 
-def test_csv_output_deterministic():
-    rows = [{"a": 1.0, "b": 0.1}, {"a": 2.0, "b": 1e22}]
-    bufs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        write_results(rows, "csv", buf)
-        bufs.append(buf.getvalue())
-    assert bufs[0] == bufs[1]
-    assert bufs[0] == "a,b\n1.0,0.1\n2.0,1e+22\n"
+# A result reaches ``write_text`` only through a CLI command, which
+# formats it and refuses a non-finite value first, so the output contract
+# is checked through the CLI.
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+EX1, EX3 = str(FIXTURES / "example1.scn"), str(FIXTURES / "example3.scn")
 
 
-def test_csv_floats_round_trip():
-    value = 193085264928.40485
-    buf = io.StringIO()
-    write_results([{"x": value}], "csv", buf)
-    cell = buf.getvalue().splitlines()[1]
-    assert float(cell) == value
+def test_csv_output_deterministic(tmp_path):
+    """A roadmap table written to a file, twice, is the golden stdout
+    table byte for byte: LF line endings on every platform."""
+    golden = Path(__file__).resolve().parent / "golden" / "roadmap-example3.csv"
+    for name in ("a.csv", "b.csv"):
+        path = tmp_path / name
+        assert main(["roadmap", EX3, "--stages", "1,20", "-o", str(path)]) == 0
+        assert path.read_bytes() == golden.read_bytes()
 
 
-def test_csv_rejects_ragged_records():
-    with pytest.raises(ValidationError, match="homogeneous"):
-        write_results([{"a": 1}, {"b": 2}], "csv", io.StringIO())
+def test_csv_floats_round_trip(capsys):
+    """Each roadmap cell reads back as the exact float of its stage."""
+    stages = ["0.1", "1", "20"]
+    assert main(["roadmap", EX3, "--stages", ",".join(stages)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    scenario = load_scenario(EX3)
+    plan = roadmap.plan_stages(
+        [float(x) for x in stages], scenario.budget_target, scenario.curve,
+        scenario.payload, scenario.sail, scenario.array, scenario.metrics,
+    )
+    assert header == "designation,beta0,entry_month,a1_usd_per_W,d_m,P0_W,C_T"
+    assert len(lines) == len(plan.stages)
+    for line, stage in zip(lines, plan.stages):
+        design = stage.design
+        assert [float(cell) for cell in line.split(",")] == [
+            stage.designation, stage.beta, stage.entry_month,
+            stage.metrics.laser_usd_per_watt, design.aperture, design.power,
+            design.breakdown.total,
+        ]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_non_finite_results_are_refused_and_nothing_is_written(tmp_path, fmt, bad):
+def test_non_finite_results_are_refused_and_nothing_is_written(
+    capsys, monkeypatch, tmp_path, fmt, bad
+):
+    """A non-finite value in a roadmap table (CSV) or an energy document
+    (JSON) stops the run with one numeric_error line, and no file."""
     path = tmp_path / "out"
-    with pytest.raises(NumericRangeError, match="non-finite"):
-        write_results([{"a": 1.0}, {"a": bad}], fmt, str(path))
+    if fmt == "csv":
+        plan_stages = roadmap.plan_stages
+
+        def bad_plan(*args):
+            plan = plan_stages(*args)
+            *stages, last = plan.stages
+            return plan.replace(stages=(*stages, last.replace(entry_month=bad)))
+
+        monkeypatch.setattr(roadmap, "plan_stages", bad_plan)
+        argv, message = ["roadmap", EX3, "--stages", "1,20"], "entry_month is non-finite"
+    else:
+        monkeypatch.setattr("sailcost.cli.storage_cost", lambda *args: bad)
+        argv, message = ["energy", EX1], "non-finite result"
+    assert main([*argv, "-o", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        f"numeric_error: {message}; inputs out of numeric range\n"
+    )
     assert not path.exists()
 
 
 def test_json_output(tmp_path):
     path = tmp_path / "out.json"
-    n = write_results([{"a": 1.5}], "json", str(path))
+    assert main(["optimize", EX1, "-o", str(path)]) == 0
     data = path.read_bytes()
-    assert len(data) == n
     assert data.endswith(b"\n")
     assert b"\r" not in data
-    assert json.loads(data) == [{"a": 1.5}]
+    assert [doc["scenario"] for doc in json.loads(data)] == ["example1"]
 
 
 def test_unwritable_destination(tmp_path):
     with pytest.raises(ValidationError, match="cannot write"):
-        write_results([{"a": 1}], "json", str(tmp_path / "no" / "dir" / "x.json"))
+        write_text(["a\n"], str(tmp_path / "no" / "dir" / "x.csv"))

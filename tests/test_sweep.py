@@ -17,7 +17,6 @@ from sailcost import KinematicsResult, model, optimize
 from sailcost.cli import main
 from sailcost.costs import closed_form_optimum
 from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
-from sailcost.kinematics import required_power
 from sailcost.optimize import (
     _SWEEP_COLUMNS,
     constrained_cost,
@@ -30,8 +29,9 @@ from sailcost.scenario import (
     SWEEP_FIELDS,
     apply_overrides,
     build_scenario,
+    kernel_point,
     parse_entries,
-    scenario_with,
+    sweep_field,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -74,6 +74,22 @@ def _scenario(example, overrides):
         return build_scenario(apply_overrides(parse_entries(fh.read()), overrides))
 
 
+def scenario_with(scenario, axis, si_value):
+    """Copy of a scenario with one sweepable field replaced (SI value)."""
+    _, record, attr, _ = sweep_field(axis)
+    if record is None:
+        return scenario.replace(**{attr: si_value})
+    return scenario.replace(**{record: getattr(scenario, record).replace(**{attr: si_value})})
+
+
+def test_scenario_with_replaces_nested_field():
+    sc = _scenario("example1", [])
+    varied = scenario_with(sc, "metrics.a1", 0.5)
+    assert varied.metrics.laser_usd_per_watt == 0.5
+    assert varied.sail == sc.sail
+    assert scenario_with(sc, "payload.m0", 2e-3).payload.mass == 2e-3
+
+
 def _record_row(scenario, axis, value):
     """One sweep row from the public record functions."""
     point = scenario_with(scenario, axis, value)
@@ -90,7 +106,11 @@ def _record_row(scenario, axis, value):
         breakdown = constrained_cost(
             value, point.beta_target, point.payload, point.sail, array, point.metrics
         )
-        power = required_power(point.beta_target, array, point.sail, point.payload)
+        mass = model.mass_term(**kernel_point(model.mass_term, point.payload, point.sail))
+        power = model.required_power(**kernel_point(
+            model.required_power, point.payload, point.sail, array,
+            beta=point.beta_target, eta=point.sail.coupling, mass_term=mass,
+        ))
     else:
         require_cost_mode(point.mode)
         design = closed_form_optimum(
