@@ -3,11 +3,16 @@ closed forms (bracket + golden-section minimization of the constrained
 cost), the fixed-budget speed maximum, and the analytic cost curvature.
 """
 
+import codecs
+import io
 import math
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 from contextlib import suppress
+from functools import partial
+from itertools import chain
 
 from . import model
 from .errors import (
@@ -166,18 +171,21 @@ _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 # points: one fork-and-reap round trip takes ~3.4 ms on a 2-vCPU host, the
 # time of ~225 points.
 _MIN_CHUNK = 2000
-_END = "\0"  # ends a child's text; no row holds it
-_PIECE = 65536  # characters read from a child at a time
+_BLOCK = 256  # rows joined and encoded per write to a chunk's spool
+_END = b"\0"  # ends a child's spool; no row holds it
 
 
-def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
+def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
     """The CSV text of a sweep of one scenario field over ``grid`` (a list
     of SI values), as pieces to write in order: the header line, then one
-    line per value, ending in a newline.  Joined, the pieces are the
-    same text however the grid was split; a grid of at least
-    2 × ``_MIN_CHUNK`` points is run in chunks, one per usable CPU
-    (``_rows_in_chunks``), and a forked chunk's rows come back as pieces
-    of up to ``_PIECE`` characters, not one per line.
+    line per value, ending in a newline.  Every point is computed before
+    this returns, so a failing sweep raises here and nothing is written.
+    The rows wait in spools, not in memory: each chunk of the grid writes
+    its rows to its own anonymous temp file, and the lines are read back
+    from those files as they are consumed (``_rows_in_chunks``).  A grid
+    of at least 2 × ``_MIN_CHUNK`` points is run in chunks, one per usable
+    CPU; joined, the pieces are the same text however the grid was split.
+    Exhausting or dropping the pieces closes every spool.
 
     Under a speed target an ``array.d`` sweep holds the target at each
     aperture (``model.fixed_aperture_design``) and any other field
@@ -194,7 +202,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
     for a grid without NaN the record is rebuilt only at the grid's least
     and greatest values, and per point only when one of those fails.  No
     other record is built, and each row is kept only as its formatted
-    text.
+    text, until its block is written to the spool.
     """
     require_cost_mode(scenario.mode)
     _, group, attr, name = SWEEP_FIELDS[axis]
@@ -230,7 +238,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     isfinite = math.isfinite
 
-    def rows(values):
+    def rows(values, spool):
         lines = []
         prefix = suffix = ""
         for value in values:
@@ -257,9 +265,14 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> list[str]:
                 f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
                 f"{total!r},{flux!r}{suffix}\n"
             )
-        return lines
+            if len(lines) == _BLOCK:
+                spool.write("".join(lines).encode())
+                lines.clear()
+        spool.write("".join(lines).encode())
 
-    return [f"{header}\n" if at_speed else f"{header},beta0\n", *_rows_in_chunks(rows, grid)]
+    lines = _rows_in_chunks(rows, grid)
+    next(lines)  # runs every chunk: a failing point raises here
+    return chain([f"{header}\n" if at_speed else f"{header},beta0\n"], lines)
 
 
 def _chunks(grid: list[float]) -> list[list[float]]:
@@ -277,78 +290,72 @@ def _chunks(grid: list[float]) -> list[list[float]]:
     return [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _rows_in_chunks(rows, grid: list[float]) -> list[str]:
-    """``rows(grid)`` as text pieces in grid order, each chunk of
-    ``_chunks(grid)`` but the first run in a forked child while this
-    process runs the first.  A child's text is used only when the child
-    exited 0 after its end marker, so its chunk raised and warned nothing;
-    otherwise, or when no child could be forked, this process runs that
-    chunk itself, in grid order, so every error and warning comes from the
-    one serial loop.  Every child is reaped before this returns or raises;
-    when a chunk raises, the children not yet collected are killed first."""
-    first, *rest = _chunks(grid)
-    children = []  # (pid, read end) of each forked chunk not yet collected
+def _rows_in_chunks(rows, grid: list[float]) -> Iterator[str | None]:
+    """Yield None once each chunk of ``_chunks(grid)`` has written
+    ``rows(chunk, spool)`` to its own spool, an anonymous temp file, then
+    the spools' text in grid order, one read buffer at a time.  Each chunk
+    but the first runs in a forked child, whose spool is kept only when it
+    exited 0 after its end marker, so its chunk raised and warned nothing.
+    Otherwise, or with no child, this process runs the chunk, in grid
+    order, so every error and warning comes from the one serial loop; into
+    memory if no spool file could be made.  Every child is reaped before
+    the first yield, and killed first when a chunk raises.  Every spool is
+    closed at the end."""
+    import tempfile
+
+    chunks = _chunks(grid)
+    spools = []
+    children = {}  # chunk index: pid of the child running it, not yet reaped
     try:
-        for chunk in rest:
-            read, write = os.pipe()
+        for i, chunk in enumerate(chunks):
             try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this process runs the rest
-                os.close(read)
-                os.close(write)
-                break
-            if pid == 0:  # pragma: no cover - runs in the child, which exits
-                _stream_rows(rows, chunk, write, [read, *(fd for _, fd in children)])
-            os.close(write)
-            children.append((pid, read))
-        lines = rows(first)
-        for chunk in rest:
-            pieces = _collect(*children.pop(0)) if children else None
-            lines += rows(chunk) if pieces is None else pieces
-        return lines
+                spools.append(tempfile.TemporaryFile())
+            except OSError:  # no file to spare: this process runs the chunk
+                spools.append(io.BytesIO())
+                continue
+            if i:
+                with suppress(OSError):  # no process to spare: this process runs the chunk
+                    children[i] = os.fork()
+                if children.get(i) == 0:  # pragma: no cover - runs in the child, which exits
+                    _spool_rows(rows, chunk, spools[i])
+        for i, (chunk, spool) in enumerate(zip(chunks, spools)):
+            if i in children:
+                status = os.waitpid(children.pop(i), 0)[1]
+                end = max(spool.seek(0, os.SEEK_END) - 1, 0)
+                if status == 0 and os.pread(spool.fileno(), 1, end) == _END:
+                    spool.truncate(end)
+                    continue
+            spool.seek(0)
+            spool.truncate()
+            rows(chunk, spool)
+        yield None
+        for spool in spools:
+            spool.seek(0)
+            blocks = iter(partial(spool.read, io.DEFAULT_BUFFER_SIZE), b"")
+            yield from codecs.iterdecode(blocks, "utf-8")
     finally:
         if children:  # a chunk raised, so no child's rows are needed
             from signal import SIGKILL
 
-            for pid, read in children:
+            for pid in children.values():
                 os.kill(pid, SIGKILL)
-                os.close(read)
                 os.waitpid(pid, 0)
+        for spool in spools:
+            spool.close()
 
 
-def _collect(pid: int, read: int) -> list[str] | None:
-    """A child's text, read to its end in pieces of ``_PIECE`` characters,
-    without its end marker; None unless the child exited 0 after writing
-    the marker.  Closes the read end and reaps the child."""
-    pieces = []
-    try:
-        with open(read, encoding="utf-8", newline="") as stream:
-            while piece := stream.read(_PIECE):
-                pieces.append(piece)
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status != 0 or not pieces or not pieces[-1].endswith(_END):
-        return None
-    pieces[-1] = pieces[-1][:-1]
-    return pieces
-
-
-def _stream_rows(rows, chunk: list[float], write: int, readers: list[int]) -> None:
+def _spool_rows(rows, chunk: list[float], spool) -> None:
     """In a forked child: write ``rows(chunk)`` and then the end marker to
-    the pipe's ``write`` end, as UTF-8, and exit 0 only when the chunk
-    raised and warned nothing.  The inherited ``readers`` are closed
-    first.  Touches neither stdout nor stderr, and never returns."""
+    ``spool``, and exit 0 only when the chunk raised and warned nothing.
+    Touches neither stdout nor stderr, and never returns."""
     status = 1
     try:
-        for fd in readers:
-            os.close(fd)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lines = rows(chunk)
+            rows(chunk, spool)
         if not caught:
-            with open(write, "w", encoding="utf-8", newline="") as stream:
-                stream.writelines(lines)
-                stream.write(_END)
+            spool.write(_END)
+            spool.flush()
             status = 0
     finally:
         os._exit(status)

@@ -357,10 +357,12 @@ def dump_scenario(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_text(lines: list[str], destination) -> None:
-    """Write text pieces in order to a stream, or as UTF-8 to a path.
-    The pieces are written one by one, so a table passed as its lines is
-    never joined into one string."""
+def write_text(lines, destination) -> None:
+    """Write text pieces, any iterable of ``str``, in order to a stream, or
+    as UTF-8 to a path.  The pieces are written one by one, so a table
+    passed as its lines is never joined into one string, and an iterator
+    (a sweep's text, read back from its spools) is read only as it is
+    written."""
     if hasattr(destination, "write"):
         destination.writelines(lines)
     else:

@@ -463,14 +463,6 @@ def test_usage_error_exits_2():
     assert proc.returncode == 2
 
 
-def test_validate_subcommand_passes(capsys):
-    code, out, _ = _run(capsys, "validate")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 9
-    assert all(line.startswith("PASS ") for line in lines)
-
-
 def test_validate_writes_to_output_path(capsys, monkeypatch, tmp_path):
     """validate -o PATH writes exactly the bytes a stdout run prints."""
     results = [CheckResult("first", True, "ok"), CheckResult("second", False, "off by 2")]
