@@ -205,7 +205,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
     text, until its block is written to the spool.
     """
     require_cost_mode(scenario.mode)
-    _, group, attr, name = SWEEP_FIELDS[axis]
+    _, group, attr, name, _ = SWEEP_FIELDS[axis]
     at_speed = scenario.beta_target is not None or axis == "target.beta0"
     fixed_aperture = axis == "array.d"
     if fixed_aperture and not at_speed:

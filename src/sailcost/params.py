@@ -1,15 +1,82 @@
 """Validated parameter records for the sail, the laser array, the payload,
-and the unit-cost metrics.
+and the unit-cost metrics, and ``FIELDS``, the table of every scenario
+field with its bound.
 
 All fields are SI.  Validation happens at construction so every function
 downstream can assume the documented invariants.
 """
 
 import math
+import operator
 
 from . import model
 from .errors import ValidationError
 from .model import require
+
+
+# Every scenario field, in dump order:
+# key -> (kind, record, attribute, kernel name, rule).
+# kind is the SI unit of a dimensioned field, or "number" (bare
+# dimensionless), "string" or "reserved-zero".  record is the Scenario
+# attribute that holds the field, None for the Scenario's own.  Defaults
+# are those of the record class; a field without one is required.  The
+# kernel name is the parameter the field feeds in the kernels of ``model``
+# (``scenario.kernel_point``), or None where no kernel reads the field.
+# The rule is the field's own bound as its error message writes it, or
+# None; the record class of that ``group`` checks it (``Record``).
+FIELDS: dict[str, tuple[str, str | None, str | None, str | None, str | None]] = {
+    "name": ("string", None, "name", None, None),
+    "mode": ("string", None, "mode", None, None),
+    "target.beta0": ("number", None, "beta_target", "beta", None),
+    "target.budget": ("usd", None, "budget_target", "total_usd", None),
+    "payload.m0": ("kg", "payload", "mass", "m0", "m0 > 0"),
+    "sail.h": ("m", "sail", "thickness", "h", "h > 0"),
+    "sail.rho": ("kg/m3", "sail", "density", "rho", "rho > 0"),
+    "sail.eps_r": ("number", "sail", "reflectivity", "reflectivity", "0 <= eps_r <= 1"),
+    "sail.alpha": ("number", "sail", "absorptivity", "absorptivity", "0 <= alpha <= 1"),
+    "sail.xi": ("number", "sail", "shape_factor", "xi", "xi > 0"),
+    "sail.s": ("number", "sail", "stress_factor", "stress_factor", "s > 0"),
+    "sail.D": ("m", "sail", "diameter", "sail_diameter", "D > 0"),
+    "sail.S_y": ("Pa", "sail", "yield_strength", "yield_strength", "S_y > 0"),
+    "array.lambda": ("m", "array", "wavelength", "wavelength", "lambda > 0"),
+    "array.alpha_d": (
+        "number", "array", "diffraction_factor", "diffraction_factor", "alpha_d >= 1"
+    ),
+    "array.xi_arr": ("number", "array", "shape_factor", "array_shape", "xi_arr > 0"),
+    "array.eps_b": ("number", "array", "beam_fraction", "beam_fraction", "0 < eps_b <= 1"),
+    "array.d": ("m", "array", "aperture", "aperture", "d > 0"),
+    "array.P0": ("W", "array", "power", "power", "P0 >= 0"),
+    "metrics.a1": ("usd/W", "metrics", "laser_usd_per_watt", "a1", "a1 >= 0"),
+    "metrics.a2": ("usd/m2", "metrics", "optics_usd_per_m2", "a2", "a2 >= 0"),
+    "metrics.a3": ("usd/J", "metrics", "energy_usd_per_joule", "a3", "a3 >= 0"),
+    "metrics.a4": ("usd/J", "metrics", "storage_usd_per_joule", "a4", "a4 >= 0"),
+    "metrics.eps_storage": (
+        "number", "metrics", "storage_efficiency", "storage_efficiency", "0 < eps_storage <= 1"
+    ),
+    "metrics.N_shot": ("number", "metrics", "shots", "shots", "N_shot >= 1"),
+    "techcurve.a1_base": ("usd/W", "curve", "base_value", None, None),
+    "techcurve.reference_month": ("number", "curve", "reference_month", None, None),
+    "techcurve.halving_months": ("number", "curve", "halving_months", None, None),
+}
+# Cost items 5-9 (personnel, land, launch, payload) are reserved for
+# forward compatibility: configs may name them but only with value 0, and
+# they are stored nowhere.
+for _item in ("a5", "a6", "a7", "a8", "a9"):
+    FIELDS[f"metrics.{_item}"] = ("reserved-zero", "metrics", None, None, None)
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _compile_rule(rule: str):
+    """The test that ``rule`` writes, ``<symbol> <op> <bound>`` or
+    ``<lo> <op> <symbol> <op> <hi>``.  NaN fails every comparison, so
+    every rule."""
+    parts = rule.split()
+    if len(parts) == 3:
+        compare, bound = _COMPARE[parts[1]], float(parts[2])
+        return lambda value: compare(value, bound)
+    lo, below, above, hi = float(parts[0]), _COMPARE[parts[1]], _COMPARE[parts[3]], float(parts[4])
+    return lambda value: below(lo, value) and above(value, hi)
 
 
 class Record:
@@ -17,18 +84,27 @@ class Record:
     and a class attribute named like a field is that field's default.
 
     Built by position or keyword; the fields fill ``__dict__`` in field
-    order, so ``vars(record)`` is the record as a dict, and then
-    ``__post_init__`` checks them.  Records compare equal only to records
-    of the same type with equal fields.  A changed copy comes from
+    order, so ``vars(record)`` is the record as a dict.  Then a class
+    declared with ``group=<record of FIELDS>`` checks the rule of each of
+    its fields, in field order and skipping None, and ``__post_init__``
+    checks the rules that span fields.  Records compare equal only to
+    records of the same type with equal fields.  A changed copy comes from
     ``replace``, which runs the checks again.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
+    _rules: tuple = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, group=None):
         cls._fields = tuple(vars(cls).get("__annotations__", ()))
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+        rules = {
+            attr: (key, rule, _compile_rule(rule))
+            for key, (_, record, attr, _, rule) in FIELDS.items()
+            if group is not None and record == group and rule is not None
+        }
+        cls._rules = tuple((name, *rules[name]) for name in cls._fields if name in rules)
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -49,6 +125,9 @@ class Record:
         for name in kwargs:
             problem = "got multiple values for" if name in state else "got an unexpected keyword"
             raise TypeError(f"{cls.__name__}() {problem} argument {name!r}")
+        for name, key, rule, holds in cls._rules:
+            value = state[name]
+            require(value is None or holds(value), key, rule, value)
         self.__post_init__()
 
     def __post_init__(self):
@@ -77,7 +156,7 @@ class Record:
         return type(self)(**{**self.__dict__, **changes})
 
 
-class SailSpec(Record):
+class SailSpec(Record, group="sail"):
     """Sail material and geometry.
 
     thickness h [m], density rho [kg/m^3], reflectivity and absorptivity
@@ -98,22 +177,9 @@ class SailSpec(Record):
     stress_factor: float = 1.0
 
     def __post_init__(self):
-        require(self.thickness > 0, "sail.h", "h > 0", self.thickness)
-        require(self.density > 0, "sail.rho", "rho > 0", self.density)
-        reflectivity, absorptivity = self.reflectivity, self.absorptivity
-        require(0 <= reflectivity <= 1, "sail.eps_r", "0 <= eps_r <= 1", reflectivity)
-        require(0 <= absorptivity <= 1, "sail.alpha", "0 <= alpha <= 1", absorptivity)
-        require(self.shape_factor > 0, "sail.xi", "xi > 0", self.shape_factor)
-        if self.diameter is not None:
-            require(self.diameter > 0, "sail.D", "D > 0", self.diameter)
-        if self.yield_strength is not None:
-            require(self.yield_strength > 0, "sail.S_y", "S_y > 0", self.yield_strength)
-        require(self.stress_factor > 0, "sail.s", "s > 0", self.stress_factor)
         # A sail that neither reflects nor absorbs feels no thrust.
-        require(
-            model.coupling(reflectivity, absorptivity) > 0,
-            "sail", "2 eps_r + (1 - eps_r) alpha > 0", (reflectivity, absorptivity),
-        )
+        pair = (self.reflectivity, self.absorptivity)
+        require(self.coupling > 0, "sail", "2 eps_r + (1 - eps_r) alpha > 0", pair)
 
     @property
     def coupling(self) -> float:
@@ -129,7 +195,7 @@ class SailSpec(Record):
         return model.sail_mass(self.shape_factor, self.diameter, self.thickness, self.density)
 
 
-class ArraySpec(Record):
+class ArraySpec(Record, group="array"):
     """Laser array: aperture size d [m], wavelength [m], diffraction
     factor (1.22 for a circular aperture), array shape factor (pi/4
     circular, 1 square), main-beam fraction eps_b, and main-beam power
@@ -144,18 +210,6 @@ class ArraySpec(Record):
     aperture: float | None = None
     power: float | None = None
 
-    def __post_init__(self):
-        require(self.wavelength > 0, "array.lambda", "lambda > 0", self.wavelength)
-        require(
-            self.diffraction_factor >= 1, "array.alpha_d", "alpha_d >= 1", self.diffraction_factor
-        )
-        require(self.shape_factor > 0, "array.xi_arr", "xi_arr > 0", self.shape_factor)
-        require(0 < self.beam_fraction <= 1, "array.eps_b", "0 < eps_b <= 1", self.beam_fraction)
-        if self.aperture is not None:
-            require(self.aperture > 0, "array.d", "d > 0", self.aperture)
-        if self.power is not None:
-            require(self.power >= 0, "array.P0", "P0 >= 0", self.power)
-
     @property
     def optical_power(self) -> float:
         """Total produced optical power P0 / eps_b."""
@@ -164,21 +218,13 @@ class ArraySpec(Record):
         return self.power / self.beam_fraction
 
 
-class Payload(Record):
+class Payload(Record, group="payload"):
     """Payload mass m0 [kg]."""
 
     mass: float
 
-    def __post_init__(self):
-        require(self.mass > 0, "payload.m0", "m0 > 0", self.mass)
 
-
-# Cost items beyond the four modeled ones (personnel, land, launch,
-# payload) are reserved: configs may name them but only with value 0.
-RESERVED_COST_ITEMS = ("a5", "a6", "a7", "a8", "a9")
-
-
-class CostMetrics(Record):
+class CostMetrics(Record, group="metrics"):
     """Unit costs: laser USD/optical-W, optics USD/m^2, grid energy and
     storage USD/J, end-to-end storage efficiency, and the shot count used
     for lifetime energy amortization.
@@ -193,16 +239,4 @@ class CostMetrics(Record):
 
     def __post_init__(self):
         a1, a2 = self.laser_usd_per_watt, self.optics_usd_per_m2
-        require(a1 >= 0, "metrics.a1", "a1 >= 0", a1)
-        require(a2 >= 0, "metrics.a2", "a2 >= 0", a2)
-        require(self.energy_usd_per_joule >= 0, "metrics.a3", "a3 >= 0", self.energy_usd_per_joule)
-        require(
-            self.storage_usd_per_joule >= 0, "metrics.a4", "a4 >= 0", self.storage_usd_per_joule
-        )
         require(a1 > 0 or a2 > 0, "metrics", "a1 > 0 or a2 > 0", (a1, a2))
-        require(
-            0 < self.storage_efficiency <= 1,
-            "metrics.eps_storage", "0 < eps_storage <= 1", self.storage_efficiency,
-        )
-        require(self.shots >= 1, "metrics.N_shot", "N_shot >= 1", self.shots)
-

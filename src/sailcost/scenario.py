@@ -19,7 +19,7 @@ present.
 import math
 
 from .errors import DomainError, ParseError, UnitError, ValidationError
-from .params import ArraySpec, CostMetrics, Payload, Record, RESERVED_COST_ITEMS, SailSpec
+from .params import ArraySpec, CostMetrics, FIELDS, Payload, Record, SailSpec
 from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
@@ -72,52 +72,10 @@ _RECORDS = {
     "metrics": CostMetrics, "curve": TechCurve,
 }
 
-# Every scenario field, in dump order:
-# key -> (kind, record, attribute, kernel name).
-# kind is the SI unit of a dimensioned field, or "number" (bare
-# dimensionless), "string" or "reserved-zero".  Defaults are those of the
-# record class; a field without one is required.  The kernel name is the
-# parameter the field feeds in the kernels of ``model`` (``kernel_point``),
-# or None where no kernel reads the field.
-FIELDS: dict[str, tuple[str, str | None, str | None, str | None]] = {
-    "name": ("string", None, "name", None),
-    "mode": ("string", None, "mode", None),
-    "target.beta0": ("number", None, "beta_target", "beta"),
-    "target.budget": ("usd", None, "budget_target", "total_usd"),
-    "payload.m0": ("kg", "payload", "mass", "m0"),
-    "sail.h": ("m", "sail", "thickness", "h"),
-    "sail.rho": ("kg/m3", "sail", "density", "rho"),
-    "sail.eps_r": ("number", "sail", "reflectivity", "reflectivity"),
-    "sail.alpha": ("number", "sail", "absorptivity", "absorptivity"),
-    "sail.xi": ("number", "sail", "shape_factor", "xi"),
-    "sail.s": ("number", "sail", "stress_factor", "stress_factor"),
-    "sail.D": ("m", "sail", "diameter", "sail_diameter"),
-    "sail.S_y": ("Pa", "sail", "yield_strength", "yield_strength"),
-    "array.lambda": ("m", "array", "wavelength", "wavelength"),
-    "array.alpha_d": ("number", "array", "diffraction_factor", "diffraction_factor"),
-    "array.xi_arr": ("number", "array", "shape_factor", "array_shape"),
-    "array.eps_b": ("number", "array", "beam_fraction", "beam_fraction"),
-    "array.d": ("m", "array", "aperture", "aperture"),
-    "array.P0": ("W", "array", "power", "power"),
-    "metrics.a1": ("usd/W", "metrics", "laser_usd_per_watt", "a1"),
-    "metrics.a2": ("usd/m2", "metrics", "optics_usd_per_m2", "a2"),
-    "metrics.a3": ("usd/J", "metrics", "energy_usd_per_joule", "a3"),
-    "metrics.a4": ("usd/J", "metrics", "storage_usd_per_joule", "a4"),
-    "metrics.eps_storage": ("number", "metrics", "storage_efficiency", "storage_efficiency"),
-    "metrics.N_shot": ("number", "metrics", "shots", "shots"),
-    "techcurve.a1_base": ("usd/W", "curve", "base_value", None),
-    "techcurve.reference_month": ("number", "curve", "reference_month", None),
-    "techcurve.halving_months": ("number", "curve", "halving_months", None),
-}
-# Cost items 5-9 (personnel, land, launch, payload) are reserved for
-# forward compatibility: they must be zero and are stored nowhere.
-for _item in RESERVED_COST_ITEMS:
-    FIELDS[f"metrics.{_item}"] = ("reserved-zero", "metrics", None, None)
-
 # Keys whose field has no default (no class attribute of its record), in
 # table order: required whenever their record is built.
 _DEFAULTLESS = tuple(
-    key for key, (_, record, attr, _) in FIELDS.items()
+    key for key, (_, record, attr, *_) in FIELDS.items()
     if attr is not None and not hasattr(_RECORDS[record], attr)
 )
 # Sweepable field -> its table row: every stored number outside the tech curve.
@@ -127,7 +85,7 @@ SWEEP_FIELDS = {
 }
 # Kernel name -> the (record, attribute) of the field that feeds it.
 _KERNEL_SOURCES = {
-    name: (record, attr) for _, record, attr, name in FIELDS.values() if name is not None
+    name: (record, attr) for _, record, attr, name, _ in FIELDS.values() if name is not None
 }
 
 
@@ -156,8 +114,8 @@ def kernel_point(kernel, payload=None, sail=None, array=None, metrics=None, **gi
     return point
 
 
-def sweep_field(axis: str) -> tuple[str, str | None, str, str | None]:
-    """The (kind, record, attribute, kernel name) row of a sweepable field."""
+def sweep_field(axis: str) -> tuple[str, str | None, str, str | None, str | None]:
+    """The (kind, record, attribute, kernel name, rule) row of a sweepable field."""
     try:
         return SWEEP_FIELDS[axis]
     except KeyError:
@@ -299,7 +257,7 @@ def build_scenario(entries: dict[str, tuple[str, int]]) -> Scenario:
             raise ValidationError(f"missing required key {key!r}")
 
     values = {record: {} for record in _RECORDS if record in built}
-    for key, (kind, record, attr, _) in FIELDS.items():
+    for key, (kind, record, attr, *_) in FIELDS.items():
         if key in entries:
             value = _value(key, kind, *entries[key])
             if attr is not None:
@@ -339,7 +297,7 @@ def dump_scenario(scenario: Scenario) -> str:
     fields left out; loading the output reproduces the scenario exactly
     (floats round-trip through repr)."""
     lines, section = [], ""
-    for key, (kind, record, attr, _) in FIELDS.items():
+    for key, (kind, record, attr, *_) in FIELDS.items():
         holder = scenario if record is None else getattr(scenario, record)
         value = None if holder is None or attr is None else getattr(holder, attr)
         if value is None:

@@ -298,6 +298,11 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         # Columns are 1-based: the bracket is the third character.
         (("optimize", "indented-unterminated.scn"), 1,
          "parse_error: line 1, col 3: unterminated section header"),
+        # Two faults at once: every field's own bound is checked before
+        # the rule that spans a1 and a2.
+        (("optimize", EX1, "--set", "metrics.a1=0 usd/W", "--set", "metrics.a2=0 usd/m2",
+          "--set", "metrics.N_shot=0.5"), 1,
+         "validation_error: metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):

@@ -56,7 +56,7 @@ OUTPUTS = {
 # the kernel parameters that no field feeds.
 _INPUTS = {
     name: "number" if kind == "number" else dimension_of(kind)
-    for kind, _, _, name in FIELDS.values() if name is not None
+    for kind, _, _, name, *_ in FIELDS.values() if name is not None
 } | {
     "eta": "number", "mass_term": "linear_density", "total_mass": "mass",
     "beam_energy": "energy",

@@ -154,6 +154,18 @@ def test_infeasible_budget():
         maximize_speed_fixed_cost(0.0, PAYLOAD, SAIL, ARRAY, CostMetrics(1.0, 1000.0))
 
 
+@pytest.mark.parametrize("beam_fraction", [0.5, 0.8])
+def test_fixed_budget_spends_exactly_the_budget_below_full_beam_fraction(beam_fraction):
+    """The laser is priced per produced optical watt, P0 / eps_b, so the
+    main-beam power a budget buys falls with eps_b: the laser and the
+    optics spend the budget, no more and no less."""
+    array = ArraySpec(1e-6, 1.22, XI, beam_fraction)
+    result = maximize_speed_fixed_cost(100e9, PAYLOAD, SAIL, array, CostMetrics(1.0, 1000.0))
+    assert result.breakdown.total == pytest.approx(100e9, rel=1e-12)
+    optics = 1000.0 * XI * result.aperture**2
+    assert 1.0 * result.power / beam_fraction + optics == pytest.approx(100e9, rel=1e-12)
+
+
 def _check_curvature(metrics):
     design = closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, metrics)
     for d in (design.aperture * 0.5, design.aperture, design.aperture * 3):

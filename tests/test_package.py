@@ -198,7 +198,7 @@ def test_model_calls_take_no_record_field_outside_the_argument_table():
     ``scenario.kernel_point``."""
     from sailcost.scenario import FIELDS
 
-    fields = {attr for _, record, attr, _ in FIELDS.values() if record in _RECORD_ORDER}
+    fields = {attr for _, record, attr, *_ in FIELDS.values() if record in _RECORD_ORDER}
     found = []
     for path in sorted((ROOT / "src" / "sailcost").glob("*.py")):
         if path.stem in _FIELD_READERS:
@@ -214,3 +214,18 @@ def test_model_calls_take_no_record_field_outside_the_argument_table():
                 if isinstance(node, ast.Attribute) and node.attr in fields
             ]
     assert found == []
+
+
+def test_params_writes_no_single_field_bound_by_hand():
+    """Each single-field bound is written once, in its row of ``FIELDS``:
+    no ``require`` call in ``params.py`` passes a field's dotted key.  Only
+    the cross-field rules remain, each keyed by its record."""
+    tree = ast.parse((ROOT / "src" / "sailcost" / "params.py").read_text())
+    keys = [
+        call.args[1].value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and len(call.args) > 1
+        and "require" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        and isinstance(call.args[1], ast.Constant)
+    ]
+    assert sorted(keys) == ["metrics", "sail"]

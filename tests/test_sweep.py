@@ -77,7 +77,7 @@ def _scenario(example, overrides):
 
 def scenario_with(scenario, axis, si_value):
     """Copy of a scenario with one sweepable field replaced (SI value)."""
-    _, record, attr, _ = sweep_field(axis)
+    _, record, attr, *_ = sweep_field(axis)
     if record is None:
         return scenario.replace(**{attr: si_value})
     return scenario.replace(**{record: getattr(scenario, record).replace(**{attr: si_value})})
@@ -500,8 +500,11 @@ def test_sweep_ends_exactly_on_its_upper_bound():
 
 # Sweeps that cross a record bound, each with the error line and exit
 # code it had when every point was checked: the check that runs once per
-# sweep must not change which error is reported.
+# sweep must not change which error is reported.  The bound may be a rule
+# over two fields, which only a rebuilt record checks.
 CROSSING_SWEEPS = [
+    ("example1", "sail.eps_r", "0", "1",
+     "sail: must satisfy 2 eps_r + (1 - eps_r) alpha > 0 (got (0.0, 0.0))"),
     ("example1", "array.eps_b", "0.5", "1.5",
      "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)"),
     ("example3", "array.eps_b", "0.5", "1.5",
@@ -526,6 +529,18 @@ def test_sweep_crossing_a_bound_keeps_its_error(example, axis, start, stop, mess
         "--from", start, "--to", stop, "--points", "5",
     )
     assert (code, out, err) == (1, "", f"validation_error: {message}\n")
+
+
+def test_sweep_crossing_a_cross_field_rule_keeps_its_error():
+    """a1 = 0 is inside a1's own bound, but with a2 = 0 it breaks the rule
+    that spans both: the sweep's record rebuild reports that rule."""
+    code, out, err = _cli(
+        "sweep", os.path.join(FIXTURES, "example1.scn"), "--set", "metrics.a2=0 usd/m2",
+        "--axis", "metrics.a1", "--from", "0 usd/W", "--to", "1 usd/W", "--points", "5",
+    )
+    assert (code, out, err) == (
+        1, "", "validation_error: metrics: must satisfy a1 > 0 or a2 > 0 (got (0.0, 0.0))\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -605,7 +620,7 @@ def test_record_checks_accept_an_interval_of_each_field(axis, data):
     values of one field that its record accepts form an interval,
     whatever the record's other fields are.  So a record that builds at lo
     and at hi builds at every value in between."""
-    _, group, attr, _ = SWEEP_FIELDS[axis]
+    _, group, attr, *_ = SWEEP_FIELDS[axis]
     cls = RECORD_CLASSES[group]
     fields = {}
     for name in cls._fields:
