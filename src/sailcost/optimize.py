@@ -196,8 +196,9 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
     kernel has no parameter by its kernel name in ``scenario.FIELDS``.
     The kernel's arguments are built once, as a list in its parameter
     order, and per point only the swept slot is set.  A swept value is
-    checked by rebuilding the scenario's record with it
-    (``record.replace``), so a bad value fails as the record would.  A
+    checked by rebuilding the record that holds it (``record.replace``),
+    the Scenario itself for a target, so a bad value fails as the record
+    would, and as ``--set`` of that value does.  A
     record accepts an interval of each single field and refuses NaN, so
     for a grid without NaN the record is rebuilt only at the grid's least
     and greatest values, and per point only when one of those fails.  No
@@ -229,8 +230,8 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
         )
     point, names = list(args.values()), list(args)
     slot, shape = names.index(name), names.index("array_shape")
-    record = getattr(scenario, group) if group else None
-    if record is not None and grid and all(value == value for value in grid):
+    record = scenario if group is None else getattr(scenario, group)
+    if grid and all(value == value for value in grid):
         with suppress(ValidationError):  # a bound is crossed: check per point
             for value in (min(grid), max(grid)):
                 record.replace(**{attr: value})

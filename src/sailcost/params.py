@@ -27,8 +27,8 @@ from .model import require
 FIELDS: dict[str, tuple[str, str | None, str | None, str | None, str | None]] = {
     "name": ("string", None, "name", None, None),
     "mode": ("string", None, "mode", None, None),
-    "target.beta0": ("number", None, "beta_target", "beta", None),
-    "target.budget": ("usd", None, "budget_target", "total_usd", None),
+    "target.beta0": ("number", None, "beta_target", "beta", "0 < beta0 < 1"),
+    "target.budget": ("usd", None, "budget_target", "total_usd", "budget > 0"),
     "payload.m0": ("kg", "payload", "mass", "m0", "m0 > 0"),
     "sail.h": ("m", "sail", "thickness", "h", "h > 0"),
     "sail.rho": ("kg/m3", "sail", "density", "rho", "rho > 0"),
@@ -54,9 +54,9 @@ FIELDS: dict[str, tuple[str, str | None, str | None, str | None, str | None]] = 
         "number", "metrics", "storage_efficiency", "storage_efficiency", "0 < eps_storage <= 1"
     ),
     "metrics.N_shot": ("number", "metrics", "shots", "shots", "N_shot >= 1"),
-    "techcurve.a1_base": ("usd/W", "curve", "base_value", None, None),
+    "techcurve.a1_base": ("usd/W", "curve", "base_value", None, "a1_base > 0"),
     "techcurve.reference_month": ("number", "curve", "reference_month", None, None),
-    "techcurve.halving_months": ("number", "curve", "halving_months", None, None),
+    "techcurve.halving_months": ("number", "curve", "halving_months", None, "halving_months > 0"),
 }
 # Cost items 5-9 (personnel, land, launch, payload) are reserved for
 # forward compatibility: configs may name them but only with value 0, and
@@ -85,24 +85,25 @@ class Record:
 
     Built by position or keyword; the fields fill ``__dict__`` in field
     order, so ``vars(record)`` is the record as a dict.  Then a class
-    declared with ``group=<record of FIELDS>`` checks the rule of each of
-    its fields, in field order and skipping None, and ``__post_init__``
-    checks the rules that span fields.  Records compare equal only to
-    records of the same type with equal fields.  A changed copy comes from
-    ``replace``, which runs the checks again.
+    declared with ``group=<record of FIELDS>`` (None for the Scenario's
+    own fields) checks the rule of each of its fields, in field order and
+    skipping None, and ``__post_init__`` checks the rules that span
+    fields; a class declared without a group checks no rule.  Records
+    compare equal only to records of the same type with equal fields.  A
+    changed copy comes from ``replace``, which runs the checks again.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: dict = {}
     _rules: tuple = ()
 
-    def __init_subclass__(cls, group=None):
+    def __init_subclass__(cls, group=...):
         cls._fields = tuple(vars(cls).get("__annotations__", ()))
         cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
         rules = {
             attr: (key, rule, _compile_rule(rule))
             for key, (_, record, attr, _, rule) in FIELDS.items()
-            if group is not None and record == group and rule is not None
+            if record == group and rule is not None
         }
         cls._rules = tuple((name, *rules[name]) for name in cls._fields if name in rules)
 

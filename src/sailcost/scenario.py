@@ -13,34 +13,31 @@ Sections group keys; every dimensioned value carries a unit suffix and
 bare numbers are rejected for dimensioned fields (the top failure mode
 in mixed-unit cost formulas is a silently mis-scaled input).  Unknown
 keys are errors.  Exactly one of target.beta0 / target.budget must be
-present.
+present.  Every bound on a value is a rule of its ``FIELDS`` row, which
+the record that holds the field checks, the Scenario's targets included.
 """
 
 import math
 
-from .errors import DomainError, ParseError, UnitError, ValidationError
+from .errors import ParseError, UnitError, ValidationError
 from .params import ArraySpec, CostMetrics, FIELDS, Payload, Record, SailSpec
 from .units import dimension_of, parse_quantity
 
 MODES = ("optimized", "non-optimized", "strength-limited")
 
 
-class TechCurve(Record):
+class TechCurve(Record, group="curve"):
     """Exponentially falling cost metric: halves every halving_months."""
 
     base_value: float       # USD/unit at the reference month
     reference_month: float = 0.0  # month index of the base value
     halving_months: float = 18.0
 
-    def __post_init__(self):
-        if self.base_value <= 0:
-            raise DomainError(f"curve base value must be > 0 (got {self.base_value!r})")
-        if self.halving_months <= 0:
-            raise DomainError(f"halving time must be > 0 (got {self.halving_months!r})")
 
-
-class Scenario(Record):
-    """A fully validated scenario, all values SI."""
+class Scenario(Record, group=None):
+    """A fully validated scenario, all values SI.  That exactly one target
+    is set is a rule of the file format (``build_scenario``), so a target
+    sweep can rebuild a scenario that holds both."""
 
     name: str
     mode: str
@@ -53,6 +50,8 @@ class Scenario(Record):
     curve: TechCurve | None = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValidationError(f"mode: expected one of {MODES} (got {self.mode!r})")
         # dump_scenario writes the name raw; parse_entries splits the text
         # at line breaks, cuts each line at '#' and strips it.  No other
         # name loads back as itself.
@@ -263,17 +262,8 @@ def build_scenario(entries: dict[str, tuple[str, int]]) -> Scenario:
             if attr is not None:
                 values[record][attr] = value
     top = values.pop(None)
-    if top["mode"] not in MODES:
-        raise ValidationError(f"mode: expected one of {MODES} (got {top['mode']!r})")
-    beta, budget = top.get("beta_target"), top.get("budget_target")
-    if (beta is None) == (budget is None):
-        raise ValidationError(
-            "target: exactly one of target.beta0 / target.budget must be set"
-        )
-    if beta is not None and not 0 < beta < 1:
-        raise ValidationError(f"target.beta0: must be in (0, 1) (got {beta!r})")
-    if budget is not None and budget <= 0:
-        raise ValidationError(f"target.budget: must be > 0 (got {budget!r})")
+    if ("beta_target" in top) == ("budget_target" in top):
+        raise ValidationError("target: exactly one of target.beta0 / target.budget must be set")
     return Scenario(**top, **{record: _RECORDS[record](**kw) for record, kw in values.items()})
 
 

@@ -282,7 +282,11 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
          "validation_error: mode: expected one of "
          "('optimized', 'non-optimized', 'strength-limited') (got 'fast')"),
         (("max-speed", EX3, "--set", "target.budget=0 usd"), 1,
-         "validation_error: target.budget: must be > 0 (got 0.0)"),
+         "validation_error: target.budget: must satisfy budget > 0 (got 0.0)"),
+        # Two faults: the records, sail included, are built before the
+        # Scenario checks its mode, so the sail's bound is reported.
+        (("optimize", EX1, "--set", "mode=turbo", "--set", "sail.h=-1 m"), 1,
+         "validation_error: sail.h: must satisfy h > 0 (got -1.0)"),
         (("optimize", EX1, "--set", "sail.h=1 um extra"), 1,
          "unit_error: line 0: sail.h: cannot parse quantity '1 um extra'"),
         (("optimize", EX1, "--set", "sail.h=one um"), 1,

@@ -229,3 +229,29 @@ def test_params_writes_no_single_field_bound_by_hand():
         and isinstance(call.args[1], ast.Constant)
     ]
     assert sorted(keys) == ["metrics", "sail"]
+
+
+def test_scenario_writes_no_single_field_bound_by_hand():
+    """The bounds of the Scenario's own fields and of the tech curve are
+    rules of ``FIELDS`` too: no error message in ``scenario.py`` starts
+    with the key of a field that has a rule, and ``TechCurve`` defines no
+    ``__post_init__``."""
+    from sailcost.params import FIELDS
+
+    keys = tuple(key for key, (*_, rule) in FIELDS.items() if rule is not None)
+    tree = ast.parse((ROOT / "src" / "sailcost" / "scenario.py").read_text())
+    found = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and call.args
+                and getattr(call.func, "id", "").endswith("Error")):
+            continue
+        message = call.args[0]
+        if isinstance(message, ast.JoinedStr) and message.values:
+            message = message.values[0]
+        if isinstance(message, ast.Constant) and str(message.value).startswith(keys):
+            found.append(f"scenario:{call.lineno} {message.value!r}")
+    assert found == []
+    curve = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "TechCurve"
+    )
+    assert "__post_init__" not in [getattr(node, "name", None) for node in curve.body]

@@ -135,6 +135,12 @@ _SAIL = (SailSpec, {"thickness": 1e-6, "density": 1000.0, "reflectivity": 0.5, "
 _ARRAY = (ArraySpec, {"wavelength": 1e-6})
 _PAYLOAD = (Payload, {"mass": 1e-3})
 _METRICS = (CostMetrics, {"laser_usd_per_watt": 1.0, "optics_usd_per_m2": 1000.0})
+_SCENARIO = (Scenario, {
+    "name": "s", "mode": "optimized", "payload": Payload(**_PAYLOAD[1]),
+    "sail": SailSpec(**_SAIL[1]), "array": ArraySpec(**_ARRAY[1]),
+    "metrics": CostMetrics(**_METRICS[1]),
+})
+_CURVE = (TechCurve, {"base_value": 100.0})
 # Every single-field bound: (record, field, [(value, its error line)],
 # [values that pass]).  The failing values lie just outside the bound or
 # on an exclusive edge, and NaN fails every bound; the passing values lie
@@ -249,6 +255,29 @@ _BOUNDS = [
         (_BELOW_1, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.9999999999999999)"),
         (math.nan, "metrics.N_shot: must satisfy N_shot >= 1 (got nan)"),
     ], [1.0]),
+    # A Scenario with no target, or with both, builds: that exactly one
+    # is set is a rule of the file format.
+    (_SCENARIO, "beta_target", [
+        (-1.0, "target.beta0: must satisfy 0 < beta0 < 1 (got -1.0)"),
+        (0.0, "target.beta0: must satisfy 0 < beta0 < 1 (got 0.0)"),
+        (1.0, "target.beta0: must satisfy 0 < beta0 < 1 (got 1.0)"),
+        (math.nan, "target.beta0: must satisfy 0 < beta0 < 1 (got nan)"),
+    ], [_ABOVE_0, _BELOW_1, None]),
+    (_SCENARIO, "budget_target", [
+        (-1.0, "target.budget: must satisfy budget > 0 (got -1.0)"),
+        (0.0, "target.budget: must satisfy budget > 0 (got 0.0)"),
+        (math.nan, "target.budget: must satisfy budget > 0 (got nan)"),
+    ], [_ABOVE_0, None]),
+    (_CURVE, "base_value", [
+        (-1.0, "techcurve.a1_base: must satisfy a1_base > 0 (got -1.0)"),
+        (0.0, "techcurve.a1_base: must satisfy a1_base > 0 (got 0.0)"),
+        (math.nan, "techcurve.a1_base: must satisfy a1_base > 0 (got nan)"),
+    ], [_ABOVE_0]),
+    (_CURVE, "halving_months", [
+        (-1.0, "techcurve.halving_months: must satisfy halving_months > 0 (got -1.0)"),
+        (0.0, "techcurve.halving_months: must satisfy halving_months > 0 (got 0.0)"),
+        (math.nan, "techcurve.halving_months: must satisfy halving_months > 0 (got nan)"),
+    ], [_ABOVE_0]),
 ]
 
 
@@ -277,7 +306,7 @@ def test_each_single_field_bound_gives_its_error_line(cls, fields, error):
 def test_every_rule_of_the_field_table_is_pinned_above():
     pinned = {error.split(":")[0] for *_, failing, _ in _BOUNDS for _, error in failing}
     assert pinned == {key for key, (*_, rule) in FIELDS.items() if rule is not None}
-    assert len(pinned) == 21
+    assert len(pinned) == 25
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from sailcost.checks import _random_case
 from sailcost.costs import a1_for_budget
-from sailcost.errors import DomainError, InfeasibleBudgetError
+from sailcost.errors import DomainError, InfeasibleBudgetError, ValidationError
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.roadmap import (
     Stage,
@@ -124,7 +124,11 @@ def test_stage_plan_requires_strictly_increasing_designations():
 
 
 def test_curve_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError) as info:
         TechCurve(base_value=0.0, reference_month=0.0, halving_months=18.0)
-    with pytest.raises(DomainError):
+    assert str(info.value) == "techcurve.a1_base: must satisfy a1_base > 0 (got 0.0)"
+    with pytest.raises(ValidationError) as info:
         TechCurve(base_value=1.0, reference_month=0.0, halving_months=0.0)
+    assert str(info.value) == (
+        "techcurve.halving_months: must satisfy halving_months > 0 (got 0.0)"
+    )

@@ -124,6 +124,32 @@ def test_field_validation_points_at_field():
         _scenario(bad)
 
 
+_BUDGET = MINIMAL.replace("beta0 = 0.2", "budget = 1e9 usd")
+
+
+@pytest.mark.parametrize(
+    ("text", "changes", "override", "error"),
+    [
+        (MINIMAL, {"mode": "turbo"}, "mode=turbo",
+         "mode: expected one of ('optimized', 'non-optimized', 'strength-limited') "
+         "(got 'turbo')"),
+        (MINIMAL, {"beta_target": 1.5}, "target.beta0=1.5",
+         "target.beta0: must satisfy 0 < beta0 < 1 (got 1.5)"),
+        (_BUDGET, {"budget_target": -1.0}, "target.budget=-1 usd",
+         "target.budget: must satisfy budget > 0 (got -1.0)"),
+    ],
+    ids=["mode", "beta0", "budget"],
+)
+def test_scenario_refuses_what_the_file_format_refuses(text, changes, override, error):
+    """A Scenario built in code checks its mode and targets, and gives the
+    line that a scenario file with the same value gives."""
+    with pytest.raises(ValidationError) as built:
+        _scenario(text).replace(**changes)
+    with pytest.raises(ValidationError) as parsed:
+        build_scenario(apply_overrides(parse_entries(text), [override]))
+    assert str(built.value) == str(parsed.value) == error
+
+
 @pytest.mark.parametrize(
     "overrides, error",
     [

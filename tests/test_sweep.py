@@ -139,7 +139,11 @@ def _grids(axis):
     lo, hi = RANGES[axis]
     even = [lo + i * (hi - lo) / 4 for i in range(5)]
     # The third value is out of range for every field.
-    return [even, [lo, hi, -hi, lo]]
+    grids = [even, [lo, hi, -hi, lo]]
+    if axis == "metrics.a1":
+        # a1 = 0 passes its record, but leaves the cost optimum degenerate.
+        grids.append([0.0, hi])
+    return grids
 
 
 CASES = [
@@ -209,7 +213,7 @@ def test_every_path_and_outcome_is_covered():
         for grid in _grids(axis):
             result = _outcome(lambda: sweep_lines(scenario, axis, grid))
             kinds.add(result[0] if isinstance(result, tuple) else "rows")
-    assert "rows" in kinds and len(kinds) >= 4
+    assert "rows" in kinds and DegenerateOptimumError in kinds and len(kinds) >= 4
 
 
 def _cli(*argv):
@@ -227,8 +231,28 @@ def test_failing_point_writes_nothing(tmp_path):
         "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "target.beta0",
         "--from", "0.3", "--to", "1.2", "--points", "4", "-o", str(path),
     )
-    assert (code, out, err) == (1, "", "domain_error: beta must be in (0, 1) (got 1.2)\n")
+    assert (code, out, err) == (
+        1, "", "validation_error: target.beta0: must satisfy 0 < beta0 < 1 (got 1.2)\n"
+    )
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    ("example", "command", "axis", "start", "stop", "failing", "error"),
+    [
+        ("example1", "optimize", "target.beta0", "0.3", "1.2", "1.2",
+         "validation_error: target.beta0: must satisfy 0 < beta0 < 1 (got 1.2)\n"),
+        ("example3", "max-speed", "target.budget", "-1 usd", "1e9 usd", "-1 usd",
+         "validation_error: target.budget: must satisfy budget > 0 (got -1.0)\n"),
+    ],
+)
+def test_swept_target_fails_as_set_does(example, command, axis, start, stop, failing, error):
+    """A target is checked by the Scenario that holds it, so the first
+    failing point of a sweep prints the line that ``--set`` of its value
+    does."""
+    path = os.path.join(FIXTURES, f"{example}.scn")
+    swept = _cli("sweep", path, "--axis", axis, "--from", start, "--to", stop, "--points", "4")
+    assert swept == _cli(command, path, "--set", f"{axis}={failing}") == (1, "", error)
 
 
 def test_sweep_to_missing_directory_is_a_validation_error(spools, tmp_path):
