@@ -7,7 +7,6 @@ Output is deterministic byte-for-byte unless --metadata is given.
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -29,7 +28,8 @@ from .scenario import (
 )
 
 # checks, optimize and roadmap are imported inside the commands that use
-# them, so a solve, optimize or energy run never loads them.
+# them, so a solve, optimize or energy run never loads them; json is
+# imported by ``_emit``, so a sweep, roadmap or validate run never loads it.
 
 OUTPUT_DIR_ENV = "SAILCOST_OUTPUT_DIR"
 
@@ -50,6 +50,8 @@ def _destination(args):
 
 def _emit(doc, args):
     """Write one JSON result document, with the generation time on request."""
+    import json
+
     records = [doc]
     if args.metadata:
         from datetime import datetime, timezone

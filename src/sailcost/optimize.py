@@ -9,7 +9,7 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import suppress
 from functools import partial
 from itertools import chain
@@ -175,14 +175,16 @@ _BLOCK = 256  # rows joined and encoded per write to a chunk's spool
 _END = b"\0"  # ends a child's spool; no row holds it
 
 
-def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
-    """The CSV text of a sweep of one scenario field over ``grid`` (a list
-    of SI values), as pieces to write in order: the header line, then one
-    line per value, ending in a newline.  Every point is computed before
-    this returns, so a failing sweep raises here and nothing is written.
-    The rows wait in spools, not in memory: each chunk of the grid writes
-    its rows to its own anonymous temp file, and the lines are read back
-    from those files as they are consumed (``_rows_in_chunks``).  A grid
+def sweep_lines(scenario, axis: str, grid: Sequence[float]) -> Iterator[str]:
+    """The CSV text of a sweep of one scenario field over ``grid`` (a
+    sequence of SI values: a ``SweepSpec.grid()``, whose chunks compute
+    their own points, or any other), as pieces to write in order: the
+    header line, then one line per value, ending in a newline.  Every
+    point is computed before this returns, so a failing sweep raises here
+    and nothing is written.  The rows wait in spools, not in memory: each
+    chunk of the grid writes its rows to its own anonymous temp file, and
+    the lines are read back from those files as they are consumed
+    (``_rows_in_chunks``).  A grid
     of at least 2 × ``_MIN_CHUNK`` points is run in chunks, one per usable
     CPU; joined, the pieces are the same text however the grid was split.
     Exhausting or dropping the pieces closes every spool.
@@ -198,12 +200,14 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
     order, and per point only the swept slot is set.  A swept value is
     checked by rebuilding the record that holds it (``record.replace``),
     the Scenario itself for a target, so a bad value fails as the record
-    would, and as ``--set`` of that value does.  A
-    record accepts an interval of each single field and refuses NaN, so
-    for a grid without NaN the record is rebuilt only at the grid's least
-    and greatest values, and per point only when one of those fails.  No
-    other record is built, and each row is kept only as its formatted
-    text, until its block is written to the spool.
+    would, and as ``--set`` of that value does.  A record accepts an
+    interval of each single field, which holds no NaN, so the record is
+    rebuilt at the grid's first and last values, and per point only for a
+    value outside the interval between those two, NaN included; when one
+    of the two fails, at every point.  So each point fails or passes as
+    if every point were checked, in grid order.  No other record is
+    built, and each row is kept only as its formatted text, until its
+    block is written to the spool.
     """
     require_cost_mode(scenario.mode)
     _, group, attr, name, _ = SWEEP_FIELDS[axis]
@@ -231,11 +235,13 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
     point, names = list(args.values()), list(args)
     slot, shape = names.index(name), names.index("array_shape")
     record = scenario if group is None else getattr(scenario, group)
-    if grid and all(value == value for value in grid):
-        with suppress(ValidationError):  # a bound is crossed: check per point
-            for value in (min(grid), max(grid)):
+    lo, hi = math.inf, -math.inf  # no value lies in it: every point is checked
+    if grid:
+        ends = grid[0], grid[-1]
+        with suppress(ValidationError):  # an end fails: check every point
+            for value in ends:
                 record.replace(**{attr: value})
-            record = None
+            lo, hi = min(ends), max(ends)
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     isfinite = math.isfinite
 
@@ -243,7 +249,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
         lines = []
         prefix = suffix = ""
         for value in values:
-            if record is not None:
+            if not lo <= value <= hi:
                 record.replace(**{attr: value})
             point[slot] = value
             if at_speed:
@@ -276,7 +282,7 @@ def sweep_lines(scenario, axis: str, grid: list[float]) -> Iterator[str]:
     return chain([f"{header}\n" if at_speed else f"{header},beta0\n"], lines)
 
 
-def _chunks(grid: list[float]) -> list[list[float]]:
+def _chunks(grid: Sequence[float]) -> list[Sequence[float]]:
     """``grid`` cut into contiguous chunks, one per usable CPU, each of at
     least ``_MIN_CHUNK`` points; one chunk where ``os.fork`` is missing,
     or while another thread runs, which a forked child would lack."""
@@ -291,7 +297,7 @@ def _chunks(grid: list[float]) -> list[list[float]]:
     return [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _rows_in_chunks(rows, grid: list[float]) -> Iterator[str | None]:
+def _rows_in_chunks(rows, grid: Sequence[float]) -> Iterator[str | None]:
     """Yield None once each chunk of ``_chunks(grid)`` has written
     ``rows(chunk, spool)`` to its own spool, an anonymous temp file, then
     the spools' text in grid order, one read buffer at a time.  Each chunk
@@ -345,7 +351,7 @@ def _rows_in_chunks(rows, grid: list[float]) -> Iterator[str | None]:
             spool.close()
 
 
-def _spool_rows(rows, chunk: list[float], spool) -> None:
+def _spool_rows(rows, chunk: Sequence[float], spool) -> None:
     """In a forked child: write ``rows(chunk)`` and then the end marker to
     ``spool``, and exit 0 only when the chunk raised and warned nothing.
     Touches neither stdout nor stderr, and never returns."""

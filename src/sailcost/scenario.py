@@ -18,6 +18,9 @@ the record that holds the field checks, the Scenario's targets included.
 """
 
 import math
+import operator
+from collections.abc import Sequence
+from itertools import chain, repeat
 
 from .errors import ParseError, UnitError, ValidationError
 from .params import ArraySpec, CostMetrics, FIELDS, Payload, Record, SailSpec
@@ -149,17 +152,59 @@ class SweepSpec(Record):
                 f"sweep: the {self.scale} grid from {self.start!r} to {self.stop!r} overflows"
             )
 
-    def grid(self) -> list[float]:
+    def grid(self) -> "SweepGrid":
         """``points`` values from ``start`` to ``stop``, both exactly: a
-        computed last point can overshoot a bound that ``stop`` meets."""
-        n = self.points
-        if self.scale == "log":
-            ratio = self.stop / self.start
-            inner = [self.start * ratio ** (i / (n - 1)) for i in range(1, n - 1)]
+        computed last point can overshoot a bound that ``stop`` meets.  A
+        read-only sequence that computes each point as it is read, so it
+        holds no list; ``list(spec.grid())`` is the list of the points."""
+        return SweepGrid(self, range(self.points))
+
+
+class SweepGrid(Sequence):
+    """The points at ``indices`` of the grid of ``spec``: point 0 is
+    ``start`` and point ``points - 1`` is ``stop``, exactly; point i
+    between them is ``start * (stop / start) ** (i / (points - 1))`` on
+    the log scale and ``start + i * step`` on the linear one, with
+    ``step = (stop - start) / (points - 1)``.  A slice is a SweepGrid over
+    the sliced indices, so a chunk of a grid holds a range, not a list,
+    and computes its own points when iterated."""
+
+    __slots__ = ("spec", "indices")
+
+    def __init__(self, spec: SweepSpec, indices: range):
+        self.spec, self.indices = spec, indices
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return SweepGrid(self.spec, self.indices[key])
+        i = self.indices[key]
+        return next(self._values(range(i, i + 1)))
+
+    def __iter__(self):
+        return self._values(self.indices)
+
+    def _values(self, indices: range):
+        """The points at ``indices``, computed by ``map`` in C; the grid's
+        two ends, which can only be the first or last of any indices, are
+        ``start`` and ``stop`` themselves."""
+        n, start, stop = self.spec.points, self.spec.start, self.spec.stop
+        ends = {0: start, n - 1: stop}
+        head = tail = ()
+        if indices and indices[0] in ends:
+            head, indices = (ends[indices[0]],), indices[1:]
+        if indices and indices[-1] in ends:
+            tail, indices = (ends[indices[-1]],), indices[:-1]
+        if self.spec.scale == "log":
+            exponents = map(operator.truediv, indices, repeat(n - 1))
+            powers = map(operator.pow, repeat(stop / start), exponents)
+            inner = map(operator.mul, repeat(start), powers)
         else:
-            step = (self.stop - self.start) / (n - 1)
-            inner = [self.start + i * step for i in range(1, n - 1)]
-        return [self.start, *inner, self.stop]
+            steps = map(operator.mul, indices, repeat((stop - start) / (n - 1)))
+            inner = map(operator.add, repeat(start), steps)
+        return chain(head, inner, tail)
 
 
 def parse_entries(text: str) -> dict[str, tuple[str, int]]:

@@ -343,13 +343,28 @@ def test_sweep_grids():
     assert log.grid() == pytest.approx([1.0, 10.0, 100.0])
 
 
+def _grid_list(start, stop, n, scale):
+    """The grid as ``SweepSpec.grid`` built it when it returned a list."""
+    if scale == "log":
+        ratio = stop / start
+        inner = [start * ratio ** (i / (n - 1)) for i in range(1, n - 1)]
+    else:
+        step = (stop - start) / (n - 1)
+        inner = [start + i * step for i in range(1, n - 1)]
+    return [start, *inner, stop]
+
+
 @given(
     st.floats(min_value=-1e12, max_value=1e12),
     st.floats(min_value=1e-15, max_value=1e6),
     st.integers(min_value=2, max_value=300),
     st.sampled_from(["linear", "log"]),
+    st.data(),
 )
-def test_sweep_grid_ends_exactly_on_its_endpoints(start, span, points, scale):
+def test_sweep_grid_ends_exactly_on_its_endpoints(start, span, points, scale, data):
+    """The grid is a sequence that computes its points, and each point,
+    read by iterating, by index or through a slice, is the float that the
+    list ``_grid_list`` builds holds there."""
     if scale == "log":
         start = abs(start) or 1.0
         stop = start * (1 + span)
@@ -357,9 +372,26 @@ def test_sweep_grid_ends_exactly_on_its_endpoints(start, span, points, scale):
         stop = start + span * max(1.0, abs(start))
     assume(start < stop)
     grid = SweepSpec("metrics.a1", start, stop, points, scale).grid()
-    assert len(grid) == points
+    expected = _grid_list(start, stop, points, scale)
+    assert list(grid) == expected
+    assert len(grid) == points and bool(grid)
     assert grid[0] == start and grid[-1] == stop
     assert all(start <= value <= stop for value in grid)
+    i = data.draw(st.integers(-points, points - 1), label="i")
+    assert grid[i] == expected[i]
+    bounds = st.none() | st.integers(-points - 2, points + 2)
+    a, b = data.draw(bounds, label="a"), data.draw(bounds, label="b")
+    step = data.draw(st.none() | st.integers(-3, 3).filter(bool), label="step")
+    chunk, part = grid[a:b:step], expected[a:b:step]
+    assert type(chunk) is type(grid)
+    assert list(chunk) == part
+    assert len(chunk) == len(part) and bool(chunk) == bool(part)
+    if chunk:
+        j = data.draw(st.integers(-len(chunk), len(chunk) - 1), label="j")
+        assert chunk[j] == part[j]
+        assert list(chunk[1:]) == part[1:]
+    with pytest.raises(IndexError):
+        grid[points]
 
 
 def test_sweep_validation():

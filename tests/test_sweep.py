@@ -327,17 +327,18 @@ def test_sweep_builds_no_kinematics_records_per_point(monkeypatch, example, axis
 
 
 @SWEEP_PATHS
-def test_sweep_memory_grows_by_at_most_64_bytes_per_point(tmp_path, example, axis, start, stop):
-    """The rows wait in spool files, not in memory: from 5 000 to 20 000
+def test_sweep_memory_grows_by_at_most_8_bytes_per_point(tmp_path, example, axis, start, stop):
+    """Neither the rows nor the grid wait in memory: from 4 000 to 12 000
     points the peak of this process's Python allocations grows by at most
-    64 B a point.  The grid takes ~40 B a point; holding every row as text
-    took ~205 B."""
+    64 KiB, 8 B a point.  The rows wait in spool files, and each chunk of
+    the grid computes its own points; a list of the grid took ~40 B a
+    point, and holding every row as text took ~205 B."""
     path = tmp_path / "rows.csv"
     # Warm up first: the first run in a process also pays stdlib imports
     # (argparse's gettext, locale) that are not part of the table.
     _sweep_cli(example, axis, start, stop, 2, "-o", str(path))
     peaks = []
-    for points in (5000, 20000):
+    for points in (4000, 12000):
         tracemalloc.start()
         try:
             result = _sweep_cli(example, axis, start, stop, points, "-o", str(path))
@@ -345,7 +346,7 @@ def test_sweep_memory_grows_by_at_most_64_bytes_per_point(tmp_path, example, axi
         finally:
             tracemalloc.stop()
         assert result == (0, "", "")
-    assert peaks[1] - peaks[0] <= 64 * 15000
+    assert peaks[1] - peaks[0] <= 64 * 1024
 
 
 @pytest.fixture
@@ -620,6 +621,53 @@ def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis,
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize(
+    ("axis", "grid", "checked", "error"),
+    [
+        # The ends pass: they are checked, then each value outside them.
+        ("metrics.a1", [0.5, 1.0, 1.5, 2.0], [0.5, 2.0], None),
+        ("metrics.a1", [2.0, 1.0, 0.5], [2.0, 0.5], None),
+        ("metrics.a1", [0.5, 0.1, 1.0, 20.0, 2.0], [0.5, 2.0, 0.1, 20.0], None),
+        ("metrics.a1", [1.0], [1.0, 1.0], None),
+        ("metrics.a1", [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
+         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got nan)")),
+        ("metrics.N_shot", [10.0, 0.5, 2.0], [10.0, 2.0, 0.5],
+         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
+        # An end fails: then every value is checked, up to the failing one.
+        ("metrics.N_shot", [2.0, 3.0, 0.5], [2.0, 0.5, 2.0, 3.0, 0.5],
+         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
+        ("metrics.N_shot", [0.5, 2.0, 3.0], [0.5, 0.5],
+         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
+        ("metrics.a1", [math.nan, 1.0, 2.0], [math.nan, math.nan],
+         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got nan)")),
+    ],
+)
+def test_sweep_checks_its_record_at_its_ends_and_outside_them(
+    monkeypatch, axis, grid, checked, error
+):
+    """The record is rebuilt at the grid's first and last values, then at
+    each value outside the interval between them, or at every value when
+    an end fails; the rows or the error are those of a check at every
+    point.  Rebuilds are counted at ``__init__``: a value that its field's
+    rule refuses never reaches ``__post_init__``."""
+    _, group, attr, *_ = SWEEP_FIELDS[axis]
+    cls = RECORD_CLASSES[group]
+    scenario = _scenario("example1", [])
+    values = []
+
+    def counted(record, *args, original=cls.__init__, **kwargs):
+        values.append(kwargs[attr])
+        original(record, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    outcome = _outcome(lambda: "".join(sweep_lines(scenario, axis, grid)))
+    assert values == checked
+    if error is None:
+        assert outcome.count("\n") == len(grid) + 1
+    else:
+        assert outcome == error
+
+
 # The bounds of the record checks, and values next to them.
 _EDGES = [-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0]
 
@@ -640,10 +688,11 @@ _LADDER = [sign * 10 ** (k / 16) for sign in (-1.0, 1.0) for k in range(-192, 19
 @settings(max_examples=10)
 @given(data=st.data())
 def test_record_checks_accept_an_interval_of_each_field(axis, data):
-    """What lets a sweep check its record only at the grid's extremes: the
-    values of one field that its record accepts form an interval,
-    whatever the record's other fields are.  So a record that builds at lo
-    and at hi builds at every value in between."""
+    """What lets a sweep check its record only at the grid's two ends and
+    at the values outside them: the values of one field that its record
+    accepts form an interval, whatever the record's other fields are.  So
+    a record that builds at lo and at hi builds at every value in
+    between."""
     _, group, attr, *_ = SWEEP_FIELDS[axis]
     cls = RECORD_CLASSES[group]
     fields = {}
