@@ -1,6 +1,7 @@
 """Numeric optimization over the array size: an independent check on the
-closed forms (bracket + golden-section minimization of the constrained
-cost), the fixed-budget speed maximum, and the analytic cost curvature.
+closed forms (golden-section minimization of the constrained cost over
+the whole array-size range), the fixed-budget speed maximum, and the
+analytic cost curvature.
 """
 
 import codecs
@@ -33,7 +34,6 @@ D_MIN = 1.0
 D_MAX = 1e7
 REL_TOL = 1e-10  # golden-section stops at this interval width relative to its location
 MAX_ITER = 200
-_BRACKET_POINTS = 41
 
 
 class SpeedMaxResult(Record):
@@ -72,20 +72,6 @@ def golden_section(f, lo: float, hi: float) -> float:
     raise ConvergenceError(f"no convergence in {MAX_ITER} iterations", (a + b) / 2)
 
 
-def _bracket(f, lo: float, hi: float) -> tuple[float, float]:
-    """Locate an interior bracket of the minimum on a geometric grid, or
-    report which bound is binding."""
-    n = _BRACKET_POINTS
-    grid = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
-    values = [f(x) for x in grid]
-    best = min(range(n), key=lambda i: (values[i], i))
-    if best == 0:
-        raise BoundaryOptimumError("lower", lo)
-    if best == n - 1:
-        raise BoundaryOptimumError("upper", hi)
-    return grid[best - 1], grid[best + 1]
-
-
 def constrained_cost(
     aperture: float,
     beta: float,
@@ -111,12 +97,16 @@ def minimize_cost_numeric(
     metrics: CostMetrics,
 ) -> OptimumDesign:
     """Minimize the constrained cost over the array size in
-    [``D_MIN``, ``D_MAX``] by bracketing on a geometric grid and refining
-    with golden-section; an optimum at a bound is a BoundaryOptimumError.
-    The kernel's arguments are built once, before the search: every
-    evaluated size lies inside those positive bounds, and an evaluation,
-    the final one at the optimum included, changes only the array size in
-    those arguments."""
+    [``D_MIN``, ``D_MAX``] by one golden-section search over the whole
+    range.  Along the speed target the cost is A/d + B d^2 plus terms that
+    do not depend on d, which is unimodal, so golden section alone finds
+    its minimum.  An optimum outside the range is a BoundaryOptimumError:
+    the cost is then monotone on it, the search never moves the end of
+    its interval at the binding bound, and so its result lies within
+    ``REL_TOL`` of that bound.  The kernel's arguments are built once,
+    before the search: every evaluated size lies inside those positive
+    bounds, and an evaluation, the final one at the optimum included,
+    changes only the array size in those arguments."""
     args = kernel_point(model.fixed_aperture_design, payload, sail, array, metrics, beta=beta)
     point, slot = list(args.values()), list(args).index("aperture")
 
@@ -125,8 +115,12 @@ def minimize_cost_numeric(
         _, _, laser, optics, energy, storage = model.fixed_aperture_design(*point)
         return laser + optics + energy + storage
 
-    lo, hi = _bracket(objective, D_MIN, D_MAX)
-    point[slot] = golden_section(objective, lo, hi)
+    best = golden_section(objective, D_MIN, D_MAX)
+    if best - D_MIN <= REL_TOL * best:
+        raise BoundaryOptimumError("lower", D_MIN)
+    if D_MAX - best <= REL_TOL * best:
+        raise BoundaryOptimumError("upper", D_MAX)
+    point[slot] = best
     aperture, power, *terms = model.fixed_aperture_design(*point)
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric")
 

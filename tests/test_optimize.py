@@ -1,8 +1,10 @@
 import math
 import random
+import statistics
 
 import pytest
 
+from sailcost import checks, model
 from sailcost.costs import closed_form_optimum
 from sailcost.errors import (
     BoundaryOptimumError,
@@ -82,7 +84,8 @@ def test_numeric_matches_closed_form_randomized():
 
 def test_boundary_optimum_reported():
     """An optimum outside the fixed search range is reported at the bound
-    it lies beyond, on either side."""
+    it lies beyond, on either side; one inside it, however near a bound,
+    is found."""
     for metrics, bound, best in (
         (CostMetrics(1e4, 1e-3), "upper", D_MAX),  # d* = 1.95e7 m
         (CostMetrics(1e-12, 1e3), "lower", D_MIN),  # d* = 0.905 m
@@ -92,6 +95,39 @@ def test_boundary_optimum_reported():
         with pytest.raises(BoundaryOptimumError) as info:
             minimize_cost_numeric(0.2, PAYLOAD, SAIL, ARRAY, metrics)
         assert (info.value.bound, info.value.best) == (bound, best)
+    for metrics in (
+        CostMetrics(1.796e-12, 1e3),  # d* = 1.1004 m
+        CostMetrics(1e4 * (0.9 / 1.95) ** 3, 1e-3),  # d* = 9.0e6 m
+    ):
+        inside = closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, metrics).aperture
+        assert D_MIN < inside < D_MAX
+        numeric = minimize_cost_numeric(0.2, PAYLOAD, SAIL, ARRAY, metrics)
+        assert numeric.aperture == pytest.approx(inside, rel=1e-6)
+
+
+def test_numeric_optimum_evaluation_count(monkeypatch):
+    """One golden-section search over the whole range: over the oracle
+    check's 1000 draws, a median of at most 70 cost evaluations per
+    optimum (the final one at the optimum included) and at most 90."""
+    calls = 0
+
+    def counted(*args, original=model.cost_terms):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    # kernel_point reads fixed_aperture_design's own parameters, so the
+    # count is taken one call down, in cost_terms.
+    monkeypatch.setattr(model, "cost_terms", counted)
+    rng = random.Random(checks._ORACLE_SEED)
+    counts = []
+    for _ in range(checks._ORACLE_DRAWS):
+        beta, payload, sail, metrics, array = checks._random_case(rng)
+        calls = 0
+        minimize_cost_numeric(beta, payload, sail, array, metrics)
+        counts.append(calls)
+    assert statistics.median(counts) <= 70
+    assert max(counts) <= 90
 
 
 def test_golden_section_reports_an_exhausted_iteration_budget():

@@ -288,14 +288,16 @@ def _sweep_cli(example, axis, start, stop, points, *extra):
 def test_sweep_builds_no_records_per_point(monkeypatch, example, axis, start, stop):
     """A 1000-point sweep validates the four records of the scenario load
     and the swept record at the grid's two extremes, the same records as a
-    10-point run of the same sweep: nothing per point."""
+    10-point run of the same sweep: nothing per point.  Records are
+    counted at ``__init__``, so a build that a field's rule refuses counts
+    too."""
     built = []
     for cls in RECORD_CLASSES.values():
-        def counted(record, original=cls.__post_init__):
+        def counted(record, *args, original=cls.__init__, **kwargs):
             built.append(type(record).__name__)
-            original(record)
+            original(record, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     swept = RECORD_CLASSES[SWEEP_FIELDS[axis][1]].__name__
     runs = []
     for points in (1000, 10):
@@ -611,11 +613,11 @@ def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis,
     scenario = _scenario(example, [])
     calls = []
 
-    def counted(record, original=cls.__post_init__):
+    def counted(record, *args, original=cls.__init__, **kwargs):
         calls.append(record)
-        original(record)
+        original(record, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(cls, "__init__", counted)
     grid = [start * (stop / start) ** (i / 999) for i in range(1000)]
     assert len("".join(sweep_lines(scenario, axis, grid)).splitlines()) == 1001
     assert len(calls) <= 2
