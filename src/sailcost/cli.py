@@ -232,7 +232,7 @@ def _cmd_sweep(args):
         axis=axis, start=start, stop=stop, points=args.points,
         scale="log" if args.log else "linear",
     )
-    write_text(sweep_lines(scenario, axis, sweep.grid()), _destination(args))
+    write_text(sweep_lines(scenario, sweep), _destination(args))
     return 0
 
 
@@ -320,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", required=True, help="start value (with unit)")
     p.add_argument("--to", dest="stop", required=True, help="end value (with unit)")
     p.add_argument("--points", type=int, required=True)
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--log", action="store_true")
-    scale.add_argument("--linear", action="store_true")
+    p.add_argument("--log", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("roadmap", help="staged entry dates under a budget")

@@ -10,7 +10,7 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import suppress
 from functools import partial
 from itertools import chain
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .costs import CostBreakdown, OptimumDesign, require_cost_mode
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
-from .scenario import SWEEP_FIELDS, kernel_point
+from .scenario import SWEEP_FIELDS, SweepSpec, kernel_point
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
 
@@ -169,18 +169,17 @@ _BLOCK = 256  # rows joined and encoded per write to a chunk's spool
 _END = b"\0"  # ends a child's spool; no row holds it
 
 
-def sweep_lines(scenario, axis: str, grid: Sequence[float]) -> Iterator[str]:
-    """The CSV text of a sweep of one scenario field over ``grid`` (a
-    sequence of SI values: a ``SweepSpec.grid()``, whose chunks compute
-    their own points, or any other), as pieces to write in order: the
-    header line, then one line per value, ending in a newline.  Every
-    point is computed before this returns, so a failing sweep raises here
-    and nothing is written.  The rows wait in spools, not in memory: each
-    chunk of the grid writes its rows to its own anonymous temp file, and
-    the lines are read back from those files as they are consumed
-    (``_rows_in_chunks``).  A grid
-    of at least 2 × ``_MIN_CHUNK`` points is run in chunks, one per usable
-    CPU; joined, the pieces are the same text however the grid was split.
+def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
+    """The CSV text of ``sweep``, one scenario field over the spec's grid
+    of SI values, as pieces to write in order: the header line, then one
+    line per point, ending in a newline.  Every point is computed before
+    this returns, so a failing sweep raises here and nothing is written.
+    The rows wait in spools, not in memory: each chunk of the grid, a
+    range of point indices that computes its own points, writes its rows
+    to its own anonymous temp file, and the lines are read back from
+    those files as they are consumed (``_rows_in_chunks``).  A grid of at
+    least 2 × ``_MIN_CHUNK`` points is run in chunks, one per usable CPU;
+    joined, the pieces are the same text however the grid was split.
     Exhausting or dropping the pieces closes every spool.
 
     Under a speed target an ``array.d`` sweep holds the target at each
@@ -195,15 +194,16 @@ def sweep_lines(scenario, axis: str, grid: Sequence[float]) -> Iterator[str]:
     checked by rebuilding the record that holds it (``record.replace``),
     the Scenario itself for a target, so a bad value fails as the record
     would, and as ``--set`` of that value does.  A record accepts an
-    interval of each single field, which holds no NaN, so the record is
-    rebuilt at the grid's first and last values, and per point only for a
-    value outside the interval between those two, NaN included; when one
-    of the two fails, at every point.  So each point fails or passes as
-    if every point were checked, in grid order.  No other record is
-    built, and each row is kept only as its formatted text, until its
-    block is written to the spool.
+    interval of each single field, so before any kernel runs the record
+    is rebuilt at the grid's ``start`` and ``stop``; when one of the two
+    fails, at each point in grid order, up to the first failing one,
+    which raises.  Per point it is rebuilt only for a value outside
+    ``[start, stop]``, which a computed point rounding past an end would
+    be.  No other record is built, and each row is kept only as its
+    formatted text, until its block is written to the spool.
     """
     require_cost_mode(scenario.mode)
+    axis = sweep.axis
     _, group, attr, name, _ = SWEEP_FIELDS[axis]
     at_speed = scenario.beta_target is not None or axis == "target.beta0"
     fixed_aperture = axis == "array.d"
@@ -229,21 +229,22 @@ def sweep_lines(scenario, axis: str, grid: Sequence[float]) -> Iterator[str]:
     point, names = list(args.values()), list(args)
     slot, shape = names.index(name), names.index("array_shape")
     record = scenario if group is None else getattr(scenario, group)
-    lo, hi = math.inf, -math.inf  # no value lies in it: every point is checked
-    if grid:
-        ends = grid[0], grid[-1]
-        with suppress(ValidationError):  # an end fails: check every point
-            for value in ends:
-                record.replace(**{attr: value})
-            lo, hi = min(ends), max(ends)
+    start, stop = sweep.start, sweep.stop
+    try:
+        for value in (start, stop):
+            record.replace(**{attr: value})
+    except ValidationError:  # an end fails: the first failing point raises
+        for value in sweep.values(range(sweep.points)):
+            record.replace(**{attr: value})
+        raise
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     isfinite = math.isfinite
 
-    def rows(values, spool):
+    def rows(indices, spool):
         lines = []
         prefix = suffix = ""
-        for value in values:
-            if not lo <= value <= hi:
+        for value in sweep.values(indices):
+            if not start <= value <= stop:
                 record.replace(**{attr: value})
             point[slot] = value
             if at_speed:
@@ -271,28 +272,29 @@ def sweep_lines(scenario, axis: str, grid: Sequence[float]) -> Iterator[str]:
                 lines.clear()
         spool.write("".join(lines).encode())
 
-    lines = _rows_in_chunks(rows, grid)
+    lines = _rows_in_chunks(rows, sweep.points)
     next(lines)  # runs every chunk: a failing point raises here
     return chain([f"{header}\n" if at_speed else f"{header},beta0\n"], lines)
 
 
-def _chunks(grid: Sequence[float]) -> list[Sequence[float]]:
-    """``grid`` cut into contiguous chunks, one per usable CPU, each of at
-    least ``_MIN_CHUNK`` points; one chunk where ``os.fork`` is missing,
-    or while another thread runs, which a forked child would lack."""
+def _chunks(points: int) -> list[range]:
+    """The indices of ``points`` grid points cut into contiguous ranges,
+    one per usable CPU, each of at least ``_MIN_CHUNK`` points; one range
+    where ``os.fork`` is missing, or while another thread runs, which a
+    forked child would lack."""
     count = 1
     threading = sys.modules.get("threading")
     if (
         hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
         and (threading is None or threading.active_count() == 1)
     ):
-        count = max(1, min(len(os.sched_getaffinity(0)), len(grid) // _MIN_CHUNK))
-    bounds = [len(grid) * i // count for i in range(count + 1)]
-    return [grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        count = max(1, min(len(os.sched_getaffinity(0)), points // _MIN_CHUNK))
+    bounds = [points * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _rows_in_chunks(rows, grid: Sequence[float]) -> Iterator[str | None]:
-    """Yield None once each chunk of ``_chunks(grid)`` has written
+def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
+    """Yield None once each chunk of ``_chunks(points)`` has written
     ``rows(chunk, spool)`` to its own spool, an anonymous temp file, then
     the spools' text in grid order, one read buffer at a time.  Each chunk
     but the first runs in a forked child, whose spool is kept only when it
@@ -304,7 +306,7 @@ def _rows_in_chunks(rows, grid: Sequence[float]) -> Iterator[str | None]:
     closed at the end."""
     import tempfile
 
-    chunks = _chunks(grid)
+    chunks = _chunks(points)
     spools = []
     children = {}  # chunk index: pid of the child running it, not yet reaped
     try:
@@ -345,7 +347,7 @@ def _rows_in_chunks(rows, grid: Sequence[float]) -> Iterator[str | None]:
             spool.close()
 
 
-def _spool_rows(rows, chunk: Sequence[float], spool) -> None:
+def _spool_rows(rows, chunk: range, spool) -> None:
     """In a forked child: write ``rows(chunk)`` and then the end marker to
     ``spool``, and exit 0 only when the chunk raised and warned nothing.
     Touches neither stdout nor stderr, and never returns."""

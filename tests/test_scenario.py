@@ -338,13 +338,13 @@ def test_kernel_point_gives_by_kernel_name_and_refuses_other_names():
 
 def test_sweep_grids():
     lin = SweepSpec("metrics.a1", 1.0, 3.0, 5)
-    assert lin.grid() == pytest.approx([1.0, 1.5, 2.0, 2.5, 3.0])
+    assert list(lin.values(range(lin.points))) == pytest.approx([1.0, 1.5, 2.0, 2.5, 3.0])
     log = SweepSpec("array.d", 1.0, 100.0, 3, scale="log")
-    assert log.grid() == pytest.approx([1.0, 10.0, 100.0])
+    assert list(log.values(range(log.points))) == pytest.approx([1.0, 10.0, 100.0])
 
 
 def _grid_list(start, stop, n, scale):
-    """The grid as ``SweepSpec.grid`` built it when it returned a list."""
+    """The grid as a list built point by point, with both ends exact."""
     if scale == "log":
         ratio = stop / start
         inner = [start * ratio ** (i / (n - 1)) for i in range(1, n - 1)]
@@ -362,36 +362,25 @@ def _grid_list(start, stop, n, scale):
     st.data(),
 )
 def test_sweep_grid_ends_exactly_on_its_endpoints(start, span, points, scale, data):
-    """The grid is a sequence that computes its points, and each point,
-    read by iterating, by index or through a slice, is the float that the
-    list ``_grid_list`` builds holds there."""
+    """Each point, read over the whole grid or over any range of its
+    indices, as a chunk reads it, is the float that the list
+    ``_grid_list`` builds holds there."""
     if scale == "log":
         start = abs(start) or 1.0
         stop = start * (1 + span)
     else:
         stop = start + span * max(1.0, abs(start))
     assume(start < stop)
-    grid = SweepSpec("metrics.a1", start, stop, points, scale).grid()
+    spec = SweepSpec("metrics.a1", start, stop, points, scale)
     expected = _grid_list(start, stop, points, scale)
-    assert list(grid) == expected
-    assert len(grid) == points and bool(grid)
+    grid = list(spec.values(range(points)))
+    assert grid == expected
     assert grid[0] == start and grid[-1] == stop
     assert all(start <= value <= stop for value in grid)
-    i = data.draw(st.integers(-points, points - 1), label="i")
-    assert grid[i] == expected[i]
     bounds = st.none() | st.integers(-points - 2, points + 2)
     a, b = data.draw(bounds, label="a"), data.draw(bounds, label="b")
     step = data.draw(st.none() | st.integers(-3, 3).filter(bool), label="step")
-    chunk, part = grid[a:b:step], expected[a:b:step]
-    assert type(chunk) is type(grid)
-    assert list(chunk) == part
-    assert len(chunk) == len(part) and bool(chunk) == bool(part)
-    if chunk:
-        j = data.draw(st.integers(-len(chunk), len(chunk) - 1), label="j")
-        assert chunk[j] == part[j]
-        assert list(chunk[1:]) == part[1:]
-    with pytest.raises(IndexError):
-        grid[points]
+    assert list(spec.values(range(points)[a:b:step])) == expected[a:b:step]
 
 
 def test_sweep_validation():

@@ -4,7 +4,6 @@ failing point must fail as the record path does."""
 
 import contextlib
 import io
-import math
 import os
 import tempfile
 import threading
@@ -19,7 +18,6 @@ from sailcost.cli import main
 from sailcost.costs import closed_form_optimum
 from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
 from sailcost.optimize import (
-    _SWEEP_COLUMNS,
     constrained_cost,
     maximize_speed_fixed_cost,
     require_cost_mode,
@@ -31,6 +29,7 @@ from sailcost.scenario import (
     apply_overrides,
     build_scenario,
     kernel_point,
+    SweepSpec,
     parse_entries,
     sweep_field,
 )
@@ -135,15 +134,14 @@ def _outcome(fn):
             return type(exc), str(exc)
 
 
-def _grids(axis):
+def _specs(axis):
     lo, hi = RANGES[axis]
-    even = [lo + i * (hi - lo) / 4 for i in range(5)]
-    # The third value is out of range for every field.
-    grids = [even, [lo, hi, -hi, lo]]
+    # The second starts out of range, at -hi, for every field.
+    specs = [SweepSpec(axis, lo, hi, 5), SweepSpec(axis, -hi, lo, 5)]
     if axis == "metrics.a1":
         # a1 = 0 passes its record, but leaves the cost optimum degenerate.
-        grids.append([0.0, hi])
-    return grids
+        specs.append(SweepSpec(axis, 0.0, hi, 2))
+    return specs
 
 
 CASES = [
@@ -161,8 +159,9 @@ def test_sweep_rows_equal_record_functions(example, overrides, axis):
     scenario = _scenario(example, overrides)
     at_speed = scenario.beta_target is not None or axis == "target.beta0"
     target = "target.beta0" if at_speed else "target.budget"
-    for grid in _grids(axis):
-        got = _outcome(lambda: "".join(sweep_lines(scenario, axis, grid)).splitlines())
+    for spec in _specs(axis):
+        grid = list(spec.values(range(spec.points)))
+        got = _outcome(lambda: "".join(sweep_lines(scenario, spec)).splitlines())
         want = _outcome(lambda: [_record_row(scenario, axis, value) for value in grid])
         if axis in UNREAD[target]:
             assert got == (
@@ -210,8 +209,8 @@ def test_every_path_and_outcome_is_covered():
     for case in CASES:
         example, overrides, axis = case.values
         scenario = _scenario(example, overrides)
-        for grid in _grids(axis):
-            result = _outcome(lambda: sweep_lines(scenario, axis, grid))
+        for spec in _specs(axis):
+            result = _outcome(lambda: sweep_lines(scenario, spec))
             kinds.add(result[0] if isinstance(result, tuple) else "rows")
     assert "rows" in kinds and DegenerateOptimumError in kinds and len(kinds) >= 4
 
@@ -235,6 +234,40 @@ def test_failing_point_writes_nothing(tmp_path):
         1, "", "validation_error: target.beta0: must satisfy 0 < beta0 < 1 (got 1.2)\n"
     )
     assert not path.exists()
+
+
+def _cli_warned(*argv):
+    """``_cli`` with every warning recorded instead of ignored: the exit
+    code, stdout, stderr and the warnings issued."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+_PAST_BETA_BOUND = (
+    "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "target.beta0",
+    "--from", "0.3", "--to", "1.2",
+)
+_BETA_BOUND_ERROR = "validation_error: target.beta0: must satisfy 0 < beta0 < 1 (got {})\n"
+
+
+def test_sweep_past_a_bound_issues_no_warning():
+    """--to fails its record, so the first failing point is reported
+    before any kernel runs: the points below it, beta 0.6 and 0.9, warn
+    nothing."""
+    result = _cli_warned(*_PAST_BETA_BOUND, "--points", "4")
+    assert result == (1, "", _BETA_BOUND_ERROR.format(1.2), [])
+
+
+def test_sweep_past_a_bound_forks_no_child(chunked):
+    """However many points it has, a sweep with a failing end computes
+    none of them; the first failing point is the first past beta0 < 1."""
+    result = _cli_warned(*_PAST_BETA_BOUND, "--points", "20000")
+    assert result == (1, "", _BETA_BOUND_ERROR.format(1.000010000500025), [])
+    assert chunked == []
 
 
 @pytest.mark.parametrize(
@@ -456,31 +489,37 @@ def test_chunk_that_cannot_be_forked_runs_in_this_process(chunked, monkeypatch):
     assert _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40) == result
 
 
-# Sweeps whose only failing points lie in the last chunk, or in the first,
-# which this process runs while the children run theirs; with the exit
-# code and error line of the one serial loop.  The first-chunk sweep has
-# 2000 points, so when this process raises, a child may still be
-# computing or writing its spool, and must be ended and reaped all the
-# same.
+# Sweeps with the exit code and error line of the one serial loop.  A
+# sweep whose --from or --to fails its record fails before any chunk
+# runs, so it forks no child.  Otherwise the only failing point lies in
+# the last chunk, or in the first, which this process runs while the
+# children run theirs.  The first-chunk sweep has 4000 points, so when
+# this process raises, a child may still be computing or writing its
+# spool, and must be ended and reaped all the same.
 CHUNK_FAILURES = [
-    (["--axis", "metrics.N_shot", "--from", "0.5", "--to", "10", "--points", "2000"], 1,
+    (["--axis", "metrics.N_shot", "--from", "0.5", "--to", "10", "--points", "2000"], False, 1,
      "validation_error: metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)"),
-    (["--axis", "array.eps_b", "--from", "0.5", "--to", "1.01", "--points", "40"], 1,
+    (["--axis", "array.eps_b", "--from", "0.5", "--to", "1.01", "--points", "40"], False, 1,
      "validation_error: array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.01)"),
-    (["--axis", "payload.m0", "--from", "1 g", "--to", "1e300 kg", "--log", "--points", "40"], 3,
+    (["--axis", "metrics.eps_storage", "--from", "1e-300", "--to", "1", "--points", "4000"],
+     True, 3,
+     "numeric_error: sweep: the row at metrics.eps_storage = 1e-300 is non-finite; "
+     "inputs out of numeric range"),
+    (["--axis", "payload.m0", "--from", "1 g", "--to", "1e300 kg", "--log", "--points", "40"],
+     True, 3,
      "numeric_error: sweep: the row at payload.m0 = 1.7012542798525652e+292 is non-finite; "
      "inputs out of numeric range"),
 ]
 
 
-@pytest.mark.parametrize(("flags", "code", "line"), CHUNK_FAILURES)
+@pytest.mark.parametrize(("flags", "forks", "code", "line"), CHUNK_FAILURES)
 def test_failure_in_one_chunk_gives_the_serial_error(
-    chunked, monkeypatch, tmp_path, flags, code, line
+    chunked, monkeypatch, tmp_path, flags, forks, code, line
 ):
     path = tmp_path / "rows.csv"
     argv = ["sweep", os.path.join(FIXTURES, "example1.scn"), *flags]
     result = _cli(*argv, "-o", str(path))
-    assert len(chunked) == len(os.sched_getaffinity(0)) - 1
+    assert len(chunked) == (len(os.sched_getaffinity(0)) - 1 if forks else 0)
     assert result == (code, "", f"{line}\n")
     assert not path.exists()
     _one_chunk(monkeypatch)
@@ -525,9 +564,8 @@ def test_sweep_ends_exactly_on_its_upper_bound():
     assert len(lines) == 9 and lines[1].startswith("0.1,") and lines[-1].startswith("1.0,")
 
 
-# Sweeps that cross a record bound, each with the error line and exit
-# code it had when every point was checked: the check that runs once per
-# sweep must not change which error is reported.  The bound may be a rule
+# Sweeps that cross a record bound, each with the error line of its first
+# failing point, reported before any kernel runs.  The bound may be a rule
 # over two fields, which only a rebuilt record checks.
 CROSSING_SWEEPS = [
     ("example1", "sail.eps_r", "0", "1",
@@ -542,6 +580,10 @@ CROSSING_SWEEPS = [
      "sail.eps_r: must satisfy 0 <= eps_r <= 1 (got 1.25)"),
     ("example1", "metrics.eps_storage", "0.5", "1.5",
      "metrics.eps_storage: must satisfy 0 < eps_storage <= 1 (got 1.25)"),
+    # The kernel fails at the first point, 1e-300, whose record passes;
+    # the record failure at a later point is reported instead.
+    ("example1", "metrics.eps_storage", "1e-300", "1.5",
+     "metrics.eps_storage: must satisfy 0 < eps_storage <= 1 (got 1.125)"),
     ("example1", "metrics.N_shot", "0.5", "10",
      "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)"),
     ("example1", "payload.m0", "-1 g", "1 g", "payload.m0: must satisfy m0 > 0 (got -0.001)"),
@@ -570,33 +612,26 @@ def test_sweep_crossing_a_cross_field_rule_keeps_its_error():
     )
 
 
-@pytest.mark.parametrize(
-    ("axis", "grid", "error"),
-    [
-        # A bound crossed mid-grid on a lower bound, which a CLI grid
-        # (from < to) can cross only at its first point.
-        ("metrics.N_shot", [10.0, 5.0, 0.5, 2.0],
-         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
-        ("payload.m0", [1e-3, 5e-4, -1e-3, 1e-3],
-         (ValidationError, "payload.m0: must satisfy m0 > 0 (got -0.001)")),
-        # The kernel refuses a valid a1 = 0 before the record refuses -1.
-        ("metrics.a1", [0.0, -1.0],
-         (DegenerateOptimumError,
-          "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a boundary "
-          "otherwise - use the bounded numeric search")),
-        # A NaN lies between no extremes; its record refuses it.
-        ("metrics.a1", [1.0, math.nan, 2.0],
-         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got nan)")),
-    ],
-)
-def test_sweep_reports_the_first_failing_point(axis, grid, error):
-    scenario = _scenario("example1", [])
-    assert _outcome(lambda: sweep_lines(scenario, axis, grid)) == error
+def _count_rebuilds(monkeypatch, axis):
+    """The swept values its record is rebuilt at, in order, and the point
+    counts of the sweeps that computed rows, as two lists that fill as
+    sweeps run.  Rebuilds are counted at ``__init__``: a value that its
+    field's rule refuses never reaches ``__post_init__``."""
+    _, group, attr, *_ = SWEEP_FIELDS[axis]
+    cls = RECORD_CLASSES[group]
+    values, computed = [], []
 
+    def counted(record, *args, original=cls.__init__, **kwargs):
+        values.append(kwargs[attr])
+        original(record, *args, **kwargs)
 
-def test_empty_grid_gives_the_header_alone():
-    text = "".join(sweep_lines(_scenario("example1", []), "metrics.a1", []))
-    assert text.splitlines(keepends=True) == [f"metrics.a1,{_SWEEP_COLUMNS}\n"]
+    def rows_in_chunks(rows, points, original=optimize._rows_in_chunks):
+        computed.append(points)
+        return original(rows, points)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(optimize, "_rows_in_chunks", rows_in_chunks)
+    return values, computed
 
 
 @pytest.mark.parametrize(
@@ -609,65 +644,54 @@ def test_empty_grid_gives_the_header_alone():
     ],
 )
 def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis, start, stop):
-    cls = RECORD_CLASSES[SWEEP_FIELDS[axis][1]]
+    """A 1000-point sweep rebuilds its record at ``start`` and ``stop``
+    only."""
     scenario = _scenario(example, [])
-    calls = []
-
-    def counted(record, *args, original=cls.__init__, **kwargs):
-        calls.append(record)
-        original(record, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "__init__", counted)
-    grid = [start * (stop / start) ** (i / 999) for i in range(1000)]
-    assert len("".join(sweep_lines(scenario, axis, grid)).splitlines()) == 1001
-    assert len(calls) <= 2
+    values, computed = _count_rebuilds(monkeypatch, axis)
+    sweep = SweepSpec(axis, start, stop, 1000, "log")
+    assert len("".join(sweep_lines(scenario, sweep)).splitlines()) == 1001
+    assert (values, computed) == ([start, stop], [1000])
 
 
 @pytest.mark.parametrize(
-    ("axis", "grid", "checked", "error"),
+    ("axis", "start", "stop", "points", "scale", "checked", "error"),
     [
-        # The ends pass: they are checked, then each value outside them.
-        ("metrics.a1", [0.5, 1.0, 1.5, 2.0], [0.5, 2.0], None),
-        ("metrics.a1", [2.0, 1.0, 0.5], [2.0, 0.5], None),
-        ("metrics.a1", [0.5, 0.1, 1.0, 20.0, 2.0], [0.5, 2.0, 0.1, 20.0], None),
-        ("metrics.a1", [1.0], [1.0, 1.0], None),
-        ("metrics.a1", [1.0, math.nan, 2.0], [1.0, 2.0, math.nan],
-         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got nan)")),
-        ("metrics.N_shot", [10.0, 0.5, 2.0], [10.0, 2.0, 0.5],
+        # The ends pass: they alone are checked.
+        ("metrics.a1", 0.5, 2.0, 4, "linear", [0.5, 2.0], None),
+        ("metrics.a1", 0.1, 20.0, 5, "log", [0.1, 20.0], None),
+        ("array.eps_b", 0.1, 1.0, 8, "linear", [0.1, 1.0], None),
+        # An end fails: then each point is checked, up to the failing one.
+        ("array.eps_b", 0.5, 1.25, 4, "linear", [0.5, 1.25, 0.5, 0.75, 1.0, 1.25],
+         (ValidationError, "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)")),
+        ("array.eps_b", 0.5, 1.5, 5, "linear", [0.5, 1.5, 0.5, 0.75, 1.0, 1.25],
+         (ValidationError, "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)")),
+        ("metrics.eps_storage", 0.25, 4.0, 5, "log", [0.25, 4.0, 0.25, 0.5, 1.0, 2.0],
+         (ValidationError, "metrics.eps_storage: must satisfy 0 < eps_storage <= 1 (got 2.0)")),
+        ("metrics.N_shot", 0.5, 2.0, 4, "linear", [0.5, 0.5],
          (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
-        # An end fails: then every value is checked, up to the failing one.
-        ("metrics.N_shot", [2.0, 3.0, 0.5], [2.0, 0.5, 2.0, 3.0, 0.5],
-         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
-        ("metrics.N_shot", [0.5, 2.0, 3.0], [0.5, 0.5],
-         (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
-        ("metrics.a1", [math.nan, 1.0, 2.0], [math.nan, math.nan],
-         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got nan)")),
+        ("metrics.a1", -1.0, 1.0, 3, "linear", [-1.0, -1.0],
+         (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got -1.0)")),
     ],
 )
 def test_sweep_checks_its_record_at_its_ends_and_outside_them(
-    monkeypatch, axis, grid, checked, error
+    monkeypatch, axis, start, stop, points, scale, checked, error
 ):
-    """The record is rebuilt at the grid's first and last values, then at
-    each value outside the interval between them, or at every value when
-    an end fails; the rows or the error are those of a check at every
-    point.  Rebuilds are counted at ``__init__``: a value that its field's
-    rule refuses never reaches ``__post_init__``."""
-    _, group, attr, *_ = SWEEP_FIELDS[axis]
-    cls = RECORD_CLASSES[group]
+    """The record is rebuilt at the sweep's ``start`` and ``stop``; when
+    one fails, at each point in grid order up to the first failing one,
+    which raises before any row is computed.  Per point it is rebuilt only
+    outside ``[start, stop]``, where no grid point lies, so a passing
+    sweep rebuilds it twice."""
     scenario = _scenario("example1", [])
-    values = []
-
-    def counted(record, *args, original=cls.__init__, **kwargs):
-        values.append(kwargs[attr])
-        original(record, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "__init__", counted)
-    outcome = _outcome(lambda: "".join(sweep_lines(scenario, axis, grid)))
+    values, computed = _count_rebuilds(monkeypatch, axis)
+    sweep = SweepSpec(axis, start, stop, points, scale)
+    outcome = _outcome(lambda: "".join(sweep_lines(scenario, sweep)))
     assert values == checked
     if error is None:
-        assert outcome.count("\n") == len(grid) + 1
+        assert outcome.count("\n") == points + 1
+        assert computed == [points]
     else:
         assert outcome == error
+        assert computed == []
 
 
 # The bounds of the record checks, and values next to them.
