@@ -1,11 +1,11 @@
-"""Beam-sail kinematics: the speed, time, and distance reached at the
-point where the diffraction-limited laser spot grows to the sail size,
-in both the general and the mass-optimized (sail mass = payload mass)
-regimes, plus the strength-limited sail geometry.
+"""Beam-sail kinematics: the speed, time, and distance reached where the
+diffraction-limited laser spot grows to the sail size, in the general and the
+mass-optimized (sail mass = payload mass) regimes, plus the strength-limited sail geometry.
 
-Non-relativistic closed forms, reasonably accurate below half the speed
-of light; a warning is issued above beta = 0.5 and beta >= 1 is an error.
-No relativistic correction is applied.
+Non-relativistic closed forms, with no relativistic correction: against a perfect reflector's
+Doppler-corrected speed at L0, the classical v0 is 0.67 % high at beta 0.01, 6.9 % at 0.1,
+14 % at 0.2 and 37 % at 0.5, and the coast speed is 20 % high at 0.2 (Kulkarni, Lubin & Zhang
+2018, arXiv:1710.10732).  A warning is issued at or above beta = 0.5; beta >= 1 is an error.
 """
 
 from . import model

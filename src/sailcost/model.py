@@ -35,6 +35,14 @@ def check_finite(name: str, value: float) -> float:
     return value
 
 
+def check_positive(name: str, value: float) -> float:
+    """``value``, a size the model derives, which must be > 0: only inputs
+    out of numeric range make it zero, negative or NaN."""
+    if not value > 0:
+        raise NumericRangeError(f"{name} is {value!r}; inputs out of numeric range")
+    return value
+
+
 def warn_beta(beta: float) -> None:
     if beta >= 1:
         raise DomainError(f"beta = {beta:.4g} >= 1: beyond any validity of the model")
@@ -124,8 +132,7 @@ def optimized_launch(
     derived (sail mass = payload mass), so a given ``sail_diameter`` is an
     error."""
     refuse_sail_diameter(sail_diameter)
-    diameter = optimal_sail_diameter(xi, h, rho, m0)
-    require(diameter > 0, "sail.D", "D > 0", diameter)
+    diameter = check_positive("D", optimal_sail_diameter(xi, h, rho, m0))
     return launch(
         power, aperture, diameter, m0, h, rho, xi, eta, wavelength, diffraction_factor, array_shape
     )
@@ -141,7 +148,7 @@ def strength_limited_geometry(power, m0, rho, eta, yield_strength, stress_factor
         raise DomainError(f"P0 must be > 0 (got {power!r})")
     diameter = 4 * m0 * C * yield_strength / (rho * stress_factor * power * eta)
     thickness = stress_factor * power * eta / (math.pi * diameter * C * yield_strength)
-    return check_finite("D", diameter), check_finite("h", thickness)
+    return check_finite("D", diameter), check_positive("h", check_finite("h", thickness))
 
 
 def beam_energy(beta: float, total_mass: float, eta: float) -> float:
@@ -226,8 +233,8 @@ def cost_optimum(
     mass = mass_term(xi, h, rho, m0)
     geom = cost_geometry(wavelength, diffraction_factor, array_shape, eta, mass)
     ratio = a1 / (beam_fraction * a2)
-    aperture = C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3)
-    require(aperture > 0, "array.d", "d > 0", aperture)
+    # An infinite d* reaches the checks of P0, L0 or the output, which report it.
+    aperture = check_positive("d*", C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3))
     power = required_power(beta, wavelength, diffraction_factor, eta, aperture, mass)
     energy = beam_energy(beta, optimized_craft_mass(m0), eta)
     return (aperture, power) + cost_terms(
@@ -273,10 +280,11 @@ def budget_design(
     if a1 <= 0 or a2 <= 0:
         raise DomainError("fixed-budget speed maximum needs a1 > 0 and a2 > 0")
     aperture = budget_aperture(total_usd, a2, array_shape)
+    aperture = check_positive("d*", check_finite("d*", aperture))
     optics = optics_cost(a2, array_shape, aperture)
     power = beam_fraction * (total_usd - optics) / a1
-    require(aperture > 0, "array.d", "d > 0", aperture)
-    require(power >= 0, "array.P0", "P0 >= 0", power)
+    if not power >= 0:
+        raise NumericRangeError(f"P0 is {power!r}; inputs out of numeric range")
     _, beta, *_ = optimized_launch(
         power, aperture, sail_diameter, m0, h, rho, xi, coupling(reflectivity, absorptivity),
         wavelength, diffraction_factor, array_shape,
@@ -319,7 +327,4 @@ def budget_laser_metric(
         a1 = beam_fraction * a2 * aperture**3 / (C**3 * beta**2 * geom)
     except (OverflowError, ZeroDivisionError):
         a1 = math.inf
-    check_finite(name, a1)
-    if a1 <= 0:
-        raise NumericRangeError(f"{name} is {a1!r}; inputs out of numeric range")
-    return a1
+    return check_positive(name, check_finite(name, a1))

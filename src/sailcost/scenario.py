@@ -18,8 +18,6 @@ the record that holds the field checks, the Scenario's targets included.
 """
 
 import math
-import operator
-from itertools import chain, repeat
 
 from .errors import ParseError, UnitError, ValidationError
 from .params import ArraySpec, CostMetrics, FIELDS, Payload, Record, SailSpec
@@ -152,28 +150,19 @@ class SweepSpec(Record):
             )
 
     def values(self, indices: range):
-        """The grid points at ``indices``, computed by ``map`` in C.  Point
-        0 is ``start`` and point ``points - 1`` is ``stop``, exactly: a
-        computed last point can overshoot a bound that ``stop`` meets.
-        Point i between them is ``start * (stop / start) ** (i / (points -
-        1))`` on the log scale and ``start + i * step`` on the linear one,
-        with ``step = (stop - start) / (points - 1)``.  The ends can only
-        be the first or last of any indices."""
-        n, start, stop = self.points, self.start, self.stop
-        ends = {0: start, n - 1: stop}
-        head = tail = ()
-        if indices and indices[0] in ends:
-            head, indices = (ends[indices[0]],), indices[1:]
-        if indices and indices[-1] in ends:
-            tail, indices = (ends[indices[-1]],), indices[:-1]
+        """The grid points at ``indices``.  Point 0 is ``start`` and point
+        ``points - 1`` is ``stop``, exactly: a computed last point can
+        overshoot a bound that ``stop`` meets.  Point i between them is
+        ``start * (stop / start) ** (i / (points - 1))`` on the log scale
+        and ``start + i * step`` on the linear one, with ``step = (stop -
+        start) / (points - 1)``."""
+        start, stop, last = self.start, self.stop, self.points - 1
         if self.scale == "log":
-            exponents = map(operator.truediv, indices, repeat(n - 1))
-            powers = map(operator.pow, repeat(stop / start), exponents)
-            inner = map(operator.mul, repeat(start), powers)
-        else:
-            steps = map(operator.mul, indices, repeat((stop - start) / (n - 1)))
-            inner = map(operator.add, repeat(start), steps)
-        return chain(head, inner, tail)
+            ratio = stop / start
+            return (start if i == 0 else stop if i == last else start * ratio ** (i / last)
+                    for i in indices)
+        step = (stop - start) / last
+        return (start if i == 0 else stop if i == last else start + i * step for i in indices)
 
 
 def parse_entries(text: str) -> dict[str, tuple[str, int]]:

@@ -307,6 +307,29 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         (("optimize", EX1, "--set", "metrics.a1=0 usd/W", "--set", "metrics.a2=0 usd/m2",
           "--set", "metrics.N_shot=0.5"), 1,
          "validation_error: metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)"),
+        # A size the model derives, not one the scenario sets, that over- or
+        # underflows names that quantity.  The fixed-budget array size d*
+        # overflows, which leaves -inf power.
+        (("max-speed", EX3, "--set", "metrics.a2=1e-300 usd/m2"), 3,
+         "numeric_error: d* is non-finite; inputs out of numeric range"),
+        (("sweep", EX3, "--axis", "metrics.a2", "--from", "1e-300 usd/m2", "--to", "1 usd/m2",
+          "--points", "3"), 3,
+         "numeric_error: d* is non-finite; inputs out of numeric range"),
+        # The fixed-budget and the cost-optimal d* underflow to zero.
+        (("max-speed", EX3, "--set", "target.budget=5e-324 usd",
+          "--set", "metrics.a2=1e300 usd/m2"), 3,
+         "numeric_error: d* is 0.0; inputs out of numeric range"),
+        (("optimize", EX1, "--set", "metrics.a1=1e-300 usd/W", "--set", "metrics.a2=1e300 usd/m2"),
+         3, "numeric_error: d* is 0.0; inputs out of numeric range"),
+        # The mass-optimized sail diameter underflows.
+        (("solve", EX1, "--set", "payload.m0=1e-300 kg", "--set", "sail.h=1e10 m",
+          "--set", "sail.rho=1e300 kg/m3", "--set", "array.P0=1 GW", "--set", "array.d=1 km"),
+         3,
+         "numeric_error: D is 0.0; inputs out of numeric range"),
+        # The strength-limited thickness underflows, though the file sets h.
+        (("solve", EX1, "--set", "mode=strength-limited", "--set", "sail.S_y=1e300 Pa",
+          "--set", "payload.m0=1e-290 kg", "--set", "array.P0=1 W", "--set", "array.d=1 km"), 3,
+         "numeric_error: h is 0.0; inputs out of numeric range"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):

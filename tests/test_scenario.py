@@ -357,7 +357,7 @@ def _grid_list(start, stop, n, scale):
 @given(
     st.floats(min_value=-1e12, max_value=1e12),
     st.floats(min_value=1e-15, max_value=1e6),
-    st.integers(min_value=2, max_value=300),
+    st.integers(min_value=2, max_value=20001),
     st.sampled_from(["linear", "log"]),
     st.data(),
 )
