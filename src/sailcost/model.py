@@ -146,9 +146,9 @@ def strength_limited_geometry(power, m0, rho, eta, yield_strength, stress_factor
         raise DomainError("sail.S_y required for the strength-limited geometry")
     if power <= 0:
         raise DomainError(f"P0 must be > 0 (got {power!r})")
-    diameter = 4 * m0 * C * yield_strength / (rho * stress_factor * power * eta)
-    thickness = stress_factor * power * eta / (math.pi * diameter * C * yield_strength)
-    return check_finite("D", diameter), check_positive("h", check_finite("h", thickness))
+    diameter = check_finite("D", 4 * m0 * C * yield_strength / (rho * stress_factor * power * eta))
+    h = stress_factor * power * eta / (math.pi * check_positive("D", diameter) * C * yield_strength)
+    return diameter, check_positive("h", check_finite("h", h))
 
 
 def beam_energy(beta: float, total_mass: float, eta: float) -> float:

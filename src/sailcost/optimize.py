@@ -348,17 +348,17 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
 
 
 def _spool_rows(rows, chunk: range, spool) -> None:
-    """In a forked child: write ``rows(chunk)`` and then the end marker to
-    ``spool``, and exit 0 only when the chunk raised and warned nothing.
-    Touches neither stdout nor stderr, and never returns."""
+    """In a forked child: write ``rows(chunk)``, then the end marker, to
+    ``spool`` and exit 0.  Every warning is an error here: at its chunk's
+    first warning or error the child exits 1 without the marker.  Touches
+    neither stdout nor stderr, and never returns."""
     status = 1
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rows(chunk, spool)
-        if not caught:
-            spool.write(_END)
-            spool.flush()
-            status = 0
+        spool.write(_END)
+        spool.flush()
+        status = 0
     finally:
         os._exit(status)

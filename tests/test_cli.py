@@ -330,6 +330,14 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         (("solve", EX1, "--set", "mode=strength-limited", "--set", "sail.S_y=1e300 Pa",
           "--set", "payload.m0=1e-290 kg", "--set", "array.P0=1 W", "--set", "array.d=1 km"), 3,
          "numeric_error: h is 0.0; inputs out of numeric range"),
+        # The strength-limited diameter underflows, before the thickness
+        # divides by it.
+        (("solve", EX1, "--set", "mode=strength-limited", "--set", "sail.S_y=1e-300 Pa",
+          "--set", "payload.m0=1e-300 kg", "--set", "array.P0=1 GW", "--set", "array.d=1 km"), 3,
+         "numeric_error: D is 0.0; inputs out of numeric range"),
+        (("energy", EX1, "--set", "mode=strength-limited", "--set", "sail.S_y=1e-300 Pa",
+          "--set", "payload.m0=1e-300 kg", "--set", "array.P0=1 GW"), 3,
+         "numeric_error: D is 0.0; inputs out of numeric range"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):

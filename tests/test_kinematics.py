@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sailcost import model
-from sailcost.errors import DomainError
+from sailcost.errors import DomainError, NumericRangeError
 from sailcost.kinematics import (
     kinematics_non_optimized,
     kinematics_optimized,
@@ -130,3 +130,11 @@ def test_strength_limited_geometry_satisfies_both_conditions():
 def test_strength_limited_requires_yield_strength():
     with pytest.raises(DomainError, match="S_y"):
         strength_limited_geometry(100e9, SAIL, PAYLOAD)
+
+
+def test_strength_limited_diameter_underflow_names_the_diameter():
+    """A diameter that underflows to 0 is reported as D, not as a division
+    by zero in the thickness."""
+    sail = SAIL.replace(yield_strength=1e-300)
+    with pytest.raises(NumericRangeError, match=r"^D is 0\.0; inputs out of numeric range$"):
+        strength_limited_geometry(1e9, sail, Payload(mass=1e-300))

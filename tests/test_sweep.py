@@ -526,18 +526,32 @@ def test_failure_in_one_chunk_gives_the_serial_error(
     assert _cli(*argv) == result
 
 
-def test_warning_in_a_forked_chunk_is_the_serial_warning(chunked, monkeypatch):
-    """Only the last point reaches beta = 0.5, and its warning is issued
-    once, by this process, as the serial loop issues it."""
+# Warning sweeps on example1, each with the one message all its warnings
+# carry, and how many warnings it issues under the ``default`` filter and
+# under ``always``.  In the first only the last point reaches beta = 0.5; in
+# the second every point of every chunk warns.
+WARNING_SWEEPS = [
+    (("--axis", "target.beta0", "--from", "0.1", "--to", "0.5", "--points", "40"),
+     "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here", 1, 1),
+    (("--set", "target.beta0=0.6", "--axis", "metrics.a1", "--from", "0.1 usd/W",
+      "--to", "10 usd/W", "--points", "40", "--log"),
+     "beta = 0.6 >= 0.5: non-relativistic model is inaccurate here", 1, 40),
+]
+
+
+@pytest.mark.parametrize("action", ["default", "always"])
+@pytest.mark.parametrize(("flags", "message", "by_default", "always"), WARNING_SWEEPS)
+def test_warning_in_a_forked_chunk_is_the_serial_warning(
+    chunked, monkeypatch, action, flags, message, by_default, always
+):
+    """Each warning is issued by this process, in grid order, as the
+    serial loop issues it, under the filter this process sets."""
 
     def run():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            code = main([
-                "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "target.beta0",
-                "--from", "0.1", "--to", "0.5", "--points", "40",
-            ])
+            warnings.simplefilter(action)
+            code = main(["sweep", os.path.join(FIXTURES, "example1.scn"), *flags])
         issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
         return code, out.getvalue(), issued
 
@@ -545,11 +559,44 @@ def test_warning_in_a_forked_chunk_is_the_serial_warning(chunked, monkeypatch):
     assert len(chunked) == len(os.sched_getaffinity(0)) - 1
     code, out, issued = result
     assert code == 0 and out.count("\n") == 41
-    assert [warning[:2] for warning in issued] == [
-        (UserWarning, "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here")
-    ]
+    count = by_default if action == "default" else always
+    assert [warning[:2] for warning in issued] == [(UserWarning, message)] * count
     _one_chunk(monkeypatch)
     assert run() == result
+
+
+def test_warned_child_stops_at_its_first_warned_point(chunked, monkeypatch, tmp_path):
+    """A child stops at the first point of its chunk that warns, beta =
+    0.5 or more, as at an error; this process then runs that chunk whole.
+    Each call of ``warn_beta``, one per point, appends its pid to a file
+    that every child shares."""
+    calls = tmp_path / "calls"
+    fd = os.open(calls, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+
+    def warn_beta(beta, original=model.warn_beta):
+        os.write(fd, f"{os.getpid()}\n".encode())
+        original(beta)
+
+    monkeypatch.setattr(model, "warn_beta", warn_beta)
+    try:
+        code, _, _ = _cli(
+            "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "target.beta0",
+            "--from", "0.3", "--to", "0.9", "--points", "40",
+        )
+    finally:
+        os.close(fd)
+    assert code == 0
+    pids = calls.read_text().split()
+    chunks = optimize._chunks(40)
+    assert len(chunked) == len(chunks) - 1
+    spec = SweepSpec("target.beta0", 0.3, 0.9, 40)
+    reruns = 0
+    for pid, chunk in zip(chunked, chunks[1:]):
+        betas = list(spec.values(chunk))
+        warned = [i for i, beta in enumerate(betas) if beta >= model.BETA_VALIDITY_LIMIT]
+        assert pids.count(str(pid)) == (warned[0] + 1 if warned else len(chunk))
+        reruns += len(chunk) if warned else 0
+    assert pids.count(str(os.getpid())) == len(chunks[0]) + reruns
 
 
 def test_sweep_ends_exactly_on_its_upper_bound():
