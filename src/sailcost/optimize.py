@@ -4,14 +4,12 @@ the whole array-size range), the fixed-budget speed maximum, and the
 analytic cost curvature.
 """
 
-import codecs
 import io
 import math
 import os
 import sys
 import warnings
 from collections.abc import Iterator
-from contextlib import suppress
 from functools import partial
 from itertools import chain
 
@@ -165,7 +163,6 @@ _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 # points: one fork-and-reap round trip takes ~3.4 ms on a 2-vCPU host, the
 # time of ~225 points.
 _MIN_CHUNK = 2000
-_BLOCK = 256  # rows joined and encoded per write to a chunk's spool
 _END = b"\0"  # ends a child's spool; no row holds it
 
 
@@ -200,7 +197,7 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     which raises.  Per point it is rebuilt only for a value outside
     ``[start, stop]``, which a computed point rounding past an end would
     be.  No other record is built, and each row is kept only as its
-    formatted text, until its block is written to the spool.
+    formatted text, written to the spool as it is made.
     """
     require_cost_mode(scenario.mode)
     axis = sweep.axis
@@ -241,7 +238,6 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     isfinite = math.isfinite
 
     def rows(indices, spool):
-        lines = []
         prefix = suffix = ""
         for value in sweep.values(indices):
             if not start <= value <= stop:
@@ -263,14 +259,10 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
                     f"sweep: the row at {axis} = {value!r} is non-finite; "
                     "inputs out of numeric range"
                 )
-            lines.append(
+            spool.write(
                 f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
                 f"{total!r},{flux!r}{suffix}\n"
             )
-            if len(lines) == _BLOCK:
-                spool.write("".join(lines).encode())
-                lines.clear()
-        spool.write("".join(lines).encode())
 
     lines = _rows_in_chunks(rows, sweep.points)
     next(lines)  # runs every chunk: a failing point raises here
@@ -295,15 +287,17 @@ def _chunks(points: int) -> list[range]:
 
 def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
     """Yield None once each chunk of ``_chunks(points)`` has written
-    ``rows(chunk, spool)`` to its own spool, an anonymous temp file, then
-    the spools' text in grid order, one read buffer at a time.  Each chunk
-    but the first runs in a forked child, whose spool is kept only when it
-    exited 0 after its end marker, so its chunk raised and warned nothing.
-    Otherwise, or with no child, this process runs the chunk, in grid
-    order, so every error and warning comes from the one serial loop; into
-    memory if no spool file could be made.  Every child is reaped before
-    the first yield, and killed first when a chunk raises.  Every spool is
-    closed at the end."""
+    ``rows(chunk, spool)`` to its own spool, an anonymous UTF-8 text temp
+    file, then the spools' text in grid order, one read buffer at a time.
+    Each chunk but the first runs in a forked child, whose spool is kept
+    only when it exited 0 after its end marker, so its chunk raised and
+    warned nothing.  Otherwise, or with no child, this process runs the
+    chunk, in grid order, so every error and warning comes from the one
+    serial loop; into memory if no spool file could be made.  A child's
+    pid is recorded only in this process, where ``os.fork`` returns it,
+    never in the child itself.  Every child is reaped before the first
+    yield, and killed first when a chunk raises.  Every spool is closed
+    at the end."""
     import tempfile
 
     chunks = _chunks(points)
@@ -312,15 +306,18 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
     try:
         for i, chunk in enumerate(chunks):
             try:
-                spools.append(tempfile.TemporaryFile())
+                spools.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
             except OSError:  # no file to spare: this process runs the chunk
-                spools.append(io.BytesIO())
+                spools.append(io.StringIO())
                 continue
             if i:
-                with suppress(OSError):  # no process to spare: this process runs the chunk
-                    children[i] = os.fork()
-                if children.get(i) == 0:  # pragma: no cover - runs in the child, which exits
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: this process runs the chunk
+                    continue
+                if pid == 0:  # pragma: no cover - runs in the child, which exits
                     _spool_rows(rows, chunk, spools[i])
+                children[i] = pid
         for i, (chunk, spool) in enumerate(zip(chunks, spools)):
             if i in children:
                 status = os.waitpid(children.pop(i), 0)[1]
@@ -334,8 +331,7 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
         yield None
         for spool in spools:
             spool.seek(0)
-            blocks = iter(partial(spool.read, io.DEFAULT_BUFFER_SIZE), b"")
-            yield from codecs.iterdecode(blocks, "utf-8")
+            yield from iter(partial(spool.read, io.DEFAULT_BUFFER_SIZE), "")
     finally:
         if children:  # a chunk raised, so no child's rows are needed
             from signal import SIGKILL
@@ -357,8 +353,8 @@ def _spool_rows(rows, chunk: range, spool) -> None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows(chunk, spool)
-        spool.write(_END)
         spool.flush()
+        os.write(spool.fileno(), _END)
         status = 0
     finally:
         os._exit(status)

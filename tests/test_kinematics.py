@@ -1,8 +1,10 @@
 import math
+import random
+import warnings
 
 import pytest
 
-from sailcost import model
+from sailcost import checks, model
 from sailcost.errors import DomainError, NumericRangeError
 from sailcost.kinematics import (
     kinematics_non_optimized,
@@ -43,6 +45,36 @@ def test_accel_time_equals_speed_over_constant_thrust_accel():
 def test_coast_speed_is_sqrt2_of_spot_speed():
     kin = kinematics_optimized(_array(), SAIL, PAYLOAD)
     assert kin.coast_speed == pytest.approx(math.sqrt(2) * kin.speed, rel=1e-14)
+
+
+@pytest.mark.parametrize("regime", ["optimized", "non_optimized"])
+def test_kinetic_energy_is_the_work_of_the_thrust(regime):
+    """Work-energy, not the closed forms: up to L0 the thrust is F0 =
+    eta P0 / c, so 1/2 M v0^2 = F0 L0.  Past L0 the spot outgrows the sail
+    and the thrust falls as F0 (L0/L)^2, which does work F0 L0 more out to
+    infinity, so 1/2 M v_inf^2 = 2 F0 L0.  Over random designs, each with
+    a random array size and power; a draw that reaches beta >= 1 is
+    skipped."""
+    rng = random.Random(6)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # beta >= 0.5 warns
+        for _ in range(3000):
+            _, payload, sail, _, array = checks._random_case(rng)
+            array = array.replace(aperture=10 ** rng.uniform(2, 5), power=10 ** rng.uniform(8, 12))
+            try:
+                if regime == "optimized":
+                    kin = kinematics_optimized(array, sail, payload)
+                else:
+                    sized = sail.replace(diameter=10 ** rng.uniform(-1, 2))
+                    kin = kinematics_non_optimized(array, sized, payload)
+            except DomainError:  # beta >= 1
+                continue
+            work = sail.coupling * array.power / C * kin.accel_distance
+            assert kin.total_mass * kin.speed**2 / 2 == pytest.approx(work, rel=1e-12)
+            assert kin.total_mass * kin.coast_speed**2 / 2 == pytest.approx(2 * work, rel=1e-12)
+            checked += 1
+    assert checked > 2900
 
 
 def test_optimal_diameter_makes_sail_mass_equal_payload_mass():

@@ -5,6 +5,8 @@ failing point must fail as the record path does."""
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -450,18 +452,52 @@ def test_threaded_process_sweeps_in_one_chunk(chunked, monkeypatch):
     assert len(chunked) == len(os.sched_getaffinity(0)) - 1
 
 
-@pytest.mark.parametrize(("text", "status"), [(b"forged\n\0", 1), (b"forged\n", 0), (b"", 0)])
+@pytest.mark.parametrize(("text", "status"), [("forged\n\0", 1), ("forged\n", 0), ("", 0)])
 def test_child_text_counts_only_with_exit_0_and_end_marker(chunked, monkeypatch, text, status):
-    def forge(rows, chunk, spool):  # runs in the child
-        spool.write(text)
-        spool.flush()
-        os._exit(status)
+    def forge(rows, chunk, spool):  # runs in the child, which exits
+        try:
+            spool.write(text)
+            spool.flush()
+        finally:
+            os._exit(status)
 
     monkeypatch.setattr(optimize, "_spool_rows", forge)
     result = _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40)
     assert len(chunked) == len(os.sched_getaffinity(0)) - 1
     _one_chunk(monkeypatch)
     assert _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40) == result
+
+
+_ESCAPING_CHILD = """
+import os, sys
+from sailcost import optimize
+from sailcost.cli import main
+
+def escape(rows, chunk, spool):
+    raise RuntimeError("left _spool_rows")
+
+optimize._MIN_CHUNK = 8
+optimize._spool_rows = escape
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_child_that_leaves_spool_rows_kills_no_process_group():
+    """A child that ever left ``_spool_rows`` by an exception would unwind
+    through ``_rows_in_chunks`` with no pid of its own to kill; this
+    process reruns its chunk.  The sweep runs in a new session, so a kill
+    of its process group reaches no further."""
+    argv = [
+        "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "metrics.a1",
+        "--from", "0.1 usd/W", "--to", "10 usd/W", "--points", "40", "--log",
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", _ESCAPING_CHILD, *argv],
+        capture_output=True, text=True, start_new_session=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert _cli(*argv) == (0, run.stdout, "")
 
 
 def test_chunk_that_cannot_be_forked_runs_in_this_process(chunked, monkeypatch):
