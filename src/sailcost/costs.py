@@ -10,6 +10,7 @@ twice the optics cost.
 
 from . import model
 from .errors import DomainError, ValidationError
+from .kinematics import warn_beta
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import kernel_point
 
@@ -85,6 +86,7 @@ def closed_form_optimum(
     aperture, power, *terms = model.cost_optimum(**kernel_point(
         model.cost_optimum, payload, sail, array, metrics, beta=beta
     ))
+    warn_beta(beta)
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "closed-form")
 
 

@@ -5,14 +5,30 @@ mass-optimized (sail mass = payload mass) regimes, plus the strength-limited sai
 Non-relativistic closed forms, with no relativistic correction: against a perfect reflector's
 Doppler-corrected speed at L0, the classical v0 is 0.67 % high at beta 0.01, 6.9 % at 0.1,
 14 % at 0.2 and 37 % at 0.5, and the coast speed is 20 % high at 0.2 (Kulkarni, Lubin & Zhang
-2018, arXiv:1710.10732).  A warning is issued at or above beta = 0.5; beta >= 1 is an error.
+2018, arXiv:1710.10732).  So each public function that reaches or is given a beta at or above
+``BETA_VALIDITY_LIMIT`` warns once per call, after its kernel returns (``warn_beta``), and a
+sweep warns at most once; beta >= 1 is an error, which the kernels raise.  No kernel warns.
 """
+
+import warnings
 
 from . import model
 from .errors import DomainError
-from .model import BETA_VALIDITY_LIMIT
 from .params import ArraySpec, Payload, Record, SailSpec
 from .scenario import kernel_point
+
+BETA_VALIDITY_LIMIT = 0.5
+
+
+def warn_beta(beta: float) -> None:
+    """Warn, naming the caller of the public function that calls this,
+    when ``beta`` is at or above ``BETA_VALIDITY_LIMIT``."""
+    if beta >= BETA_VALIDITY_LIMIT:
+        warnings.warn(
+            f"beta = {beta:.4g} >= {BETA_VALIDITY_LIMIT}: non-relativistic "
+            "model is inaccurate here",
+            stacklevel=3,
+        )
 
 
 class KinematicsResult(Record):
@@ -38,9 +54,11 @@ def kinematics_non_optimized(array: ArraySpec, sail: SailSpec, payload: Payload)
         raise DomainError("sail.D required for the non-optimized kinematics")
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    return KinematicsResult(*model.launch(**kernel_point(
+    kin = KinematicsResult(*model.launch(**kernel_point(
         model.launch, payload, sail, array, eta=sail.coupling
     )))
+    warn_beta(kin.beta)
+    return kin
 
 
 def optimal_sail_diameter(sail: SailSpec, payload: Payload) -> float:
@@ -56,9 +74,11 @@ def kinematics_optimized(array: ArraySpec, sail: SailSpec, payload: Payload) -> 
     """
     if array.power is None or array.aperture is None:
         raise DomainError("array.P0 and array.d required for kinematics")
-    return KinematicsResult(*model.optimized_launch(**kernel_point(
+    kin = KinematicsResult(*model.optimized_launch(**kernel_point(
         model.optimized_launch, payload, sail, array, eta=sail.coupling
     )))
+    warn_beta(kin.beta)
+    return kin
 
 
 def strength_limited_geometry(

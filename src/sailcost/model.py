@@ -10,7 +10,6 @@ rebuilding its record with it, so no kernel revalidates a record.
 """
 
 import math
-import warnings
 
 from .errors import (
     DegenerateOptimumError,
@@ -20,8 +19,6 @@ from .errors import (
     ValidationError,
 )
 from .units import C
-
-BETA_VALIDITY_LIMIT = 0.5
 
 
 def require(cond: bool, name: str, constraint: str, value) -> None:
@@ -43,15 +40,11 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
-def warn_beta(beta: float) -> None:
+def check_beta(beta: float) -> None:
+    """Refuse a speed at or past light speed.  No kernel warns: the public
+    functions warn at ``kinematics.BETA_VALIDITY_LIMIT``."""
     if beta >= 1:
         raise DomainError(f"beta = {beta:.4g} >= 1: beyond any validity of the model")
-    if beta >= BETA_VALIDITY_LIMIT:
-        warnings.warn(
-            f"beta = {beta:.4g} >= {BETA_VALIDITY_LIMIT}: non-relativistic "
-            "model is inaccurate here",
-            stacklevel=3,
-        )
 
 
 def coupling(reflectivity: float, absorptivity: float) -> float:
@@ -87,7 +80,7 @@ def required_power(beta, wavelength, diffraction_factor, eta, aperture, mass_ter
     if beta < 0:
         raise DomainError(f"beta target must be >= 0 (got {beta!r})")
     if beta > 0:
-        warn_beta(beta)
+        check_beta(beta)
     p0 = beta**2 * (2 * C**3 * wavelength * diffraction_factor) / (eta * aperture) * mass_term
     return check_finite("P0", p0)
 
@@ -115,7 +108,7 @@ def launch(
     v0 = check_finite("v0", math.sqrt(power * eta * spot_term / (C * total_mass)))
     t0 = check_finite("t0", math.sqrt(C * spot_term * total_mass / (power * eta)))
     beta = v0 / C
-    warn_beta(beta)
+    check_beta(beta)
     return v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass
 
 
@@ -227,7 +220,7 @@ def cost_optimum(
     if a1 == 0 or a2 == 0:
         raise DegenerateOptimumError(
             "closed-form optimum needs a1 > 0 and a2 > 0; the minimum is at a "
-            "boundary otherwise - use the bounded numeric search"
+            "boundary otherwise"
         )
     eta = coupling(reflectivity, absorptivity)
     mass = mass_term(xi, h, rho, m0)

@@ -21,6 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .costs import CostBreakdown, OptimumDesign, require_cost_mode
+from .kinematics import BETA_VALIDITY_LIMIT, warn_beta
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import SWEEP_FIELDS, SweepSpec, kernel_point
 
@@ -82,9 +83,11 @@ def constrained_cost(
     physics path (power, then kinematics, then costs); the array's own
     aperture, if any, is not used."""
     model.require(aperture > 0, "array.d", "d > 0", aperture)
-    return CostBreakdown(*model.fixed_aperture_design(**kernel_point(
+    breakdown = CostBreakdown(*model.fixed_aperture_design(**kernel_point(
         model.fixed_aperture_design, payload, sail, array, metrics, aperture=aperture, beta=beta
     ))[2:])
+    warn_beta(beta)
+    return breakdown
 
 
 def minimize_cost_numeric(
@@ -120,6 +123,7 @@ def minimize_cost_numeric(
         raise BoundaryOptimumError("upper", D_MAX)
     point[slot] = best
     aperture, power, *terms = model.fixed_aperture_design(*point)
+    warn_beta(beta)
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric")
 
 
@@ -134,6 +138,7 @@ def maximize_speed_fixed_cost(
     aperture, power, beta, laser, optics = model.budget_design(**kernel_point(
         model.budget_design, payload, sail, array, metrics, total_usd=total_usd
     ))
+    warn_beta(beta)
     return SpeedMaxResult(
         aperture=aperture, power=power, beta=beta,
         breakdown=CostBreakdown(laser=laser, optics=optics),
@@ -163,7 +168,8 @@ _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 # points: one fork-and-reap round trip takes ~3.4 ms on a 2-vCPU host, the
 # time of ~225 points.
 _MIN_CHUNK = 2000
-_END = b"\0"  # ends a child's spool; no row holds it
+# What ends a child's spool: its ``rows`` returned false, or true.  No row holds either.
+_ENDS = (b"\0", b"\1")
 
 
 def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
@@ -198,6 +204,13 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     ``[start, stop]``, which a computed point rounding past an end would
     be.  No other record is built, and each row is kept only as its
     formatted text, written to the spool as it is made.
+
+    No kernel warns: once every chunk has succeeded, the sweep warns at
+    most once (``warn_beta``), on the largest beta an at-speed sweep
+    knows before any kernel runs (``stop`` on ``target.beta0``, the
+    target otherwise), or on the limit itself when a row of a budget
+    sweep reached it.  A warning that the caller's filter makes an error
+    closes every spool and propagates, so nothing is written.
     """
     require_cost_mode(scenario.mode)
     axis = sweep.axis
@@ -237,8 +250,9 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     isfinite = math.isfinite
 
-    def rows(indices, spool):
+    def rows(indices, spool) -> bool:
         prefix = suffix = ""
+        reached = False
         for value in sweep.values(indices):
             if not start <= value <= stop:
                 record.replace(**{attr: value})
@@ -249,6 +263,8 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
                 aperture, power, beta, c1, c2 = kernel(*point)
                 c3 = c4 = 0.0
                 suffix = f",{beta!r}"
+                if beta >= BETA_VALIDITY_LIMIT:
+                    reached = True
             if not fixed_aperture:
                 prefix = f"{value!r},"
             total = c1 + c2 + c3 + c4
@@ -263,9 +279,19 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
                 f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
                 f"{total!r},{flux!r}{suffix}\n"
             )
+        return reached
 
     lines = _rows_in_chunks(rows, sweep.points)
-    next(lines)  # runs every chunk: a failing point raises here
+    reached = next(lines)  # runs every chunk: a failing point raises here
+    if at_speed:
+        beta = stop if axis == "target.beta0" else scenario.beta_target
+    else:
+        beta = BETA_VALIDITY_LIMIT if reached else 0.0
+    try:
+        warn_beta(beta)
+    except Warning:
+        lines.close()
+        raise
     return chain([f"{header}\n" if at_speed else f"{header},beta0\n"], lines)
 
 
@@ -285,19 +311,21 @@ def _chunks(points: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
-    """Yield None once each chunk of ``_chunks(points)`` has written
-    ``rows(chunk, spool)`` to its own spool, an anonymous UTF-8 text temp
-    file, then the spools' text in grid order, one read buffer at a time.
-    Each chunk but the first runs in a forked child, whose spool is kept
-    only when it exited 0 after its end marker, so its chunk raised and
-    warned nothing.  Otherwise, or with no child, this process runs the
-    chunk, in grid order, so every error and warning comes from the one
-    serial loop; into memory if no spool file could be made.  A child's
-    pid is recorded only in this process, where ``os.fork`` returns it,
-    never in the child itself.  Every child is reaped before the first
-    yield, and killed first when a chunk raises.  Every spool is closed
-    at the end."""
+def _rows_in_chunks(rows, points: int) -> Iterator[str | bool]:
+    """Yield whether any chunk's ``rows`` returned true, once each chunk
+    of ``_chunks(points)`` has written ``rows(chunk, spool)`` to its own
+    spool, an anonymous UTF-8 text temp file; then yield the spools' text
+    in grid order, one read buffer at a time.  Each chunk but the first
+    runs in a forked child, whose spool is kept only when it exited 0
+    after one of the ``_ENDS`` markers, which carries what its ``rows``
+    returned, so its chunk raised and warned nothing.  Otherwise, or with
+    no child, this process runs the chunk, in grid order, so every error
+    comes from the one serial loop; into memory if no spool file could be
+    made.  A child's pid is recorded only in this process, where
+    ``os.fork`` returns it, and a child forgets its older siblings, so a
+    child never kills one.  Every child is reaped before the first yield,
+    and killed first when a chunk raises.  Every spool is closed at the
+    end."""
     import tempfile
 
     chunks = _chunks(points)
@@ -316,19 +344,23 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
                 except OSError:  # no process to spare: this process runs the chunk
                     continue
                 if pid == 0:  # pragma: no cover - runs in the child, which exits
+                    children.clear()
                     _spool_rows(rows, chunk, spools[i])
                 children[i] = pid
+        reached = False
         for i, (chunk, spool) in enumerate(zip(chunks, spools)):
             if i in children:
                 status = os.waitpid(children.pop(i), 0)[1]
                 end = max(spool.seek(0, os.SEEK_END) - 1, 0)
-                if status == 0 and os.pread(spool.fileno(), 1, end) == _END:
+                marker = os.pread(spool.fileno(), 1, end)
+                if status == 0 and marker in _ENDS:
                     spool.truncate(end)
+                    reached = reached or marker == _ENDS[1]
                     continue
             spool.seek(0)
             spool.truncate()
-            rows(chunk, spool)
-        yield None
+            reached = rows(chunk, spool) or reached
+        yield reached
         for spool in spools:
             spool.seek(0)
             yield from iter(partial(spool.read, io.DEFAULT_BUFFER_SIZE), "")
@@ -344,17 +376,18 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | None]:
 
 
 def _spool_rows(rows, chunk: range, spool) -> None:
-    """In a forked child: write ``rows(chunk)``, then the end marker, to
-    ``spool`` and exit 0.  Every warning is an error here: at its chunk's
-    first warning or error the child exits 1 without the marker.  Touches
-    neither stdout nor stderr, and never returns."""
+    """In a forked child: write ``rows(chunk)``, then the end marker of
+    what it returned, to ``spool`` and exit 0.  No kernel warns, so every
+    warning is an error here: at its chunk's first warning or error the
+    child exits 1 without a marker.  Touches neither stdout nor stderr,
+    and never returns."""
     status = 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows(chunk, spool)
+            reached = rows(chunk, spool)
         spool.flush()
-        os.write(spool.fileno(), _END)
+        os.write(spool.fileno(), _ENDS[reached])
         status = 0
     finally:
         os._exit(status)

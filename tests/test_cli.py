@@ -270,6 +270,9 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
          "validation_error: roadmap requires a [techcurve] block"),
         (("max-speed", EX3, "--set", "metrics.a1=0 usd/W"), 1,
          "domain_error: fixed-budget speed maximum needs a1 > 0 and a2 > 0"),
+        (("optimize", EX1, "--set", "metrics.a1=0 usd/W"), 1,
+         "degenerate_optimum: closed-form optimum needs a1 > 0 and a2 > 0; "
+         "the minimum is at a boundary otherwise"),
         (("optimize", "unterminated.scn"), 1,
          "parse_error: line 1, col 1: unterminated section header"),
         (("optimize", "empty-section.scn"), 1, "parse_error: line 1: empty section name"),

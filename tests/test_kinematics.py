@@ -1,10 +1,12 @@
 import math
 import random
+import re
 import warnings
 
 import pytest
 
 from sailcost import checks, model
+from sailcost.costs import closed_form_optimum
 from sailcost.errors import DomainError, NumericRangeError
 from sailcost.kinematics import (
     kinematics_non_optimized,
@@ -12,7 +14,8 @@ from sailcost.kinematics import (
     optimal_sail_diameter,
     strength_limited_geometry,
 )
-from sailcost.params import ArraySpec, Payload, SailSpec
+from sailcost.optimize import constrained_cost, maximize_speed_fixed_cost, minimize_cost_numeric
+from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.scenario import kernel_point
 from sailcost.units import C
 
@@ -130,12 +133,76 @@ def test_required_power_quadratic_in_beta():
     assert p2 / p1 == pytest.approx(4.0, rel=1e-12)
 
 
-def test_required_power_warns_in_relativistic_range():
+def test_required_power_refuses_light_speed():
     array = ArraySpec(wavelength=1e-6, aperture=1e4)
-    with pytest.warns(UserWarning, match="non-relativistic"):
-        required_power(0.6, array)
     with pytest.raises(DomainError):
         required_power(1.1, array)
+
+
+METRICS = CostMetrics(1.0, 1000.0)
+OPTIMAL_SAIL = SAIL.replace(diameter=optimal_sail_diameter(SAIL, PAYLOAD))
+
+
+def _power_for(beta):
+    """Main-beam power at which the optimized sail reaches about ``beta``
+    on a 10 km array; the power grows as beta^2, so past beta 1 too."""
+    return required_power(0.1, _array()) * (beta / 0.1) ** 2
+
+
+def _budget_for(beta):
+    """Budget whose speed maximum reaches about ``beta``: beta grows as
+    C_T^(3/4)."""
+    reached = maximize_speed_fixed_cost(1e9, PAYLOAD, SAIL, _array(), METRICS).beta
+    return 1e9 * (beta / reached) ** (4 / 3)
+
+
+# The six public functions that warn, each as a call at a speed fraction:
+# the four that are given a beta and the two that return one.
+WARNING_CALLS = {
+    "kinematics_optimized": lambda beta: kinematics_optimized(
+        _array(power=_power_for(beta)), SAIL, PAYLOAD
+    ),
+    "kinematics_non_optimized": lambda beta: kinematics_non_optimized(
+        _array(power=_power_for(beta)), OPTIMAL_SAIL, PAYLOAD
+    ),
+    "maximize_speed_fixed_cost": lambda beta: maximize_speed_fixed_cost(
+        _budget_for(beta), PAYLOAD, SAIL, _array(), METRICS
+    ),
+    "closed_form_optimum": lambda beta: closed_form_optimum(
+        beta, PAYLOAD, SAIL, _array(), METRICS
+    ),
+    "constrained_cost": lambda beta: constrained_cost(
+        10e3, beta, PAYLOAD, SAIL, _array(), METRICS
+    ),
+    "minimize_cost_numeric": lambda beta: minimize_cost_numeric(
+        beta, PAYLOAD, SAIL, _array(), METRICS
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WARNING_CALLS)
+def test_public_function_warns_once_at_the_beta_limit(name):
+    """Under ``always``, each call at beta >= 0.5 warns exactly once, with
+    the caller's file; below it, or when the call raises, none warns.  No
+    kernel warns, so the oracle's evaluations add none."""
+    call = WARNING_CALLS[name]
+
+    def warnings_of(beta):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(beta)
+        return [(w.category, str(w.message), w.filename) for w in caught]
+
+    assert warnings_of(0.3) == []
+    [(category, message, filename)] = warnings_of(0.6)
+    assert category is UserWarning and filename == __file__
+    assert re.fullmatch(r"beta = 0\.6\d* >= 0\.5: non-relativistic model is inaccurate here",
+                        message)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError):
+            call(1.2)
+    assert caught == []
 
 
 def test_aperture_flux():

@@ -259,3 +259,37 @@ def test_scenario_writes_no_single_field_bound_by_hand():
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "TechCurve"
     )
     assert "__post_init__" not in [getattr(node, "name", None) for node in curve.body]
+
+
+def test_model_neither_imports_nor_names_warnings():
+    """The kernels compute and their callers warn: ``model.py`` neither
+    imports ``warnings`` nor names it."""
+    tree = ast.parse((ROOT / "src" / "sailcost" / "model.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    named = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    assert "warnings" not in imported + modules + named
+
+
+def test_readme_names_every_long_option():
+    """README states the CLI contract, so every long option that
+    ``cli.build_parser`` defines, on any subcommand, appears in it."""
+    import argparse
+
+    from sailcost.cli import build_parser
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    parsers, options = [build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif not isinstance(action, argparse._HelpAction):
+                options.update(o for o in action.option_strings if o.startswith("--"))
+    assert {"--output", "--wall-plug", "--stages"} <= options  # every subcommand is read
+    missing = [o for o in sorted(options) if not re.search(rf"{re.escape(o)}(?![\w-])", readme)]
+    assert missing == []

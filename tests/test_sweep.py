@@ -15,7 +15,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sailcost import KinematicsResult, model, optimize
+from sailcost import KinematicsResult, cli, model, optimize
 from sailcost.cli import main
 from sailcost.costs import closed_form_optimum
 from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
@@ -468,6 +468,8 @@ def test_child_text_counts_only_with_exit_0_and_end_marker(chunked, monkeypatch,
     assert _sweep_cli("example1", "metrics.a1", "0.1 usd/W", "10 usd/W", 40) == result
 
 
+# Runs the CLI on the arguments after the first, with that many usable
+# CPUs, and with every forked child leaving ``_spool_rows`` by an exception.
 _ESCAPING_CHILD = """
 import os, sys
 from sailcost import optimize
@@ -476,27 +478,34 @@ from sailcost.cli import main
 def escape(rows, chunk, spool):
     raise RuntimeError("left _spool_rows")
 
+cpus = int(sys.argv.pop(1))
 optimize._MIN_CHUNK = 8
 optimize._spool_rows = escape
-os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_getaffinity = lambda pid: set(range(cpus))
 sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_child_that_leaves_spool_rows_kills_no_process_group():
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_child_that_leaves_spool_rows_kills_no_process_group(cpus):
     """A child that ever left ``_spool_rows`` by an exception would unwind
-    through ``_rows_in_chunks`` with no pid of its own to kill; this
-    process reruns its chunk.  The sweep runs in a new session, so a kill
-    of its process group reaches no further."""
+    through ``_rows_in_chunks`` with no pid of its own to kill, and none
+    of an older sibling's: each such child prints its one
+    ``internal_error`` line and kills nothing, and this process reruns its
+    chunk.  The sweep runs in a new session, so a kill of its process
+    group reaches no further."""
     argv = [
         "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "metrics.a1",
         "--from", "0.1 usd/W", "--to", "10 usd/W", "--points", "40", "--log",
     ]
     run = subprocess.run(
-        [sys.executable, "-c", _ESCAPING_CHILD, *argv],
+        [sys.executable, "-c", _ESCAPING_CHILD, str(cpus), *argv],
         capture_output=True, text=True, start_new_session=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
+    # The children print at once, so one's line break may follow another's line.
+    line = "internal_error: RuntimeError('left _spool_rows')"
+    assert (run.stderr.replace("\n", ""), run.stderr.count("\n")) == (line * (cpus - 1), cpus - 1)
     assert _cli(*argv) == (0, run.stdout, "")
 
 
@@ -562,77 +571,85 @@ def test_failure_in_one_chunk_gives_the_serial_error(
     assert _cli(*argv) == result
 
 
-# Warning sweeps on example1, each with the one message all its warnings
-# carry, and how many warnings it issues under the ``default`` filter and
-# under ``always``.  In the first only the last point reaches beta = 0.5; in
-# the second every point of every chunk warns.
+# 40-point warning sweeps, each with the one warning it issues, under the
+# ``default`` filter and under ``always`` alike.  In the first only the
+# last point reaches beta = 0.5; in the second every point of every chunk
+# is at beta 0.6; in the third, on the budget path, the speeds of the last
+# chunk's rows cross 0.5 and end at 0.69, and the warning names the limit.
 WARNING_SWEEPS = [
-    (("--axis", "target.beta0", "--from", "0.1", "--to", "0.5", "--points", "40"),
-     "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here", 1, 1),
-    (("--set", "target.beta0=0.6", "--axis", "metrics.a1", "--from", "0.1 usd/W",
-      "--to", "10 usd/W", "--points", "40", "--log"),
-     "beta = 0.6 >= 0.5: non-relativistic model is inaccurate here", 1, 40),
+    ("example1", ("--axis", "target.beta0", "--from", "0.1", "--to", "0.5"),
+     "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
+    ("example1", ("--set", "target.beta0=0.6", "--axis", "metrics.a1", "--from", "0.1 usd/W",
+                  "--to", "10 usd/W", "--log"),
+     "beta = 0.6 >= 0.5: non-relativistic model is inaccurate here"),
+    ("example3", ("--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd", "--log"),
+     "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
 ]
 
 
-@pytest.mark.parametrize("action", ["default", "always"])
-@pytest.mark.parametrize(("flags", "message", "by_default", "always"), WARNING_SWEEPS)
+@pytest.mark.parametrize("action", ["default", "always", "error"])
+@pytest.mark.parametrize(("example", "flags", "message"), WARNING_SWEEPS)
 def test_warning_in_a_forked_chunk_is_the_serial_warning(
-    chunked, monkeypatch, action, flags, message, by_default, always
+    chunked, monkeypatch, action, example, flags, message
 ):
-    """Each warning is issued by this process, in grid order, as the
-    serial loop issues it, under the filter this process sets."""
+    """A sweep warns once, from this process, naming the caller of
+    ``sweep_lines``, however its grid was split.  Under ``error`` it
+    writes nothing and exits 3, and leaves no spool open."""
 
     def run():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter(action)
-            code = main(["sweep", os.path.join(FIXTURES, "example1.scn"), *flags])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                code = main(
+                    ["sweep", os.path.join(FIXTURES, f"{example}.scn"), *flags, "--points", "40"]
+                )
         issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-        return code, out.getvalue(), issued
+        return code, out.getvalue(), err.getvalue(), issued
 
     result = run()
     assert len(chunked) == len(os.sched_getaffinity(0)) - 1
-    code, out, issued = result
-    assert code == 0 and out.count("\n") == 41
-    count = by_default if action == "default" else always
-    assert [warning[:2] for warning in issued] == [(UserWarning, message)] * count
+    code, out, err, issued = result
+    if action == "error":
+        line = f"internal_error: UserWarning({message!r})\n"
+        assert (code, out, err, issued) == (3, "", line, [])
+    else:
+        assert (code, out.count("\n"), err) == (0, 41, "")
+        assert [warning[:3] for warning in issued] == [(UserWarning, message, cli.__file__)]
     _one_chunk(monkeypatch)
     assert run() == result
 
 
-def test_warned_child_stops_at_its_first_warned_point(chunked, monkeypatch, tmp_path):
-    """A child stops at the first point of its chunk that warns, beta =
-    0.5 or more, as at an error; this process then runs that chunk whole.
-    Each call of ``warn_beta``, one per point, appends its pid to a file
-    that every child shares."""
+@pytest.mark.parametrize(("example", "flags", "column"), [
+    ("example1", ("--axis", "target.beta0", "--from", "0.3", "--to", "0.9"), 0),
+    ("example3", ("--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd", "--log"),
+     -1),
+])
+def test_every_point_of_a_warning_sweep_is_computed_once(
+    chunked, monkeypatch, tmp_path, example, flags, column
+):
+    """Over every process, each row's beta passes ``model.check_beta``
+    exactly once, where a kernel computes that row: a chunk whose rows
+    reach beta 0.5 is kept, not computed again here.  Each call appends
+    its beta to a file that every child shares."""
     calls = tmp_path / "calls"
     fd = os.open(calls, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
-    def warn_beta(beta, original=model.warn_beta):
-        os.write(fd, f"{os.getpid()}\n".encode())
+    def check_beta(beta, original=model.check_beta):
+        os.write(fd, f"{beta!r}\n".encode())
         original(beta)
 
-    monkeypatch.setattr(model, "warn_beta", warn_beta)
+    monkeypatch.setattr(model, "check_beta", check_beta)
     try:
-        code, _, _ = _cli(
-            "sweep", os.path.join(FIXTURES, "example1.scn"), "--axis", "target.beta0",
-            "--from", "0.3", "--to", "0.9", "--points", "40",
+        code, out, _ = _cli(
+            "sweep", os.path.join(FIXTURES, f"{example}.scn"), *flags, "--points", "40"
         )
     finally:
         os.close(fd)
-    assert code == 0
-    pids = calls.read_text().split()
-    chunks = optimize._chunks(40)
-    assert len(chunked) == len(chunks) - 1
-    spec = SweepSpec("target.beta0", 0.3, 0.9, 40)
-    reruns = 0
-    for pid, chunk in zip(chunked, chunks[1:]):
-        betas = list(spec.values(chunk))
-        warned = [i for i, beta in enumerate(betas) if beta >= model.BETA_VALIDITY_LIMIT]
-        assert pids.count(str(pid)) == (warned[0] + 1 if warned else len(chunk))
-        reruns += len(chunk) if warned else 0
-    assert pids.count(str(os.getpid())) == len(chunks[0]) + reruns
+    assert code == 0 and len(chunked) == len(os.sched_getaffinity(0)) - 1
+    betas = [line.split(",")[column] for line in out.splitlines()[1:]]
+    assert max(map(float, betas)) >= 0.5
+    assert sorted(calls.read_text().split()) == sorted(betas)
 
 
 def test_sweep_ends_exactly_on_its_upper_bound():
