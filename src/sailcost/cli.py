@@ -74,23 +74,18 @@ def _breakdown_doc(breakdown):
     }
 
 
-def _result_doc(scenario, aperture, power, breakdown, kin):
+def _result_doc(scenario, aperture, power, breakdown, launch):
+    """The result document at a design point, with ``launch`` as ``model.launch`` returns it."""
+    v0, beta, t0, l0, v_inf, _, _, total_mass = launch
     shot = energy_per_shot(
-        kin.beta, kin.total_mass, scenario.sail.coupling,
-        scenario.metrics.storage_efficiency,
+        beta, total_mass, scenario.sail.coupling, scenario.metrics.storage_efficiency
     )
     return {
         "scenario": scenario.name,
         "mode": scenario.mode,
         "optimum": {"d_m": aperture, "P0_W": power},
         "costs": _breakdown_doc(breakdown),
-        "kinematics": {
-            "v0": kin.speed,
-            "beta0": kin.beta,
-            "t0_s": kin.accel_time,
-            "L0_m": kin.accel_distance,
-            "v_inf": kin.coast_speed,
-        },
+        "kinematics": {"v0": v0, "beta0": beta, "t0_s": t0, "L0_m": l0, "v_inf": v_inf},
         "energy": {
             "E_gamma_J": shot.beam_energy,
             "E_storage_J": shot.storage_energy,
@@ -128,7 +123,7 @@ def _cmd_solve(args):
     kin = _solve_kinematics(scenario)
     array = scenario.array
     breakdown = cost_components(array, kin.accel_time, scenario.metrics)
-    doc = _result_doc(scenario, array.aperture, array.power, breakdown, kin)
+    doc = _result_doc(scenario, array.aperture, array.power, breakdown, vars(kin).values())
     _emit(doc, args)
     return 0
 
@@ -139,24 +134,24 @@ def _require_beta_target(scenario, command):
     return scenario.beta_target
 
 
-def _optimize_design(scenario, beta):
-    require_cost_mode(scenario.mode)
-    return closed_form_optimum(
-        beta, scenario.payload, scenario.sail, scenario.array, scenario.metrics
-    )
-
-
 def _design_doc(scenario, design):
-    """Result document of an OptimumDesign or a SpeedMaxResult."""
-    array = scenario.array.replace(aperture=design.aperture, power=design.power)
-    kin = kinematics_optimized(array, scenario.sail, scenario.payload)
-    return _result_doc(scenario, design.aperture, design.power, design.breakdown, kin)
+    """Result document of an OptimumDesign or a SpeedMaxResult, its launch from the kernel
+    that ``kinematics_optimized`` wraps: the call that found the design has warned."""
+    aperture, power = design.aperture, design.power
+    launch = model.optimized_launch(**kernel_point(
+        model.optimized_launch, scenario.payload, scenario.sail, scenario.array,
+        aperture=aperture, power=power, eta=scenario.sail.coupling,
+    ))
+    return _result_doc(scenario, aperture, power, design.breakdown, launch)
 
 
 def _cmd_optimize(args):
     scenario = _load(args)
     beta = _require_beta_target(scenario, "optimize")
-    design = _optimize_design(scenario, beta)
+    require_cost_mode(scenario.mode)
+    design = closed_form_optimum(
+        beta, scenario.payload, scenario.sail, scenario.array, scenario.metrics
+    )
     _emit(_design_doc(scenario, design), args)
     return 0
 

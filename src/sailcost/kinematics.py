@@ -5,9 +5,13 @@ mass-optimized (sail mass = payload mass) regimes, plus the strength-limited sai
 Non-relativistic closed forms, with no relativistic correction: against a perfect reflector's
 Doppler-corrected speed at L0, the classical v0 is 0.67 % high at beta 0.01, 6.9 % at 0.1,
 14 % at 0.2 and 37 % at 0.5, and the coast speed is 20 % high at 0.2 (Kulkarni, Lubin & Zhang
-2018, arXiv:1710.10732).  So each public function that reaches or is given a beta at or above
-``BETA_VALIDITY_LIMIT`` warns once per call, after its kernel returns (``warn_beta``), and a
-sweep warns at most once; beta >= 1 is an error, which the kernels raise.  No kernel warns.
+2018, arXiv:1710.10732).  So six public functions warn once per call at a beta at or above
+``BETA_VALIDITY_LIMIT``, after their kernel returns (``warn_beta``): ``kinematics_optimized``,
+``kinematics_non_optimized`` and ``maximize_speed_fixed_cost`` on the beta they reach, and
+``closed_form_optimum``, ``constrained_cost`` and ``minimize_cost_numeric`` on the beta they are
+given.  No other public function warns (``energy_per_shot``, given a beta, does not), so each
+answer of a subcommand warns at most once, as does a sweep; beta >= 1 is an error, which the
+kernels raise.  No kernel warns.
 """
 
 import warnings

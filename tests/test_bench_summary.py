@@ -44,9 +44,24 @@ def test_summary_holds_medians_quartiles_and_runs_by_seed(tmp_path):
     op = sweep["metrics"]["op_p50_s"]
     assert (op["median"], op["n"]) == (0.3, 5)
     assert op["q1"] == pytest.approx(0.15) and op["q3"] == pytest.approx(0.45)
-    assert op["by_seed"] == {"1": 0.5, "2": 0.1, "3": 0.4, "4": 0.2, "5": 0.3}
+    assert op["by_seed"] == {"1": [0.5], "2": [0.1], "3": [0.4], "4": [0.2], "5": [0.3]}
     single = doc["groups"]["change"]["workloads"]["cli-mix+trace"]["metrics"]["op_p50_s"]
     assert (single["median"], single["q1"], single["q3"]) == (0.9, 0.9, 0.9)
+
+
+def test_runs_that_share_a_seed_all_count(tmp_path):
+    """Seeds 1-3 in turn over 10 runs: the median, the quartiles and ``n``
+    take all 10 values, not the last run of each seed (which would give
+    a median of 0.92), and each seed lists its runs in the given order."""
+    values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.53, 0.6, 0.91, 0.92, 0.93]
+    records = [_record("cli-mix", run % 3 + 1, value) for run, value in enumerate(values)]
+    mix = bench_summary.summarize_group(records)["cli-mix"]
+    op = mix["metrics"]["op_p50_s"]
+    assert (mix["runs"], op["n"], op["median"]) == (10, 10, pytest.approx(0.515))
+    assert op["q1"] == pytest.approx(0.275) and op["q3"] == pytest.approx(0.9125)
+    assert op["by_seed"] == {
+        "1": [0.1, 0.4, 0.6, 0.93], "2": [0.2, 0.5, 0.91], "3": [0.3, 0.53, 0.92],
+    }
 
 
 def test_a_label_without_records_is_refused(tmp_path):

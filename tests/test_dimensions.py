@@ -3,7 +3,8 @@
 Rescaling the units of length, mass, time and currency must rescale each
 kernel output by its own dimension.  The test reads no formula: the input
 dimensions come from the unit column of ``scenario.FIELDS``, and only the
-speed of light is restated in the new units.
+speed of light is restated in the new units.  So it cannot see a wrong
+dimensionless factor such as a ``pi/4``.
 """
 
 import math

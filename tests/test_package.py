@@ -64,7 +64,9 @@ print(json.dumps([code, modules]))
 """
 # Modules a subcommand loads only when it runs them.  No subcommand loads
 # ``csv``: every table is written as ``repr`` cells.  Only the commands
-# that write a JSON document load ``json``.
+# that write a JSON document load ``json``.  A new module stays off the
+# common path the same way: the command that uses it imports it, not
+# ``__init__.py``, the top level of ``cli.py``, ``scenario`` or ``costs``.
 _OPTIONAL = {"sailcost.checks", "sailcost.optimize", "sailcost.roadmap", "csv", "json"}
 # The records need neither, and importing them dominated a cold start.
 _NEVER = {"dataclasses", "inspect"}

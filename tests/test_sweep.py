@@ -571,50 +571,59 @@ def test_failure_in_one_chunk_gives_the_serial_error(
     assert _cli(*argv) == result
 
 
-# 40-point warning sweeps, each with the one warning it issues, under the
-# ``default`` filter and under ``always`` alike.  In the first only the
-# last point reaches beta = 0.5; in the second every point of every chunk
-# is at beta 0.6; in the third, on the budget path, the speeds of the last
-# chunk's rows cross 0.5 and end at 0.69, and the warning names the limit.
-WARNING_SWEEPS = [
-    ("example1", ("--axis", "target.beta0", "--from", "0.1", "--to", "0.5"),
-     "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
-    ("example1", ("--set", "target.beta0=0.6", "--axis", "metrics.a1", "--from", "0.1 usd/W",
-                  "--to", "10 usd/W", "--log"),
-     "beta = 0.6 >= 0.5: non-relativistic model is inaccurate here"),
-    ("example3", ("--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd", "--log"),
-     "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
+# Runs that reach beta 0.5, each with its stdout line count and the one
+# warning it issues, under the ``default`` filter and under ``always``
+# alike.  Three are 40-point sweeps: in the first only the last point
+# reaches beta = 0.5; in the second every point of every chunk is at beta
+# 0.6; in the third, on the budget path, the speeds of the last chunk's
+# rows cross 0.5 and end at 0.69, and the warning names the limit.  Then
+# ``optimize`` and ``max-speed``, whose launch at the design point warns no
+# second time.
+_SWEEP_40 = ("--points", "40")
+WARNING_RUNS = [
+    (("sweep", "example1", "--axis", "target.beta0", "--from", "0.1", "--to", "0.5", *_SWEEP_40),
+     41, "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
+    (("sweep", "example1", "--set", "target.beta0=0.6", "--axis", "metrics.a1",
+      "--from", "0.1 usd/W", "--to", "10 usd/W", "--log", *_SWEEP_40),
+     41, "beta = 0.6 >= 0.5: non-relativistic model is inaccurate here"),
+    (("sweep", "example3", "--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd",
+      "--log", *_SWEEP_40),
+     41, "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
+    (("optimize", "example1", "--set", "target.beta0=0.7"),
+     32, "beta = 0.7 >= 0.5: non-relativistic model is inaccurate here"),
+    (("max-speed", "example3", "--set", "target.budget=1e12 usd"),
+     32, "beta = 0.6866 >= 0.5: non-relativistic model is inaccurate here"),
 ]
 
 
 @pytest.mark.parametrize("action", ["default", "always", "error"])
-@pytest.mark.parametrize(("example", "flags", "message"), WARNING_SWEEPS)
+@pytest.mark.parametrize(("argv", "lines", "message"), WARNING_RUNS)
 def test_warning_in_a_forked_chunk_is_the_serial_warning(
-    chunked, monkeypatch, action, example, flags, message
+    chunked, monkeypatch, action, argv, lines, message
 ):
-    """A sweep warns once, from this process, naming the caller of
-    ``sweep_lines``, however its grid was split.  Under ``error`` it
-    writes nothing and exits 3, and leaves no spool open."""
+    """A run warns once, from this process, naming its caller in
+    ``cli.py``: a sweep however its grid was split, a design subcommand
+    once for the design and its launch.  Under ``error`` it writes nothing
+    and exits 3, and leaves no spool open."""
+    command, example, *flags = argv
 
     def run():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
-                code = main(
-                    ["sweep", os.path.join(FIXTURES, f"{example}.scn"), *flags, "--points", "40"]
-                )
+                code = main([command, os.path.join(FIXTURES, f"{example}.scn"), *flags])
         issued = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
         return code, out.getvalue(), err.getvalue(), issued
 
     result = run()
-    assert len(chunked) == len(os.sched_getaffinity(0)) - 1
+    assert len(chunked) == (len(os.sched_getaffinity(0)) - 1 if command == "sweep" else 0)
     code, out, err, issued = result
     if action == "error":
         line = f"internal_error: UserWarning({message!r})\n"
         assert (code, out, err, issued) == (3, "", line, [])
     else:
-        assert (code, out.count("\n"), err) == (0, 41, "")
+        assert (code, out.count("\n"), err) == (0, lines, "")
         assert [warning[:3] for warning in issued] == [(UserWarning, message, cli.__file__)]
     _one_chunk(monkeypatch)
     assert run() == result

@@ -8,10 +8,11 @@ Each path is a run record that ``bench/run.py`` writes under
 of the same workload and seed overwrites it).  Records are grouped by
 the label given with ``--group``, then by workload (a traced run counts
 as the workload ``<name>+trace``).  For each metric the summary holds the
-median and the quartiles across the group's runs, with every run's value
-by seed, so that paired runs can be compared from the file alone.  The
-Python versions, commits and CPU counts come from the records.
-Standard library only.
+median and the quartiles across all of the group's runs, and every run's
+value listed under its seed (runs that share a seed keep the order in
+which their records were given), so that paired runs can be compared from
+the file alone.  The Python versions, commits and CPU counts come from
+the records.  Standard library only.
 """
 
 import argparse
@@ -45,12 +46,14 @@ def summarize_group(records):
         runs.sort(key=lambda record: record["args"]["seed"])
         metrics = {}
         for metric in runs[0]["metrics"]:
-            by_seed = {
-                str(run["args"]["seed"]): run["metrics"][metric]
-                for run in runs if run["metrics"].get(metric) is not None
-            }
-            if by_seed:
-                metrics[metric] = {**_spread(list(by_seed.values())), "by_seed": by_seed}
+            by_seed, values = {}, []
+            for run in runs:
+                value = run["metrics"].get(metric)
+                if value is not None:
+                    by_seed.setdefault(str(run["args"]["seed"]), []).append(value)
+                    values.append(value)
+            if values:
+                metrics[metric] = {**_spread(values), "by_seed": by_seed}
         summary[name] = {
             "runs": len(runs),
             "seconds": _distinct(run["args"]["seconds"] for run in runs),
