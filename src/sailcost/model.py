@@ -79,8 +79,7 @@ def required_power(beta, wavelength, diffraction_factor, eta, aperture, mass_ter
     P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0)."""
     if beta < 0:
         raise DomainError(f"beta target must be >= 0 (got {beta!r})")
-    if beta > 0:
-        check_beta(beta)
+    check_beta(beta)
     p0 = beta**2 * (2 * C**3 * wavelength * diffraction_factor) / (eta * aperture) * mass_term
     return check_finite("P0", p0)
 

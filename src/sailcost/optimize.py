@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .costs import CostBreakdown, OptimumDesign, require_cost_mode
-from .kinematics import BETA_VALIDITY_LIMIT, warn_beta
+from .kinematics import warn_beta
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .scenario import SWEEP_FIELDS, SweepSpec, kernel_point
 
@@ -168,8 +168,8 @@ _SWEEP_COLUMNS = "d_m,P0_W,C1,C2,C3,C4,C_T,F_ap"
 # points: one fork-and-reap round trip takes ~3.4 ms on a 2-vCPU host, the
 # time of ~225 points.
 _MIN_CHUNK = 2000
-# What ends a child's spool: its ``rows`` returned false, or true.  No row holds either.
-_ENDS = (b"\0", b"\1")
+# What ends a finished child's spool.  No row holds it.
+_END = b"\0"
 
 
 def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
@@ -206,11 +206,13 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     formatted text, written to the spool as it is made.
 
     No kernel warns: once every chunk has succeeded, the sweep warns at
-    most once (``warn_beta``), on the largest beta an at-speed sweep
-    knows before any kernel runs (``stop`` on ``target.beta0``, the
-    target otherwise), or on the limit itself when a row of a budget
-    sweep reached it.  A warning that the caller's filter makes an error
-    closes every spool and propagates, so nothing is written.
+    most once (``warn_beta``), on the larger beta of its first and last
+    rows.  An at-speed sweep knows it before any kernel runs (``stop`` on
+    ``target.beta0``, the target otherwise).  On the budget path the
+    speed is monotone in each swept field, so the kernel is called once
+    more at ``start`` and at ``stop``.  A warning that the caller's
+    filter makes an error closes every spool and propagates, so nothing
+    is written.
     """
     require_cost_mode(scenario.mode)
     axis = sweep.axis
@@ -250,9 +252,8 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     isfinite = math.isfinite
 
-    def rows(indices, spool) -> bool:
+    def rows(indices, spool) -> None:
         prefix = suffix = ""
-        reached = False
         for value in sweep.values(indices):
             if not start <= value <= stop:
                 record.replace(**{attr: value})
@@ -263,8 +264,6 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
                 aperture, power, beta, c1, c2 = kernel(*point)
                 c3 = c4 = 0.0
                 suffix = f",{beta!r}"
-                if beta >= BETA_VALIDITY_LIMIT:
-                    reached = True
             if not fixed_aperture:
                 prefix = f"{value!r},"
             total = c1 + c2 + c3 + c4
@@ -279,20 +278,22 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
                 f"{prefix}{aperture!r},{power!r},{c1!r},{c2!r},{c3!r},{c4!r},"
                 f"{total!r},{flux!r}{suffix}\n"
             )
-        return reached
 
     lines = _rows_in_chunks(rows, sweep.points)
-    reached = next(lines)  # runs every chunk: a failing point raises here
+    first = next(lines)  # runs every chunk (the first holds a row): a failing point raises here
     if at_speed:
         beta = stop if axis == "target.beta0" else scenario.beta_target
-    else:
-        beta = BETA_VALIDITY_LIMIT if reached else 0.0
+    else:  # the end rows passed, so neither kernel call fails
+        point[slot] = start
+        beta = kernel(*point)[2]
+        point[slot] = stop
+        beta = max(beta, kernel(*point)[2])
     try:
         warn_beta(beta)
     except Warning:
         lines.close()
         raise
-    return chain([f"{header}\n" if at_speed else f"{header},beta0\n"], lines)
+    return chain([f"{header}\n" if at_speed else f"{header},beta0\n", first], lines)
 
 
 def _chunks(points: int) -> list[range]:
@@ -311,21 +312,19 @@ def _chunks(points: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _rows_in_chunks(rows, points: int) -> Iterator[str | bool]:
-    """Yield whether any chunk's ``rows`` returned true, once each chunk
-    of ``_chunks(points)`` has written ``rows(chunk, spool)`` to its own
-    spool, an anonymous UTF-8 text temp file; then yield the spools' text
-    in grid order, one read buffer at a time.  Each chunk but the first
-    runs in a forked child, whose spool is kept only when it exited 0
-    after one of the ``_ENDS`` markers, which carries what its ``rows``
-    returned, so its chunk raised and warned nothing.  Otherwise, or with
-    no child, this process runs the chunk, in grid order, so every error
-    comes from the one serial loop; into memory if no spool file could be
-    made.  A child's pid is recorded only in this process, where
-    ``os.fork`` returns it, and a child forgets its older siblings, so a
-    child never kills one.  Every child is reaped before the first yield,
-    and killed first when a chunk raises.  Every spool is closed at the
-    end."""
+def _rows_in_chunks(rows, points: int) -> Iterator[str]:
+    """Yield the spools' text in grid order, one read buffer at a time,
+    once each chunk of ``_chunks(points)`` has written ``rows(chunk,
+    spool)`` to its own spool, an anonymous UTF-8 text temp file.  Each
+    chunk but the first runs in a forked child, whose spool is kept only
+    when it exited 0 after the ``_END`` marker, so its chunk raised and
+    warned nothing.  Otherwise, or with no child, this process runs the
+    chunk, in grid order, so every error comes from the one serial loop;
+    into memory if no spool file could be made.  A child's pid is
+    recorded only in this process, where ``os.fork`` returns it, and a
+    child forgets its older siblings, so a child never kills one.  Every
+    child is reaped before the first yield, and killed first when a chunk
+    raises.  Every spool is closed at the end."""
     import tempfile
 
     chunks = _chunks(points)
@@ -347,20 +346,16 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | bool]:
                     children.clear()
                     _spool_rows(rows, chunk, spools[i])
                 children[i] = pid
-        reached = False
         for i, (chunk, spool) in enumerate(zip(chunks, spools)):
             if i in children:
                 status = os.waitpid(children.pop(i), 0)[1]
                 end = max(spool.seek(0, os.SEEK_END) - 1, 0)
-                marker = os.pread(spool.fileno(), 1, end)
-                if status == 0 and marker in _ENDS:
+                if status == 0 and os.pread(spool.fileno(), 1, end) == _END:
                     spool.truncate(end)
-                    reached = reached or marker == _ENDS[1]
                     continue
             spool.seek(0)
             spool.truncate()
-            reached = rows(chunk, spool) or reached
-        yield reached
+            rows(chunk, spool)
         for spool in spools:
             spool.seek(0)
             yield from iter(partial(spool.read, io.DEFAULT_BUFFER_SIZE), "")
@@ -376,18 +371,17 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str | bool]:
 
 
 def _spool_rows(rows, chunk: range, spool) -> None:
-    """In a forked child: write ``rows(chunk)``, then the end marker of
-    what it returned, to ``spool`` and exit 0.  No kernel warns, so every
-    warning is an error here: at its chunk's first warning or error the
-    child exits 1 without a marker.  Touches neither stdout nor stderr,
-    and never returns."""
+    """In a forked child: write ``rows(chunk)``, then ``_END``, to
+    ``spool`` and exit 0.  No kernel warns, so every warning is an error
+    here: at its chunk's first warning or error the child exits 1 without
+    the marker.  Touches neither stdout nor stderr, and never returns."""
     status = 1
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reached = rows(chunk, spool)
+            rows(chunk, spool)
         spool.flush()
-        os.write(spool.fileno(), _ENDS[reached])
+        os.write(spool.fileno(), _END)
         status = 0
     finally:
         os._exit(status)

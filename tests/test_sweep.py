@@ -452,7 +452,11 @@ def test_threaded_process_sweeps_in_one_chunk(chunked, monkeypatch):
     assert len(chunked) == len(os.sched_getaffinity(0)) - 1
 
 
-@pytest.mark.parametrize(("text", "status"), [("forged\n\0", 1), ("forged\n", 0), ("", 0)])
+# A child's text is dropped, and its chunk run here, on exit 1, without the
+# end marker, or with any other last byte, such as a once-used second marker.
+@pytest.mark.parametrize(
+    ("text", "status"), [("forged\n\0", 1), ("forged\n", 0), ("", 0), ("forged\n\1", 0)]
+)
 def test_child_text_counts_only_with_exit_0_and_end_marker(chunked, monkeypatch, text, status):
     def forge(rows, chunk, spool):  # runs in the child, which exits
         try:
@@ -576,7 +580,7 @@ def test_failure_in_one_chunk_gives_the_serial_error(
 # alike.  Three are 40-point sweeps: in the first only the last point
 # reaches beta = 0.5; in the second every point of every chunk is at beta
 # 0.6; in the third, on the budget path, the speeds of the last chunk's
-# rows cross 0.5 and end at 0.69, and the warning names the limit.  Then
+# rows cross 0.5 and end at 0.69, and the warning names that last row.  Then
 # ``optimize`` and ``max-speed``, whose launch at the design point warns no
 # second time.
 _SWEEP_40 = ("--points", "40")
@@ -588,7 +592,7 @@ WARNING_RUNS = [
      41, "beta = 0.6 >= 0.5: non-relativistic model is inaccurate here"),
     (("sweep", "example3", "--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd",
       "--log", *_SWEEP_40),
-     41, "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
+     41, "beta = 0.6866 >= 0.5: non-relativistic model is inaccurate here"),
     (("optimize", "example1", "--set", "target.beta0=0.7"),
      32, "beta = 0.7 >= 0.5: non-relativistic model is inaccurate here"),
     (("max-speed", "example3", "--set", "target.budget=1e12 usd"),
@@ -629,18 +633,19 @@ def test_warning_in_a_forked_chunk_is_the_serial_warning(
     assert run() == result
 
 
-@pytest.mark.parametrize(("example", "flags", "column"), [
-    ("example1", ("--axis", "target.beta0", "--from", "0.3", "--to", "0.9"), 0),
+@pytest.mark.parametrize(("example", "flags", "column", "ends"), [
+    ("example1", ("--axis", "target.beta0", "--from", "0.3", "--to", "0.9"), 0, False),
     ("example3", ("--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd", "--log"),
-     -1),
+     -1, True),
 ])
 def test_every_point_of_a_warning_sweep_is_computed_once(
-    chunked, monkeypatch, tmp_path, example, flags, column
+    chunked, monkeypatch, tmp_path, example, flags, column, ends
 ):
     """Over every process, each row's beta passes ``model.check_beta``
     exactly once, where a kernel computes that row: a chunk whose rows
-    reach beta 0.5 is kept, not computed again here.  Each call appends
-    its beta to a file that every child shares."""
+    reach beta 0.5 is kept, not computed again here.  A budget sweep's
+    warning computes its first and last rows once more.  Each call
+    appends its beta to a file that every child shares."""
     calls = tmp_path / "calls"
     fd = os.open(calls, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
@@ -658,7 +663,33 @@ def test_every_point_of_a_warning_sweep_is_computed_once(
     assert code == 0 and len(chunked) == len(os.sched_getaffinity(0)) - 1
     betas = [line.split(",")[column] for line in out.splitlines()[1:]]
     assert max(map(float, betas)) >= 0.5
-    assert sorted(calls.read_text().split()) == sorted(betas)
+    again = [betas[0], betas[-1]] if ends else []
+    assert sorted(calls.read_text().split()) == sorted(betas + again)
+
+
+_BUDGET_PARAMETERS = kernel_point(model.budget_design)
+BUDGET_AXES = [
+    axis for axis, row in SWEEP_FIELDS.items()
+    if row[3] in _BUDGET_PARAMETERS and axis != "sail.D"
+]
+
+
+@pytest.mark.parametrize("scale", ["linear", "log"])
+@pytest.mark.parametrize("axis", BUDGET_AXES)
+def test_budget_sweep_speed_is_monotone(axis, scale):
+    """The premise of a budget sweep's one warning: the speed at a fixed
+    budget is monotone in each field it depends on, so the fastest row is
+    the first or the last one, on a base where every term matters."""
+    scenario = _scenario("example3", ["sail.eps_r=0.9", "sail.alpha=0.2"])
+    start, stop = RANGES[axis]
+    if scale == "log" and start == 0:
+        start = stop / 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        text = "".join(sweep_lines(scenario, SweepSpec(axis, start, stop, 40, scale)))
+    betas = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[1:]]
+    assert betas in (sorted(betas), sorted(betas, reverse=True))
+    assert len(set(betas)) > 1
 
 
 def test_sweep_ends_exactly_on_its_upper_bound():
