@@ -23,6 +23,7 @@ from .optimize import (
 )
 from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
 from .roadmap import stage_cost_ratio
+from .units import C
 
 
 class CheckResult(Record):
@@ -160,7 +161,10 @@ def check_kinematics_invariants() -> CheckResult:
     sail, payload = _SAIL, _PAYLOAD
     array = _ARRAY.replace(aperture=9064.0, power=1.287e11)
     opt = kinematics_optimized(array, sail, payload)
-    coast = abs(opt.coast_speed - math.sqrt(2) * opt.speed) / opt.coast_speed
+    # Work-energy: the thrust eta P0 / c does work F0 L0 up to L0 and as
+    # much again out to infinity, so 1/2 M v_inf^2 = 2 F0 L0.
+    kinetic = opt.total_mass * opt.coast_speed**2 / 2
+    coast = abs(kinetic - 2 * sail.coupling * array.power / C * opt.accel_distance) / kinetic
     sized = sail.replace(diameter=optimal_sail_diameter(sail, payload))
     non = kinematics_non_optimized(array, sized, payload)
     agree = max(

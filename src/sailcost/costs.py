@@ -83,7 +83,7 @@ def closed_form_optimum(
     optimized regime, so a sail with a given diameter is refused
     (``DomainError``).
     """
-    aperture, power, *terms = model.cost_optimum(**kernel_point(
+    aperture, power, _, *terms = model.cost_optimum(**kernel_point(
         model.cost_optimum, payload, sail, array, metrics, beta=beta
     ))
     warn_beta(beta)

@@ -205,9 +205,9 @@ def budget_aperture(total_usd: float, a2: float, array_shape: float) -> float:
 def cost_optimum(
     beta, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
     diffraction_factor, array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
-) -> tuple[float, float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float, float]:
     """Closed-form minimum-cost design for a target speed fraction:
-    (d*, P0, C1, C2, C3, C4), with
+    (d*, P0, beta, C1, C2, C3, C4), beta as given, with
     d* = c beta^{2/3} (a1/(eps_b a2))^{1/3} (cost_geometry)^{1/3} and the
     power from the physics constraint at d*.  The energy and storage
     terms use the closed-form beam energy of a 2 m0 craft.  The optimum
@@ -229,7 +229,7 @@ def cost_optimum(
     aperture = check_positive("d*", C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3))
     power = required_power(beta, wavelength, diffraction_factor, eta, aperture, mass)
     energy = beam_energy(beta, optimized_craft_mass(m0), eta)
-    return (aperture, power) + cost_terms(
+    return (aperture, power, beta) + cost_terms(
         power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
         storage_efficiency, shots,
     )
@@ -238,10 +238,10 @@ def cost_optimum(
 def fixed_aperture_design(
     aperture, beta, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
     diffraction_factor, array_shape, beam_fraction, a1, a2, a3, a4, storage_efficiency, shots,
-) -> tuple[float, float, float, float, float, float]:
-    """(d, P0, C1, C2, C3, C4) of reaching beta with a given array size d,
-    along the physics path: the required power, then the kinematics, then
-    the costs with the beam energy P0 t0."""
+) -> tuple[float, float, float, float, float, float, float]:
+    """(d, P0, beta, C1, C2, C3, C4) of reaching beta with a given array
+    size d, beta as given, along the physics path: the required power,
+    then the kinematics, then the costs with the beam energy P0 t0."""
     eta = coupling(reflectivity, absorptivity)
     power = required_power(
         beta, wavelength, diffraction_factor, eta, aperture, mass_term(xi, h, rho, m0)
@@ -251,7 +251,7 @@ def fixed_aperture_design(
         array_shape,
     )
     energy = 0.0 if accel_time is None else power * accel_time
-    return (aperture, power) + cost_terms(
+    return (aperture, power, beta) + cost_terms(
         power, aperture, energy, beam_fraction, array_shape, a1, a2, a3, a4,
         storage_efficiency, shots,
     )
@@ -260,11 +260,12 @@ def fixed_aperture_design(
 def budget_design(
     total_usd, m0, h, rho, xi, sail_diameter, reflectivity, absorptivity, wavelength,
     diffraction_factor, array_shape, beam_fraction, a1, a2,
-) -> tuple[float, float, float, float, float]:
+) -> tuple[float, float, float, float, float, float, float]:
     """Fastest design when the laser + optics budget is fixed:
-    (d*, P0, beta, C1, C2).  The speed-vs-size curve
-    beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at d* = sqrt(C_T / (3 a2 xi_arr));
-    the leftover budget buys the power."""
+    (d*, P0, beta, C1, C2, C3, C4), beta the speed reached.  The
+    speed-vs-size curve beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at
+    d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
+    It takes no energy parameters, so C3 = C4 = 0."""
     if total_usd <= 0:
         raise InfeasibleBudgetError(
             f"budget must be > 0 for any positive beam power (got {total_usd!r})"
@@ -281,7 +282,7 @@ def budget_design(
         power, aperture, sail_diameter, m0, h, rho, xi, coupling(reflectivity, absorptivity),
         wavelength, diffraction_factor, array_shape,
     )
-    return aperture, power, beta, laser_cost(a1, power, beam_fraction), optics
+    return aperture, power, beta, laser_cost(a1, power, beam_fraction), optics, 0.0, 0.0
 
 
 def budget_laser_metric(

@@ -85,7 +85,7 @@ def constrained_cost(
     model.require(aperture > 0, "array.d", "d > 0", aperture)
     breakdown = CostBreakdown(*model.fixed_aperture_design(**kernel_point(
         model.fixed_aperture_design, payload, sail, array, metrics, aperture=aperture, beta=beta
-    ))[2:])
+    ))[3:])
     warn_beta(beta)
     return breakdown
 
@@ -113,7 +113,7 @@ def minimize_cost_numeric(
 
     def objective(d: float) -> float:
         point[slot] = d
-        _, _, laser, optics, energy, storage = model.fixed_aperture_design(*point)
+        _, _, _, laser, optics, energy, storage = model.fixed_aperture_design(*point)
         return laser + optics + energy + storage
 
     best = golden_section(objective, D_MIN, D_MAX)
@@ -122,7 +122,7 @@ def minimize_cost_numeric(
     if D_MAX - best <= REL_TOL * best:
         raise BoundaryOptimumError("upper", D_MAX)
     point[slot] = best
-    aperture, power, *terms = model.fixed_aperture_design(*point)
+    aperture, power, _, *terms = model.fixed_aperture_design(*point)
     warn_beta(beta)
     return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric")
 
@@ -135,14 +135,11 @@ def maximize_speed_fixed_cost(
     The speed-vs-size curve beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at
     d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
     """
-    aperture, power, beta, laser, optics = model.budget_design(**kernel_point(
+    aperture, power, beta, *terms = model.budget_design(**kernel_point(
         model.budget_design, payload, sail, array, metrics, total_usd=total_usd
     ))
     warn_beta(beta)
-    return SpeedMaxResult(
-        aperture=aperture, power=power, beta=beta,
-        breakdown=CostBreakdown(laser=laser, optics=optics),
-    )
+    return SpeedMaxResult(aperture, power, beta, CostBreakdown(*terms))
 
 
 def second_derivative_at(
@@ -207,12 +204,12 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
 
     No kernel warns: once every chunk has succeeded, the sweep warns at
     most once (``warn_beta``), on the larger beta of its first and last
-    rows.  An at-speed sweep knows it before any kernel runs (``stop`` on
-    ``target.beta0``, the target otherwise).  On the budget path the
-    speed is monotone in each swept field, so the kernel is called once
-    more at ``start`` and at ``stop``.  A warning that the caller's
-    filter makes an error closes every spool and propagates, so nothing
-    is written.
+    rows, from the kernel once more at ``start`` and ``stop``, on every
+    path.  At speed that beta is the target (``start`` and ``stop`` on
+    ``target.beta0``); on the budget path the speed is monotone in each
+    swept field, so one of the two is the fastest row.  A warning that
+    the caller's filter makes an error closes every spool and
+    propagates, so nothing is written.
     """
     require_cost_mode(scenario.mode)
     axis = sweep.axis
@@ -258,11 +255,8 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
             if not start <= value <= stop:
                 record.replace(**{attr: value})
             point[slot] = value
-            if at_speed:
-                aperture, power, c1, c2, c3, c4 = kernel(*point)
-            else:
-                aperture, power, beta, c1, c2 = kernel(*point)
-                c3 = c4 = 0.0
+            aperture, power, beta, c1, c2, c3, c4 = kernel(*point)
+            if not at_speed:
                 suffix = f",{beta!r}"
             if not fixed_aperture:
                 prefix = f"{value!r},"
@@ -281,13 +275,10 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
 
     lines = _rows_in_chunks(rows, sweep.points)
     first = next(lines)  # runs every chunk (the first holds a row): a failing point raises here
-    if at_speed:
-        beta = stop if axis == "target.beta0" else scenario.beta_target
-    else:  # the end rows passed, so neither kernel call fails
-        point[slot] = start
-        beta = kernel(*point)[2]
-        point[slot] = stop
-        beta = max(beta, kernel(*point)[2])
+    point[slot] = start  # the end rows passed, so neither kernel call fails
+    beta = kernel(*point)[2]
+    point[slot] = stop
+    beta = max(beta, kernel(*point)[2])
     try:
         warn_beta(beta)
     except Warning:

@@ -577,12 +577,13 @@ def test_failure_in_one_chunk_gives_the_serial_error(
 
 # Runs that reach beta 0.5, each with its stdout line count and the one
 # warning it issues, under the ``default`` filter and under ``always``
-# alike.  Three are 40-point sweeps: in the first only the last point
+# alike.  Four are 40-point sweeps: in the first only the last point
 # reaches beta = 0.5; in the second every point of every chunk is at beta
 # 0.6; in the third, on the budget path, the speeds of the last chunk's
-# rows cross 0.5 and end at 0.69, and the warning names that last row.  Then
-# ``optimize`` and ``max-speed``, whose launch at the design point warns no
-# second time.
+# rows cross 0.5 and end at 0.69, and the warning names that last row; in
+# the fourth, on the fixed-aperture path, every array size holds the
+# target 0.5.  Then ``optimize`` and ``max-speed``, whose launch at the
+# design point warns no second time.
 _SWEEP_40 = ("--points", "40")
 WARNING_RUNS = [
     (("sweep", "example1", "--axis", "target.beta0", "--from", "0.1", "--to", "0.5", *_SWEEP_40),
@@ -593,6 +594,9 @@ WARNING_RUNS = [
     (("sweep", "example3", "--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd",
       "--log", *_SWEEP_40),
      41, "beta = 0.6866 >= 0.5: non-relativistic model is inaccurate here"),
+    (("sweep", "example1", "--set", "target.beta0=0.5", "--axis", "array.d",
+      "--from", "1 km", "--to", "30 km", *_SWEEP_40),
+     41, "beta = 0.5 >= 0.5: non-relativistic model is inaccurate here"),
     (("optimize", "example1", "--set", "target.beta0=0.7"),
      32, "beta = 0.7 >= 0.5: non-relativistic model is inaccurate here"),
     (("max-speed", "example3", "--set", "target.budget=1e12 usd"),
@@ -633,18 +637,18 @@ def test_warning_in_a_forked_chunk_is_the_serial_warning(
     assert run() == result
 
 
-@pytest.mark.parametrize(("example", "flags", "column", "ends"), [
-    ("example1", ("--axis", "target.beta0", "--from", "0.3", "--to", "0.9"), 0, False),
+@pytest.mark.parametrize(("example", "flags", "column"), [
+    ("example1", ("--axis", "target.beta0", "--from", "0.3", "--to", "0.9"), 0),
     ("example3", ("--axis", "target.budget", "--from", "1e11 usd", "--to", "1e12 usd", "--log"),
-     -1, True),
+     -1),
 ])
 def test_every_point_of_a_warning_sweep_is_computed_once(
-    chunked, monkeypatch, tmp_path, example, flags, column, ends
+    chunked, monkeypatch, tmp_path, example, flags, column
 ):
     """Over every process, each row's beta passes ``model.check_beta``
     exactly once, where a kernel computes that row: a chunk whose rows
-    reach beta 0.5 is kept, not computed again here.  A budget sweep's
-    warning computes its first and last rows once more.  Each call
+    reach beta 0.5 is kept, not computed again here.  The warning
+    computes the first and last rows once more, on every path.  Each call
     appends its beta to a file that every child shares."""
     calls = tmp_path / "calls"
     fd = os.open(calls, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
@@ -663,8 +667,18 @@ def test_every_point_of_a_warning_sweep_is_computed_once(
     assert code == 0 and len(chunked) == len(os.sched_getaffinity(0)) - 1
     betas = [line.split(",")[column] for line in out.splitlines()[1:]]
     assert max(map(float, betas)) >= 0.5
-    again = [betas[0], betas[-1]] if ends else []
-    assert sorted(calls.read_text().split()) == sorted(betas + again)
+    assert sorted(calls.read_text().split()) == sorted(betas + [betas[0], betas[-1]])
+
+
+def test_at_speed_kernels_return_the_beta_they_are_given():
+    """The at-speed path kernels return their target, not the launch's
+    own v0/c, which here is 0.4999999999999999, so a sweep's warning
+    reads the target from its end rows."""
+    scenario = _scenario("example1", [])
+    records = scenario.payload, scenario.sail, scenario.array, scenario.metrics
+    for kernel in (model.cost_optimum, model.fixed_aperture_design):
+        point = kernel_point(kernel, *records, beta=0.5, aperture=7777.0)
+        assert kernel(**point)[2] == 0.5
 
 
 _BUDGET_PARAMETERS = kernel_point(model.budget_design)
