@@ -194,13 +194,12 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     checked by rebuilding the record that holds it (``record.replace``),
     the Scenario itself for a target, so a bad value fails as the record
     would, and as ``--set`` of that value does.  A record accepts an
-    interval of each single field, so before any kernel runs the record
-    is rebuilt at the grid's ``start`` and ``stop``; when one of the two
-    fails, at each point in grid order, up to the first failing one,
-    which raises.  Per point it is rebuilt only for a value outside
-    ``[start, stop]``, which a computed point rounding past an end would
-    be.  No other record is built, and each row is kept only as its
-    formatted text, written to the spool as it is made.
+    interval of each single field and every grid point lies in ``[start,
+    stop]``, so before any kernel runs the record is rebuilt at the
+    grid's ``start`` and ``stop`` only; when one of the two fails, at
+    each point in grid order, up to the first failing one, which raises.
+    No other record is built, and each row is kept only as its formatted
+    text, written to the spool as it is made.
 
     No kernel warns: once every chunk has succeeded, the sweep warns at
     most once (``warn_beta``), on the larger beta of its first and last
@@ -252,8 +251,6 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     def rows(indices, spool) -> None:
         prefix = suffix = ""
         for value in sweep.values(indices):
-            if not start <= value <= stop:
-                record.replace(**{attr: value})
             point[slot] = value
             aperture, power, beta, c1, c2, c3, c4 = kernel(*point)
             if not at_speed:

@@ -150,19 +150,22 @@ class SweepSpec(Record):
             )
 
     def values(self, indices: range):
-        """The grid points at ``indices``.  Point 0 is ``start`` and point
-        ``points - 1`` is ``stop``, exactly: a computed last point can
-        overshoot a bound that ``stop`` meets.  Point i between them is
-        ``start * (stop / start) ** (i / (points - 1))`` on the log scale
-        and ``start + i * step`` on the linear one, with ``step = (stop -
-        start) / (points - 1)``."""
+        """The grid points at ``indices``, every one in ``[start, stop]``.
+        Point 0 is ``start`` and point ``points - 1`` is ``stop``, exactly;
+        point i between them is ``start * (stop / start) ** (i / (points -
+        1))`` on the log scale and ``start + i * step`` on the linear one,
+        with ``step = (stop - start) / (points - 1)``, clamped into ``[start,
+        stop]``: computed, it can round past an end that a bound meets."""
         start, stop, last = self.start, self.stop, self.points - 1
         if self.scale == "log":
             ratio = stop / start
-            return (start if i == 0 else stop if i == last else start * ratio ** (i / last)
-                    for i in indices)
+            return (start if i == 0 else stop if i == last
+                    else x if start <= (x := start * ratio ** (i / last)) <= stop
+                    else min(max(x, start), stop) for i in indices)
         step = (stop - start) / last
-        return (start if i == 0 else stop if i == last else start + i * step for i in indices)
+        return (start if i == 0 else stop if i == last
+                else x if start <= (x := start + i * step) <= stop
+                else min(max(x, start), stop) for i in indices)
 
 
 def parse_entries(text: str) -> dict[str, tuple[str, int]]:

@@ -67,3 +67,25 @@ def test_runs_that_share_a_seed_all_count(tmp_path):
 def test_a_label_without_records_is_refused(tmp_path):
     with pytest.raises(SystemExit):
         bench_summary.main(["--out", str(tmp_path / "x.json"), "--group", "parent"])
+
+
+def test_two_groups_count_the_pairs_the_second_one_is_lower_in(tmp_path):
+    """Runs pair by seed and by order within a seed: seed 1's two runs
+    pair in turn, and the change's extra seed-2 run and the parent's
+    seed-3 run pair with nothing.  The change is lower in 2 of 3 pairs of
+    ``op_p50_s`` and in none of ``peak_rss_mib``, which ties throughout."""
+    parent = [_record("cli-mix", 1, 0.5), _record("cli-mix", 1, 0.3),
+              _record("cli-mix", 2, 0.4), _record("cli-mix", 3, 0.1)]
+    change = [_record("cli-mix", 1, 0.4), _record("cli-mix", 1, 0.2),
+              _record("cli-mix", 2, 0.6), _record("cli-mix", 2, 0.1)]
+    doc = bench_summary.summarize({"parent": parent, "change": change})
+    assert doc["pairs"] == {
+        "first": "parent", "second": "change",
+        "workloads": {"cli-mix": {
+            "op_p50_s": {"pairs": 3, "second_lower": 2},
+            "peak_rss_mib": {"pairs": 3, "second_lower": 0},
+        }},
+    }
+    assert "pairs" not in bench_summary.summarize({"parent": parent})
+    three = bench_summary.summarize({"a": parent, "b": change, "c": parent})
+    assert "pairs" not in three

@@ -277,6 +277,13 @@ def test_model_neither_imports_nor_names_warnings():
     assert "warnings" not in imported + modules + named
 
 
+def test_readme_is_at_most_250_lines():
+    """README was cut to 250 lines with every contract kept; it stays
+    within them."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    assert len(lines) <= 250
+
+
 def test_readme_names_every_long_option():
     """README states the CLI contract, so every long option that
     ``cli.build_parser`` defines, on any subcommand, appears in it."""

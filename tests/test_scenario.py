@@ -344,14 +344,15 @@ def test_sweep_grids():
 
 
 def _grid_list(start, stop, n, scale):
-    """The grid as a list built point by point, with both ends exact."""
+    """The grid as a list built point by point, with both ends exact and
+    every point between them clamped into ``[start, stop]``."""
     if scale == "log":
         ratio = stop / start
         inner = [start * ratio ** (i / (n - 1)) for i in range(1, n - 1)]
     else:
         step = (stop - start) / (n - 1)
         inner = [start + i * step for i in range(1, n - 1)]
-    return [start, *inner, stop]
+    return [start, *(min(max(value, start), stop) for value in inner), stop]
 
 
 @given(
@@ -381,6 +382,38 @@ def test_sweep_grid_ends_exactly_on_its_endpoints(start, span, points, scale, da
     a, b = data.draw(bounds, label="a"), data.draw(bounds, label="b")
     step = data.draw(st.none() | st.integers(-3, 3).filter(bool), label="step")
     assert list(spec.values(range(points)[a:b:step])) == expected[a:b:step]
+
+
+def _ulps_above(value, ulps):
+    for _ in range(ulps):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
+@settings(max_examples=400)
+@given(
+    st.sampled_from(["linear", "log"]),
+    st.integers(min_value=2, max_value=60),
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.integers(min_value=1, max_value=8) | st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_every_grid_point_lies_between_its_ends(scale, points, start, apart):
+    """Whether the ends are far apart or ``apart`` ulps apart, where a
+    computed log point can round past ``stop``, every point lies in
+    ``[start, stop]``, and the first and last are the ends themselves."""
+    if scale == "log":
+        start = abs(start) or 1.0
+    if isinstance(apart, int):
+        stop = _ulps_above(start, apart)
+    elif scale == "log":
+        stop = start * (1 + apart)
+    else:
+        stop = start + apart * max(1.0, abs(start))
+    assume(start < stop)
+    spec = SweepSpec("metrics.a1", start, stop, points, scale)
+    grid = list(spec.values(range(points)))
+    assert all(start <= value <= stop for value in grid)
+    assert grid[0] == start and grid[-1] == stop
 
 
 def test_sweep_validation():

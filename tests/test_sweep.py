@@ -718,6 +718,38 @@ def test_sweep_ends_exactly_on_its_upper_bound():
     assert len(lines) == 9 and lines[1].startswith("0.1,") and lines[-1].startswith("1.0,")
 
 
+def test_log_sweep_with_ends_a_few_ulps_apart_stays_below_its_upper_bound():
+    """Ends 3 ulps apart: 9 computed points used to round to
+    0.0019067271780583122, above --to, and were printed."""
+    code, out, err = _sweep_cli(
+        "example1", "sail.h", "0.0019067271780583114 m", "0.001906727178058312 m", 40
+    )
+    assert (code, err) == (0, "")
+    values = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(values) == 40
+    assert values[0] == 0.0019067271780583114 and values[-1] == 0.001906727178058312
+    assert max(values) <= 0.001906727178058312
+
+
+def test_log_sweep_just_below_a_bound_prints_every_row():
+    """Both ends are valid speeds, 1 ulp apart, below beta0 < 1: a
+    computed point used to round to 1.0 and fail that bound.  The sweep
+    prints its 4 rows and warns once, in 2 lines of stderr."""
+    low, high = "0.9999999999999998", "0.9999999999999999"
+    run = subprocess.run(
+        [sys.executable, "-m", "sailcost.cli", "sweep", os.path.join(FIXTURES, "example1.scn"),
+         "--axis", "target.beta0", "--from", low, "--to", high, "--points", "4", "--log"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0
+    header, *rows = run.stdout.splitlines()
+    assert header.startswith("target.beta0,")
+    assert [row.split(",")[0] for row in rows] == [low, low, high, high]
+    warning, _ = run.stderr.splitlines()
+    message = "beta = 1 >= 0.5: non-relativistic model is inaccurate here"
+    assert warning.endswith(f"UserWarning: {message}")
+
+
 # Sweeps that cross a record bound, each with the error line of its first
 # failing point, reported before any kernel runs.  The bound may be a rule
 # over two fields, which only a rebuilt record checks.
@@ -827,14 +859,13 @@ def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis,
          (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got -1.0)")),
     ],
 )
-def test_sweep_checks_its_record_at_its_ends_and_outside_them(
+def test_sweep_checks_its_record_at_its_ends(
     monkeypatch, axis, start, stop, points, scale, checked, error
 ):
-    """The record is rebuilt at the sweep's ``start`` and ``stop``; when
-    one fails, at each point in grid order up to the first failing one,
-    which raises before any row is computed.  Per point it is rebuilt only
-    outside ``[start, stop]``, where no grid point lies, so a passing
-    sweep rebuilds it twice."""
+    """The record is rebuilt at the sweep's ``start`` and ``stop``, so a
+    passing sweep rebuilds it twice; when one fails, at each point in grid
+    order up to the first failing one, which raises before any row is
+    computed."""
     scenario = _scenario("example1", [])
     values, computed = _count_rebuilds(monkeypatch, axis)
     sweep = SweepSpec(axis, start, stop, points, scale)
@@ -868,11 +899,10 @@ _LADDER = [sign * 10 ** (k / 16) for sign in (-1.0, 1.0) for k in range(-192, 19
 @settings(max_examples=10)
 @given(data=st.data())
 def test_record_checks_accept_an_interval_of_each_field(axis, data):
-    """What lets a sweep check its record only at the grid's two ends and
-    at the values outside them: the values of one field that its record
-    accepts form an interval, whatever the record's other fields are.  So
-    a record that builds at lo and at hi builds at every value in
-    between."""
+    """What lets a sweep check its record only at the grid's two ends: the
+    values of one field that its record accepts form an interval, whatever
+    the record's other fields are.  So a record that builds at lo and at
+    hi builds at every value in between."""
     _, group, attr, *_ = SWEEP_FIELDS[axis]
     cls = RECORD_CLASSES[group]
     fields = {}

@@ -11,8 +11,11 @@ as the workload ``<name>+trace``).  For each metric the summary holds the
 median and the quartiles across all of the group's runs, and every run's
 value listed under its seed (runs that share a seed keep the order in
 which their records were given), so that paired runs can be compared from
-the file alone.  The Python versions, commits and CPU counts come from
-the records.  Standard library only.
+the file alone.  With exactly two groups, ``pairs`` counts, per workload
+and metric, the runs paired across them (by seed, and by order within a
+seed) and how many of those pairs have the lower value in the second
+group.  The Python versions, commits and CPU counts come from the
+records.  Standard library only.
 """
 
 import argparse
@@ -65,21 +68,49 @@ def summarize_group(records):
     return summary
 
 
+def paired_wins(first, second):
+    """{workload: {metric: {"pairs": n, "second_lower": k}}} for two
+    groups' workload summaries.  The i-th run of a seed in one group is
+    paired with the i-th run of that seed in the other; ``second_lower``
+    counts the pairs whose second value is the lower one, whichever
+    direction the metric counts as better."""
+    wins = {}
+    for name in sorted(first.keys() & second.keys()):
+        wins[name] = {}
+        for metric in sorted(first[name]["metrics"].keys() & second[name]["metrics"].keys()):
+            before = first[name]["metrics"][metric]["by_seed"]
+            after = second[name]["metrics"][metric]["by_seed"]
+            pairs = [
+                pair for seed in before.keys() & after.keys()
+                for pair in zip(before[seed], after[seed])
+            ]
+            wins[name][metric] = {"pairs": len(pairs), "second_lower": sum(b < a for a, b in pairs)}
+    return wins
+
+
 def summarize(groups):
     """The BENCH document for {label: [run record, ...]}."""
     everything = [record for records in groups.values() for record in records]
     environment = [record["environment"] for record in everything]
-    return {
+    summaries = {label: summarize_group(records) for label, records in groups.items()}
+    document = {
         "python": _distinct(env["python"] for env in environment),
         "nproc": _distinct(env["nproc"] for env in environment),
         "groups": {
             label: {
                 "commit": _distinct(record["environment"]["commit"] for record in records),
-                "workloads": summarize_group(records),
+                "workloads": summaries[label],
             }
             for label, records in groups.items()
         },
     }
+    if len(groups) == 2:
+        first, second = groups
+        document["pairs"] = {
+            "first": first, "second": second,
+            "workloads": paired_wins(summaries[first], summaries[second]),
+        }
+    return document
 
 
 def main(argv=None):
