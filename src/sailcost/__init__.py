@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "costs": (
         "CostBreakdown", "OptimumDesign", "a1_for_budget", "closed_form_optimum",
-        "cost_components",
+        "cost_components", "maximize_speed_fixed_cost",
     ),
     "energy": ("ShotEnergy", "energy_per_shot", "energy_used_lifetime", "storage_cost"),
     "errors": (
@@ -31,10 +31,7 @@ _EXPORTS = {
         "BETA_VALIDITY_LIMIT", "KinematicsResult", "kinematics_non_optimized",
         "kinematics_optimized", "optimal_sail_diameter", "strength_limited_geometry",
     ),
-    "optimize": (
-        "SpeedMaxResult", "golden_section", "maximize_speed_fixed_cost",
-        "minimize_cost_numeric", "second_derivative_at",
-    ),
+    "optimize": ("golden_section", "minimize_cost_numeric", "second_derivative_at"),
     "params": ("ArraySpec", "CostMetrics", "Payload", "SailSpec"),
     "roadmap": ("Stage", "StagePlan", "plan_stages", "stage_cost_ratio"),
     "scenario": ("Scenario", "SweepSpec", "TechCurve", "dump_scenario", "load_scenario"),

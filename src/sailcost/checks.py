@@ -8,7 +8,7 @@ reproduction entry point for the model.
 import math
 import random
 
-from .costs import a1_for_budget, closed_form_optimum
+from .costs import a1_for_budget, closed_form_optimum, maximize_speed_fixed_cost
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
 from .kinematics import (
     kinematics_non_optimized,
@@ -17,7 +17,6 @@ from .kinematics import (
 )
 from .optimize import (
     constrained_cost,
-    maximize_speed_fixed_cost,
     minimize_cost_numeric,
     second_derivative_at,
 )

@@ -12,7 +12,9 @@ import os
 import sys
 
 from . import model
-from .costs import cost_components, closed_form_optimum, require_cost_mode
+from .costs import (
+    closed_form_optimum, cost_components, maximize_speed_fixed_cost, require_cost_mode,
+)
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
 from .errors import NumericRangeError, SailcostError, ValidationError
 from .kinematics import kinematics_non_optimized, kinematics_optimized, strength_limited_geometry
@@ -28,7 +30,7 @@ from .scenario import (
 )
 
 # checks, optimize and roadmap are imported inside the commands that use
-# them, so a solve, optimize or energy run never loads them; json is
+# them, so a solve, optimize, max-speed or energy run never loads them; json is
 # imported by ``_emit``, so a sweep, roadmap or validate run never loads it.
 
 OUTPUT_DIR_ENV = "SAILCOST_OUTPUT_DIR"
@@ -135,8 +137,8 @@ def _require_beta_target(scenario, command):
 
 
 def _design_doc(scenario, design):
-    """Result document of an OptimumDesign or a SpeedMaxResult, its launch from the kernel
-    that ``kinematics_optimized`` wraps: the call that found the design has warned."""
+    """Result document of an OptimumDesign, its launch from the kernel that
+    ``kinematics_optimized`` wraps: the call that found the design has warned."""
     aperture, power = design.aperture, design.power
     launch = model.optimized_launch(**kernel_point(
         model.optimized_launch, scenario.payload, scenario.sail, scenario.array,
@@ -157,8 +159,6 @@ def _cmd_optimize(args):
 
 
 def _cmd_max_speed(args):
-    from .optimize import maximize_speed_fixed_cost
-
     scenario = _load(args)
     if scenario.budget_target is None:
         raise ValidationError("max-speed requires a target.budget scenario")
@@ -248,7 +248,7 @@ def _cmd_roadmap(args):
     columns = ("designation", "beta0", "entry_month", "a1_usd_per_W", "d_m", "P0_W", "C_T")
     rows = [
         (
-            stage.designation, stage.beta, stage.entry_month,
+            stage.designation, stage.design.beta, stage.entry_month,
             stage.metrics.laser_usd_per_watt, stage.design.aperture, stage.design.power,
             stage.design.breakdown.total,
         )

@@ -1,6 +1,6 @@
 """Separable system cost model: laser + optics + energy + storage, the
-closed-form cost minimum over the array size, and the laser-cost metric
-implied by a fixed budget.
+closed-form cost minimum over the array size, the fixed-budget speed
+maximum, and the laser-cost metric implied by a fixed budget.
 
 The cost along the physics constraint (beam power eliminated in favor of
 the array size d at fixed target speed) has the form A/d + B*d^2, so the
@@ -39,10 +39,12 @@ class CostBreakdown(Record):
 
 
 class OptimumDesign(Record):
-    """Cost-optimal array size and beam power with the cost breakdown."""
+    """An optimal design: array size, beam power, speed fraction (the target
+    of a cost minimum, the speed reached at a fixed budget), cost breakdown."""
 
     aperture: float
     power: float
+    beta: float
     breakdown: CostBreakdown
     method: str  # "closed-form" | "numeric"
 
@@ -83,11 +85,27 @@ def closed_form_optimum(
     optimized regime, so a sail with a given diameter is refused
     (``DomainError``).
     """
-    aperture, power, _, *terms = model.cost_optimum(**kernel_point(
+    aperture, power, beta, *terms = model.cost_optimum(**kernel_point(
         model.cost_optimum, payload, sail, array, metrics, beta=beta
     ))
     warn_beta(beta)
-    return OptimumDesign(aperture, power, CostBreakdown(*terms), "closed-form")
+    return OptimumDesign(aperture, power, beta, CostBreakdown(*terms), "closed-form")
+
+
+def maximize_speed_fixed_cost(
+    total_usd: float, payload: Payload, sail: SailSpec, array: ArraySpec, metrics: CostMetrics
+) -> OptimumDesign:
+    """Fastest reachable speed when the laser + optics budget is fixed,
+    as the design's ``beta``.
+
+    The speed-vs-size curve beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at
+    d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
+    """
+    aperture, power, beta, *terms = model.budget_design(**kernel_point(
+        model.budget_design, payload, sail, array, metrics, total_usd=total_usd
+    ))
+    warn_beta(beta)
+    return OptimumDesign(aperture, power, beta, CostBreakdown(*terms), "closed-form")
 
 
 def a1_for_budget(

@@ -104,7 +104,8 @@ def launch(
     if power == 0:
         return 0.0, 0.0, None, l0, 0.0, 0.0, flux, total_mass
 
-    v0 = check_finite("v0", math.sqrt(power * eta * spot_term / (C * total_mass)))
+    v0 = math.sqrt(power * eta * spot_term / (C * total_mass))
+    v0 = check_positive("v0", check_finite("v0", v0))
     t0 = check_finite("t0", math.sqrt(C * spot_term * total_mass / (power * eta)))
     beta = v0 / C
     check_beta(beta)

@@ -1,7 +1,7 @@
 """Numeric optimization over the array size: an independent check on the
 closed forms (golden-section minimization of the constrained cost over
-the whole array-size range), the fixed-budget speed maximum, and the
-analytic cost curvature.
+the whole array-size range), the analytic cost curvature, and the sweep
+runner.
 """
 
 import io
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .costs import CostBreakdown, OptimumDesign, require_cost_mode
 from .kinematics import warn_beta
-from .params import ArraySpec, CostMetrics, Payload, Record, SailSpec
+from .params import ArraySpec, CostMetrics, Payload, SailSpec
 from .scenario import SWEEP_FIELDS, SweepSpec, kernel_point
 
 _INV_PHI = (math.sqrt(5) - 1) / 2  # 1/phi
@@ -33,16 +33,6 @@ D_MIN = 1.0
 D_MAX = 1e7
 REL_TOL = 1e-10  # golden-section stops at this interval width relative to its location
 MAX_ITER = 200
-
-
-class SpeedMaxResult(Record):
-    """Fastest design at a fixed budget: the optics get exactly one third
-    of the total cost."""
-
-    aperture: float
-    power: float
-    beta: float
-    breakdown: CostBreakdown
 
 
 def golden_section(f, lo: float, hi: float) -> float:
@@ -122,24 +112,9 @@ def minimize_cost_numeric(
     if D_MAX - best <= REL_TOL * best:
         raise BoundaryOptimumError("upper", D_MAX)
     point[slot] = best
-    aperture, power, _, *terms = model.fixed_aperture_design(*point)
+    aperture, power, beta, *terms = model.fixed_aperture_design(*point)
     warn_beta(beta)
-    return OptimumDesign(aperture, power, CostBreakdown(*terms), "numeric")
-
-
-def maximize_speed_fixed_cost(
-    total_usd: float, payload: Payload, sail: SailSpec, array: ArraySpec, metrics: CostMetrics
-) -> SpeedMaxResult:
-    """Fastest reachable speed when the laser + optics budget is fixed.
-
-    The speed-vs-size curve beta^2(d) ~ C_T d - a2 xi_arr d^3 peaks at
-    d* = sqrt(C_T / (3 a2 xi_arr)); the leftover budget buys the power.
-    """
-    aperture, power, beta, *terms = model.budget_design(**kernel_point(
-        model.budget_design, payload, sail, array, metrics, total_usd=total_usd
-    ))
-    warn_beta(beta)
-    return SpeedMaxResult(aperture, power, beta, CostBreakdown(*terms))
+    return OptimumDesign(aperture, power, beta, CostBreakdown(*terms), "numeric")
 
 
 def second_derivative_at(
@@ -196,10 +171,12 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     would, and as ``--set`` of that value does.  A record accepts an
     interval of each single field and every grid point lies in ``[start,
     stop]``, so before any kernel runs the record is rebuilt at the
-    grid's ``start`` and ``stop`` only; when one of the two fails, at
-    each point in grid order, up to the first failing one, which raises.
-    No other record is built, and each row is kept only as its formatted
-    text, written to the spool as it is made.
+    grid's ``start`` and ``stop`` only.  A failing ``start`` is the first
+    failing point; when only ``stop`` fails, the passing points form one
+    leading run, whose end a bisection over the grid indices finds in at
+    most ``ceil(log2(points))`` more rebuilds.  The first failing point
+    raises.  No other record is built, and each row is kept only as its
+    formatted text, written to the spool as it is made.
 
     No kernel warns: once every chunk has succeeded, the sweep warns at
     most once (``warn_beta``), on the larger beta of its first and last
@@ -238,13 +215,19 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
     slot, shape = names.index(name), names.index("array_shape")
     record = scenario if group is None else getattr(scenario, group)
     start, stop = sweep.start, sweep.stop
+    record.replace(**{attr: start})  # a failing start is the first failing point
     try:
-        for value in (start, stop):
-            record.replace(**{attr: value})
-    except ValidationError:  # an end fails: the first failing point raises
-        for value in sweep.values(range(sweep.points)):
-            record.replace(**{attr: value})
-        raise
+        record.replace(**{attr: stop})
+    except ValidationError as error:  # the passing points lead: bisect for the first failing one
+        passing, failing = 0, sweep.points - 1
+        while failing - passing > 1:
+            middle = (passing + failing) // 2
+            try:
+                record.replace(**{attr: next(sweep.values((middle,)))})
+                passing = middle
+            except ValidationError as fails:
+                failing, error = middle, fails
+        raise error
     header = _SWEEP_COLUMNS if fixed_aperture else f"{axis},{_SWEEP_COLUMNS}"
     isfinite = math.isfinite
 

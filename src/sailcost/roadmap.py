@@ -16,7 +16,6 @@ from .scenario import TechCurve
 
 class Stage(Record):
     designation: float      # percent of light speed
-    beta: float
     metrics: CostMetrics    # metrics at entry (a1 from the curve)
     entry_month: float
     design: OptimumDesign
@@ -60,5 +59,5 @@ def plan_stages(
         month = curve.reference_month + curve.halving_months * math.log2(
             curve.base_value / a1_entry
         )
-        stages.append(Stage(x, beta, stage_metrics, month, design))
+        stages.append(Stage(x, stage_metrics, month, design))
     return StagePlan(tuple(stages))

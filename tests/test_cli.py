@@ -324,6 +324,10 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
          "numeric_error: d* is 0.0; inputs out of numeric range"),
         (("optimize", EX1, "--set", "metrics.a1=1e-300 usd/W", "--set", "metrics.a2=1e300 usd/m2"),
          3, "numeric_error: d* is 0.0; inputs out of numeric range"),
+        # A budget this small buys a beam power at which the launch speed
+        # underflows to zero; that is no answer, so no zero speed is printed.
+        (("max-speed", EX3, "--set", "target.budget=1e-300 usd"), 3,
+         "numeric_error: v0 is 0.0; inputs out of numeric range"),
         # The mass-optimized sail diameter underflows.
         (("solve", EX1, "--set", "payload.m0=1e-300 kg", "--set", "sail.h=1e10 m",
           "--set", "sail.rho=1e300 kg/m3", "--set", "array.P0=1 GW", "--set", "array.d=1 km"),
@@ -565,6 +569,18 @@ def _finite_numbers(text, fmt):
     return walk(json.loads(text))
 
 
+def _moving_when_powered(doc):
+    """Whether a design document with a positive beam power prints a
+    positive speed, time and beam energy: a zero there is an underflow,
+    not an answer."""
+    if "optimum" not in doc or not doc["optimum"]["P0_W"] > 0:
+        return True
+    kin, energy = doc["kinematics"], doc["energy"]
+    return all(value > 0 for value in (
+        kin["beta0"], kin["v0"], kin["v_inf"], kin["t0_s"], energy["E_gamma_J"]
+    ))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from(sorted(_FUZZ_BASE) + ["sweep"]),
@@ -576,10 +592,14 @@ def _finite_numbers(text, fmt):
 @example(
     command="roadmap", sets=["metrics.a2=1e-300 usd/m2"], axis="metrics.a1", points=3, log=False
 )
+@example(
+    command="max-speed", sets=["target.budget=1e-300 usd"], axis="metrics.a1", points=3, log=False
+)
 def test_cli_contract_holds_for_any_set_value(command, sets, axis, points, log):
     """Every run either succeeds with only finite numbers in its output,
-    or fails with exactly one ``code: message`` line, exit 1, 2 or 3,
-    and no output file; never an ``internal_error``."""
+    and a positive speed, time and beam energy wherever the beam power is
+    positive, or fails with exactly one ``code: message`` line, exit 1, 2
+    or 3, and no output file; never an ``internal_error``."""
     if command == "sweep":
         fixture, start, stop = _FUZZ_SWEEPS[axis]
         argv = [command, fixture, "--axis", axis, "--from", start, "--to", stop,
@@ -604,7 +624,10 @@ def _assert_contract(argv):
             assert err.getvalue() == ""
             with open(path, encoding="utf-8") as fh:
                 fmt = "csv" if argv[0] in ("sweep", "roadmap") else "json"
-                assert _finite_numbers(fh.read(), fmt), argv
+                text = fh.read()
+            assert _finite_numbers(text, fmt), argv
+            if fmt == "json":
+                assert _moving_when_powered(json.loads(text)[0]), argv
         else:
             assert code in (1, 2, 3), argv
             assert re.fullmatch(r"[a-z_]+: [^\n]+\n", err.getvalue()), (argv, err.getvalue())

@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from sailcost import checks, model
-from sailcost.costs import closed_form_optimum
+from sailcost.costs import closed_form_optimum, maximize_speed_fixed_cost
 from sailcost.errors import DomainError, NumericRangeError
 from sailcost.kinematics import (
     kinematics_non_optimized,
@@ -14,7 +14,7 @@ from sailcost.kinematics import (
     optimal_sail_diameter,
     strength_limited_geometry,
 )
-from sailcost.optimize import constrained_cost, maximize_speed_fixed_cost, minimize_cost_numeric
+from sailcost.optimize import constrained_cost, minimize_cost_numeric
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
 from sailcost.scenario import kernel_point
 from sailcost.units import C

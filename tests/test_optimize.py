@@ -1,11 +1,12 @@
 import math
 import random
 import statistics
+from pathlib import Path
 
 import pytest
 
 from sailcost import checks, model
-from sailcost.costs import closed_form_optimum
+from sailcost.costs import OptimumDesign, closed_form_optimum, maximize_speed_fixed_cost
 from sailcost.errors import (
     BoundaryOptimumError,
     ConvergenceError,
@@ -17,11 +18,11 @@ from sailcost.optimize import (
     D_MIN,
     constrained_cost,
     golden_section,
-    maximize_speed_fixed_cost,
     minimize_cost_numeric,
     second_derivative_at,
 )
 from sailcost.params import ArraySpec, CostMetrics, Payload, SailSpec
+from sailcost.scenario import kernel_point, load_scenario
 
 SAIL = SailSpec(thickness=1e-6, density=1000.0, reflectivity=1.0)
 PAYLOAD = Payload(mass=1e-3)
@@ -43,6 +44,47 @@ def test_oracle_paths_build_no_parameter_records(monkeypatch):
     minimize_cost_numeric(0.2, PAYLOAD, SAIL, ARRAY, metrics)
     closed_form_optimum(0.2, PAYLOAD, SAIL, ARRAY, metrics)
     assert built == []
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# Each design function, the kernel it wraps, the target it takes and its method.
+DESIGN_PATHS = [
+    (closed_form_optimum, model.cost_optimum, "beta", "closed-form"),
+    (minimize_cost_numeric, model.fixed_aperture_design, "beta", "numeric"),
+    (maximize_speed_fixed_cost, model.budget_design, "total_usd", "closed-form"),
+]
+
+
+@pytest.mark.parametrize("example", ["example1", "example3"])
+@pytest.mark.parametrize(
+    ("design_of", "kernel", "target", "method"), DESIGN_PATHS,
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_every_design_path_returns_its_kernel_point(example, design_of, kernel, target, method):
+    """Each design function returns an OptimumDesign that holds its
+    kernel's design point (d, P0, beta, C1..C4) in order: beta, slot 2, is
+    the target speed of a cost minimum or the speed a budget reaches.
+    Example 1 sets the speed and example 3 the budget; the other target is
+    the dual one, the cost of example 1's optimum or example 3's speed."""
+    scenario = load_scenario(FIXTURES / f"{example}.scn")
+    records = (scenario.payload, scenario.sail, scenario.array, scenario.metrics)
+    if target == "beta":
+        value = scenario.beta_target
+        if value is None:
+            value = maximize_speed_fixed_cost(scenario.budget_target, *records).beta
+    else:
+        value = scenario.budget_target
+        if value is None:
+            value = closed_form_optimum(scenario.beta_target, *records).breakdown.total
+    design = design_of(value, *records)
+    given = {target: value}
+    if kernel is model.fixed_aperture_design:
+        given["aperture"] = design.aperture
+    assert type(design) is OptimumDesign
+    assert (
+        design.aperture, design.power, design.beta, *vars(design.breakdown).values()
+    ) == kernel(**kernel_point(kernel, *records, **given))
+    assert design.method == method
 
 
 def test_golden_section_on_quadratic():

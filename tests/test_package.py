@@ -79,7 +79,7 @@ EX1, EX3 = str(FIXTURES / "example1.scn"), str(FIXTURES / "example3.scn")
         (["solve", EX1, "--set", "array.P0=100 GW", "--set", "array.d=10 km"], {"json"}),
         (["optimize", EX1], {"json"}),
         (["energy", EX1], {"json"}),
-        (["max-speed", EX3], {"sailcost.optimize", "json"}),
+        (["max-speed", EX3], {"json"}),
         (["sweep", EX1, "--axis", "metrics.a1", "--from", "0.1 usd/W", "--to", "1 usd/W",
           "--points", "3"], {"sailcost.optimize"}),
         (["roadmap", EX3, "--stages", "1,2"], {"sailcost.roadmap"}),

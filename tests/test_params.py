@@ -8,7 +8,6 @@ from sailcost.costs import CostBreakdown, OptimumDesign
 from sailcost.energy import ShotEnergy
 from sailcost.errors import ValidationError
 from sailcost.kinematics import KinematicsResult
-from sailcost.optimize import SpeedMaxResult
 from sailcost.params import ArraySpec, CostMetrics, FIELDS, Payload, Record, SailSpec
 from sailcost.roadmap import Stage, StagePlan
 from sailcost.scenario import Scenario, SweepSpec, TechCurve
@@ -16,7 +15,7 @@ from sailcost.scenario import Scenario, SweepSpec, TechCurve
 RECORDS = [
     SailSpec, ArraySpec, Payload, CostMetrics, CostBreakdown, OptimumDesign,
     KinematicsResult, ShotEnergy, TechCurve, Scenario, SweepSpec,
-    SpeedMaxResult, Stage, StagePlan, CheckResult,
+    Stage, StagePlan, CheckResult,
 ]
 
 

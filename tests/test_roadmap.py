@@ -62,7 +62,7 @@ def test_plan_stages_ladder():
     # every stage design hits the budget exactly
     for stage in plan.stages:
         assert stage.design.breakdown.total == pytest.approx(100e9, rel=1e-9)
-        assert stage.beta == stage.designation / 100.0
+        assert stage.design.beta == stage.designation / 100.0
     # at fixed budget the affordable a1 scales as 1/beta^2
     a1s = [s.metrics.laser_usd_per_watt for s in plan.stages]
     assert a1s[0] / a1s[1] == pytest.approx(100.0, rel=1e-9)

@@ -459,7 +459,7 @@ def test_csv_floats_round_trip(capsys):
     for line, stage in zip(lines, plan.stages):
         design = stage.design
         assert [float(cell) for cell in line.split(",")] == [
-            stage.designation, stage.beta, stage.entry_month,
+            stage.designation, design.beta, stage.entry_month,
             stage.metrics.laser_usd_per_watt, design.aperture, design.power,
             design.breakdown.total,
         ]

@@ -4,6 +4,7 @@ failing point must fail as the record path does."""
 
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -17,11 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from sailcost import KinematicsResult, cli, model, optimize
 from sailcost.cli import main
-from sailcost.costs import closed_form_optimum
+from sailcost.costs import closed_form_optimum, maximize_speed_fixed_cost
 from sailcost.errors import DegenerateOptimumError, SailcostError, ValidationError
 from sailcost.optimize import (
     constrained_cost,
-    maximize_speed_fixed_cost,
     require_cost_mode,
     sweep_lines,
 )
@@ -846,16 +846,18 @@ def test_valid_sweep_checks_its_record_at_most_twice(monkeypatch, example, axis,
         ("metrics.a1", 0.5, 2.0, 4, "linear", [0.5, 2.0], None),
         ("metrics.a1", 0.1, 20.0, 5, "log", [0.1, 20.0], None),
         ("array.eps_b", 0.1, 1.0, 8, "linear", [0.1, 1.0], None),
-        # An end fails: then each point is checked, up to the failing one.
-        ("array.eps_b", 0.5, 1.25, 4, "linear", [0.5, 1.25, 0.5, 0.75, 1.0, 1.25],
+        # Only the stop fails: a bisection over the points between them
+        # finds the first failing one.
+        ("array.eps_b", 0.5, 1.25, 4, "linear", [0.5, 1.25, 0.75, 1.0],
          (ValidationError, "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)")),
-        ("array.eps_b", 0.5, 1.5, 5, "linear", [0.5, 1.5, 0.5, 0.75, 1.0, 1.25],
+        ("array.eps_b", 0.5, 1.5, 5, "linear", [0.5, 1.5, 1.0, 1.25],
          (ValidationError, "array.eps_b: must satisfy 0 < eps_b <= 1 (got 1.25)")),
-        ("metrics.eps_storage", 0.25, 4.0, 5, "log", [0.25, 4.0, 0.25, 0.5, 1.0, 2.0],
+        ("metrics.eps_storage", 0.25, 4.0, 5, "log", [0.25, 4.0, 1.0, 2.0],
          (ValidationError, "metrics.eps_storage: must satisfy 0 < eps_storage <= 1 (got 2.0)")),
-        ("metrics.N_shot", 0.5, 2.0, 4, "linear", [0.5, 0.5],
+        # The start fails: it is the first failing point.
+        ("metrics.N_shot", 0.5, 2.0, 4, "linear", [0.5],
          (ValidationError, "metrics.N_shot: must satisfy N_shot >= 1 (got 0.5)")),
-        ("metrics.a1", -1.0, 1.0, 3, "linear", [-1.0, -1.0],
+        ("metrics.a1", -1.0, 1.0, 3, "linear", [-1.0],
          (ValidationError, "metrics.a1: must satisfy a1 >= 0 (got -1.0)")),
     ],
 )
@@ -863,9 +865,10 @@ def test_sweep_checks_its_record_at_its_ends(
     monkeypatch, axis, start, stop, points, scale, checked, error
 ):
     """The record is rebuilt at the sweep's ``start`` and ``stop``, so a
-    passing sweep rebuilds it twice; when one fails, at each point in grid
-    order up to the first failing one, which raises before any row is
-    computed."""
+    passing sweep rebuilds it twice.  A failing ``start`` raises at once;
+    when only ``stop`` fails, the record is rebuilt at the points a
+    bisection visits, and the first failing point raises, before any row
+    is computed."""
     scenario = _scenario("example1", [])
     values, computed = _count_rebuilds(monkeypatch, axis)
     sweep = SweepSpec(axis, start, stop, points, scale)
@@ -877,6 +880,25 @@ def test_sweep_checks_its_record_at_its_ends(
     else:
         assert outcome == error
         assert computed == []
+
+
+@pytest.mark.parametrize("points", [10, 1000, 100000])
+def test_a_failing_stop_is_located_by_bisection(monkeypatch, points):
+    """When only ``stop`` fails, the record is rebuilt at the two ends and
+    at no more than ``ceil(log2(points))`` points between them, and the
+    error names the first failing grid point, the one a scan in grid order
+    reaches first."""
+    axis = "array.eps_b"
+    scenario = _scenario("example1", [])
+    values, computed = _count_rebuilds(monkeypatch, axis)
+    sweep = SweepSpec(axis, 0.5, 1.5, points, "linear")
+    first = next(value for value in sweep.values(range(points)) if value > 1)
+    assert _outcome(lambda: "".join(sweep_lines(scenario, sweep))) == (
+        ValidationError, f"array.eps_b: must satisfy 0 < eps_b <= 1 (got {first!r})"
+    )
+    assert values[:2] == [0.5, 1.5]
+    assert len(values) <= math.ceil(math.log2(points)) + 2
+    assert computed == []
 
 
 # The bounds of the record checks, and values next to them.

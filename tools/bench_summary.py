@@ -14,8 +14,14 @@ which their records were given), so that paired runs can be compared from
 the file alone.  With exactly two groups, ``pairs`` counts, per workload
 and metric, the runs paired across them (by seed, and by order within a
 seed) and how many of those pairs have the lower value in the second
-group.  The Python versions, commits and CPU counts come from the
-records.  Standard library only.
+group.  For a metric that ``BENCHMARK.json`` (which this only reads)
+declares, it also applies the claim rule in the metric's ``better``
+direction: ``second_better`` pairs, the first group's ``first_iqr``,
+``gain_shown`` when at least 9 in 10 pairs are better and the medians
+differ by more than ``first_iqr`` that way, and, for an end-to-end
+metric, ``worse_than_bound`` when the second median is worse than the
+first by more than ``bound`` times the first.  The Python versions,
+commits and CPU counts come from the records.  Standard library only.
 """
 
 import argparse
@@ -23,6 +29,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def _spread(values):
@@ -68,28 +76,60 @@ def summarize_group(records):
     return summary
 
 
-def paired_wins(first, second):
-    """{workload: {metric: {"pairs": n, "second_lower": k}}} for two
+def declared_metrics(benchmark):
+    """{metric: (better, bound)} of a BENCHMARK document; the bound is None
+    for a per-layer metric."""
+    return {
+        **{m["name"]: (m["better"], None) for m in benchmark["per_layer"]},
+        **{m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]},
+    }
+
+
+def _claim(pairs, before, after, better, bound):
+    """The claim rule's fields for one metric: ``before`` and ``after``
+    are the two groups' summaries of it, ``pairs`` its paired values."""
+    sign = 1 if better == "lower" else -1  # sign * (first - second) > 0: the second is better
+    claim = {
+        "second_better": sum(sign * (a - b) > 0 for a, b in pairs),
+        "first_iqr": before["q3"] - before["q1"],
+    }
+    gain = sign * (before["median"] - after["median"])
+    claim["gain_shown"] = (
+        bool(pairs) and 10 * claim["second_better"] >= 9 * len(pairs)
+        and gain > claim["first_iqr"]
+    )
+    if bound is not None:
+        claim["worse_than_bound"] = -gain > bound * before["median"]
+    return claim
+
+
+def paired_wins(first, second, declared):
+    """{workload: {metric: {"pairs": n, "second_lower": k, ...}}} for two
     groups' workload summaries.  The i-th run of a seed in one group is
     paired with the i-th run of that seed in the other; ``second_lower``
     counts the pairs whose second value is the lower one, whichever
-    direction the metric counts as better."""
+    direction the metric counts as better.  A metric of ``declared``
+    ({metric: (better, bound)}) also gets the claim rule's fields
+    (``_claim``)."""
     wins = {}
     for name in sorted(first.keys() & second.keys()):
         wins[name] = {}
         for metric in sorted(first[name]["metrics"].keys() & second[name]["metrics"].keys()):
-            before = first[name]["metrics"][metric]["by_seed"]
-            after = second[name]["metrics"][metric]["by_seed"]
+            before, after = first[name]["metrics"][metric], second[name]["metrics"][metric]
             pairs = [
-                pair for seed in before.keys() & after.keys()
-                for pair in zip(before[seed], after[seed])
+                pair for seed in before["by_seed"].keys() & after["by_seed"].keys()
+                for pair in zip(before["by_seed"][seed], after["by_seed"][seed])
             ]
             wins[name][metric] = {"pairs": len(pairs), "second_lower": sum(b < a for a, b in pairs)}
+            if metric in declared:
+                wins[name][metric].update(_claim(pairs, before, after, *declared[metric]))
     return wins
 
 
-def summarize(groups):
-    """The BENCH document for {label: [run record, ...]}."""
+def summarize(groups, benchmark=None):
+    """The BENCH document for {label: [run record, ...]}; with two groups,
+    the claim rule reads ``benchmark``, a BENCHMARK document, or else the
+    repository's ``BENCHMARK.json``."""
     everything = [record for records in groups.values() for record in records]
     environment = [record["environment"] for record in everything]
     summaries = {label: summarize_group(records) for label, records in groups.items()}
@@ -106,9 +146,13 @@ def summarize(groups):
     }
     if len(groups) == 2:
         first, second = groups
+        if benchmark is None:
+            benchmark = json.loads(BENCHMARK.read_text())
         document["pairs"] = {
             "first": first, "second": second,
-            "workloads": paired_wins(summaries[first], summaries[second]),
+            "workloads": paired_wins(
+                summaries[first], summaries[second], declared_metrics(benchmark)
+            ),
         }
     return document
 
