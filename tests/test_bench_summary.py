@@ -85,12 +85,11 @@ def test_two_groups_count_the_pairs_the_second_one_is_lower_in(tmp_path):
         "first": "parent", "second": "change",
         "workloads": {"cli-mix": {
             "op_p50_s": {
-                "pairs": 3, "second_lower": 2, "second_better": 2, "gain_shown": False,
-                "worse_than_bound": False,
+                "pairs": 3, "second_better": 2, "gain_shown": False, "worse_than_bound": False,
             },
             "peak_rss_mib": {
-                "pairs": 3, "second_lower": 0, "second_better": 0, "first_iqr": 0.0,
-                "gain_shown": False, "worse_than_bound": False,
+                "pairs": 3, "second_better": 0, "first_iqr": 0.0, "gain_shown": False,
+                "worse_than_bound": False,
             },
         }},
     }
@@ -100,42 +99,36 @@ def test_two_groups_count_the_pairs_the_second_one_is_lower_in(tmp_path):
 
 
 def test_two_groups_apply_the_claim_rule_in_each_metrics_direction():
-    """Ten seed pairs.  ``op_p50_s`` (lower is better) is better in 9 of
-    them and its median falls by 0.6, more than the parent's quartile
-    spread of 0.55: a gain is shown.  ``ops_per_s`` (higher is better)
-    falls from 10 to 7 in every pair, by more than its bound of 0.25 of
-    10.  A per-layer metric has no bound, and a metric the benchmark does
-    not declare gets only the pair counts."""
-    benchmark = {
-        "end_to_end": [
-            {"name": "op_p50_s", "better": "lower", "bound": 0.25},
-            {"name": "ops_per_s", "better": "higher", "bound": 0.25},
-        ],
-        "per_layer": [{"name": "cli.import_s", "better": "lower"}],
-    }
+    """Ten seed pairs, read against the repository's BENCHMARK.json.
+    ``op_p50_s`` (lower is better) is better in 9 of them and its median
+    falls by 0.6, more than the parent's quartile spread of 0.55: a gain
+    is shown.  ``ops_per_s`` (higher is better) falls from 10 to 7 in
+    every pair, by more than its bound of 0.25 of 10.  A per-layer metric
+    has no bound, and a metric the benchmark does not declare gets only
+    the count of pairs the second group is lower in."""
     parent, change = [], []
     for seed in range(1, 11):
         before = 1.0 + (seed - 1) / 10
         after = before + 0.1 if seed == 10 else before - 0.6
-        for runs, op, ops, imports in ((parent, before, 10.0, 0.02), (change, after, 7.0, 0.02)):
+        for runs, op, ops, extra in ((parent, before, 10.0, 2.0), (change, after, 7.0, 1.0)):
             record = _record("cli-mix", seed, op)
-            record["metrics"].update({"ops_per_s": ops, "cli.import_s": imports})
+            record["metrics"].update({"ops_per_s": ops, "cli.import_s": 0.02, "x.undeclared": extra})
             runs.append(record)
-    pairs = bench_summary.summarize({"parent": parent, "change": change}, benchmark)["pairs"]
+    pairs = bench_summary.summarize({"parent": parent, "change": change})["pairs"]
     mix = pairs["workloads"]["cli-mix"]
     assert mix["op_p50_s"].pop("first_iqr") == pytest.approx(0.55)
     assert mix == {
         "op_p50_s": {
-            "pairs": 10, "second_lower": 9, "second_better": 9, "gain_shown": True,
-            "worse_than_bound": False,
+            "pairs": 10, "second_better": 9, "gain_shown": True, "worse_than_bound": False,
         },
         "ops_per_s": {
-            "pairs": 10, "second_lower": 10, "second_better": 0, "first_iqr": 0.0,
-            "gain_shown": False, "worse_than_bound": True,
+            "pairs": 10, "second_better": 0, "first_iqr": 0.0, "gain_shown": False,
+            "worse_than_bound": True,
         },
-        "cli.import_s": {
-            "pairs": 10, "second_lower": 0, "second_better": 0, "first_iqr": 0.0,
-            "gain_shown": False,
+        "cli.import_s": {"pairs": 10, "second_better": 0, "first_iqr": 0.0, "gain_shown": False},
+        "peak_rss_mib": {
+            "pairs": 10, "second_better": 0, "first_iqr": 0.0, "gain_shown": False,
+            "worse_than_bound": False,
         },
-        "peak_rss_mib": {"pairs": 10, "second_lower": 0},
+        "x.undeclared": {"pairs": 10, "second_lower": 10},
     }

@@ -328,6 +328,9 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         # underflows to zero; that is no answer, so no zero speed is printed.
         (("max-speed", EX3, "--set", "target.budget=1e-300 usd"), 3,
          "numeric_error: v0 is 0.0; inputs out of numeric range"),
+        (("sweep", EX3, "--axis", "target.budget", "--from", "1e-300 usd", "--to", "1e9 usd",
+          "--points", "3"), 3,
+         "numeric_error: v0 is 0.0; inputs out of numeric range"),
         # The mass-optimized sail diameter underflows.
         (("solve", EX1, "--set", "payload.m0=1e-300 kg", "--set", "sail.h=1e10 m",
           "--set", "sail.rho=1e300 kg/m3", "--set", "array.P0=1 GW", "--set", "array.d=1 km"),

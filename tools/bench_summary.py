@@ -13,15 +13,16 @@ value listed under its seed (runs that share a seed keep the order in
 which their records were given), so that paired runs can be compared from
 the file alone.  With exactly two groups, ``pairs`` counts, per workload
 and metric, the runs paired across them (by seed, and by order within a
-seed) and how many of those pairs have the lower value in the second
-group.  For a metric that ``BENCHMARK.json`` (which this only reads)
-declares, it also applies the claim rule in the metric's ``better``
+seed).  For a metric that ``BENCHMARK.json`` (which this only reads)
+declares, it applies the claim rule in the metric's ``better``
 direction: ``second_better`` pairs, the first group's ``first_iqr``,
 ``gain_shown`` when at least 9 in 10 pairs are better and the medians
 differ by more than ``first_iqr`` that way, and, for an end-to-end
 metric, ``worse_than_bound`` when the second median is worse than the
-first by more than ``bound`` times the first.  The Python versions,
-commits and CPU counts come from the records.  Standard library only.
+first by more than ``bound`` times the first.  A metric it does not
+declare gets ``second_lower``, the pairs whose second value is lower.
+The Python versions, commits and CPU counts come from the records.
+Standard library only.
 """
 
 import argparse
@@ -104,13 +105,12 @@ def _claim(pairs, before, after, better, bound):
 
 
 def paired_wins(first, second, declared):
-    """{workload: {metric: {"pairs": n, "second_lower": k, ...}}} for two
-    groups' workload summaries.  The i-th run of a seed in one group is
-    paired with the i-th run of that seed in the other; ``second_lower``
-    counts the pairs whose second value is the lower one, whichever
-    direction the metric counts as better.  A metric of ``declared``
-    ({metric: (better, bound)}) also gets the claim rule's fields
-    (``_claim``)."""
+    """{workload: {metric: {"pairs": n, ...}}} for two groups' workload
+    summaries.  The i-th run of a seed in one group is paired with the
+    i-th run of that seed in the other.  A metric of ``declared``
+    ({metric: (better, bound)}) gets the claim rule's fields (``_claim``),
+    any other metric ``second_lower``, the pairs whose second value is
+    the lower one."""
     wins = {}
     for name in sorted(first.keys() & second.keys()):
         wins[name] = {}
@@ -120,16 +120,16 @@ def paired_wins(first, second, declared):
                 pair for seed in before["by_seed"].keys() & after["by_seed"].keys()
                 for pair in zip(before["by_seed"][seed], after["by_seed"][seed])
             ]
-            wins[name][metric] = {"pairs": len(pairs), "second_lower": sum(b < a for a, b in pairs)}
+            wins[name][metric] = {"pairs": len(pairs)}
             if metric in declared:
                 wins[name][metric].update(_claim(pairs, before, after, *declared[metric]))
+            else:
+                wins[name][metric]["second_lower"] = sum(b < a for a, b in pairs)
     return wins
 
 
-def summarize(groups, benchmark=None):
-    """The BENCH document for {label: [run record, ...]}; with two groups,
-    the claim rule reads ``benchmark``, a BENCHMARK document, or else the
-    repository's ``BENCHMARK.json``."""
+def summarize(groups):
+    """The BENCH document for {label: [run record, ...]}."""
     everything = [record for records in groups.values() for record in records]
     environment = [record["environment"] for record in everything]
     summaries = {label: summarize_group(records) for label, records in groups.items()}
@@ -146,13 +146,10 @@ def summarize(groups, benchmark=None):
     }
     if len(groups) == 2:
         first, second = groups
-        if benchmark is None:
-            benchmark = json.loads(BENCHMARK.read_text())
+        declared = declared_metrics(json.loads(BENCHMARK.read_text()))
         document["pairs"] = {
             "first": first, "second": second,
-            "workloads": paired_wins(
-                summaries[first], summaries[second], declared_metrics(benchmark)
-            ),
+            "workloads": paired_wins(summaries[first], summaries[second], declared),
         }
     return document
 
