@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: solve, optimize, max-speed, sweep, energy, roadmap,
-validate.  Exit codes: 0 success, 1 validation/infeasibility, 2 usage,
+validate; optimize and max-speed share one handler.  Exit codes: 0 success, 1 validation/infeasibility, 2 usage,
 3 internal/numeric.  Errors go to stderr as ``error_code: message``.
 Output is deterministic byte-for-byte unless --metadata is given.
 """
@@ -17,8 +17,12 @@ from .costs import (
 )
 from .energy import energy_per_shot, energy_used_lifetime, storage_cost
 from .errors import NumericRangeError, SailcostError, ValidationError
-from .kinematics import kinematics_non_optimized, kinematics_optimized, strength_limited_geometry
+from .kinematics import (
+    KinematicsResult, kinematics_non_optimized, kinematics_optimized, strength_limited_geometry,
+    warn_beta,
+)
 from .scenario import (
+    FIELDS,
     SweepSpec,
     apply_overrides,
     build_scenario,
@@ -76,18 +80,18 @@ def _breakdown_doc(breakdown):
     }
 
 
-def _result_doc(scenario, aperture, power, breakdown, launch):
-    """The result document at a design point, with ``launch`` as ``model.launch`` returns it."""
-    v0, beta, t0, l0, v_inf, _, _, total_mass = launch
+def _result_doc(scenario, aperture, power, breakdown, kin):
+    """The result document at a design point, with its ``KinematicsResult``."""
     shot = energy_per_shot(
-        beta, total_mass, scenario.sail.coupling, scenario.metrics.storage_efficiency
+        kin.beta, kin.total_mass, scenario.sail.coupling, scenario.metrics.storage_efficiency
     )
     return {
         "scenario": scenario.name,
         "mode": scenario.mode,
         "optimum": {"d_m": aperture, "P0_W": power},
         "costs": _breakdown_doc(breakdown),
-        "kinematics": {"v0": v0, "beta0": beta, "t0_s": t0, "L0_m": l0, "v_inf": v_inf},
+        "kinematics": {"v0": kin.speed, "beta0": kin.beta, "t0_s": kin.accel_time,
+                       "L0_m": kin.accel_distance, "v_inf": kin.coast_speed},
         "energy": {
             "E_gamma_J": shot.beam_energy,
             "E_storage_J": shot.storage_energy,
@@ -125,49 +129,41 @@ def _cmd_solve(args):
     kin = _solve_kinematics(scenario)
     array = scenario.array
     breakdown = cost_components(array, kin.accel_time, scenario.metrics)
-    doc = _result_doc(scenario, array.aperture, array.power, breakdown, vars(kin).values())
+    doc = _result_doc(scenario, array.aperture, array.power, breakdown, kin)
     _emit(doc, args)
     return 0
 
 
-def _require_beta_target(scenario, command):
-    if scenario.beta_target is None:
-        raise ValidationError(f"{command} requires a target.beta0 scenario")
-    return scenario.beta_target
+def _target(scenario, command, key):
+    """The scenario's ``target.<key>``, which ``command`` requires."""
+    value = getattr(scenario, FIELDS[f"target.{key}"][2])
+    if value is None:
+        raise ValidationError(f"{command} requires a target.{key} scenario")
+    return value
 
 
-def _design_doc(scenario, design):
-    """Result document of an OptimumDesign, its launch from the kernel that
-    ``kinematics_optimized`` wraps: the call that found the design has warned."""
+# Each design subcommand's target and the function that designs for it.
+_DESIGNS = {
+    "optimize": ("beta0", closed_form_optimum),
+    "max-speed": ("budget", maximize_speed_fixed_cost),
+}
+
+
+def _cmd_design(args):
+    """``optimize`` or ``max-speed``: the design for the scenario's target,
+    its launch from the kernel that ``kinematics_optimized`` wraps (the
+    design function has warned)."""
+    key, design_for = _DESIGNS[args.command]
+    scenario = _load(args)
+    target = _target(scenario, args.command, key)
+    require_cost_mode(scenario.mode)
+    design = design_for(target, scenario.payload, scenario.sail, scenario.array, scenario.metrics)
     aperture, power = design.aperture, design.power
-    launch = model.optimized_launch(**kernel_point(
+    kin = KinematicsResult(*model.optimized_launch(**kernel_point(
         model.optimized_launch, scenario.payload, scenario.sail, scenario.array,
         aperture=aperture, power=power, eta=scenario.sail.coupling,
-    ))
-    return _result_doc(scenario, aperture, power, design.breakdown, launch)
-
-
-def _cmd_optimize(args):
-    scenario = _load(args)
-    beta = _require_beta_target(scenario, "optimize")
-    require_cost_mode(scenario.mode)
-    design = closed_form_optimum(
-        beta, scenario.payload, scenario.sail, scenario.array, scenario.metrics
-    )
-    _emit(_design_doc(scenario, design), args)
-    return 0
-
-
-def _cmd_max_speed(args):
-    scenario = _load(args)
-    if scenario.budget_target is None:
-        raise ValidationError("max-speed requires a target.budget scenario")
-    require_cost_mode(scenario.mode)
-    design = maximize_speed_fixed_cost(
-        scenario.budget_target, scenario.payload, scenario.sail, scenario.array,
-        scenario.metrics,
-    )
-    _emit(_design_doc(scenario, design), args)
+    )))
+    _emit(_result_doc(scenario, aperture, power, design.breakdown, kin), args)
     return 0
 
 
@@ -181,7 +177,7 @@ def _cmd_energy(args):
         if hours < 0:
             raise ValidationError(f"--lifetime-hours: must be >= 0 (got {hours!r})")
     scenario = _load(args)
-    beta = _require_beta_target(scenario, "energy")
+    beta = _target(scenario, "energy", "beta0")
     if scenario.mode == "optimized":
         model.refuse_sail_diameter(**kernel_point(model.refuse_sail_diameter, sail=scenario.sail))
         total_mass = model.optimized_craft_mass(
@@ -212,6 +208,7 @@ def _cmd_energy(args):
         )
         doc["lifetime_energy_usd"] = total
         doc["lifetime_usd_per_optical_watt"] = per_watt
+    warn_beta(beta)
     _emit(doc, args)
     return 0
 
@@ -235,14 +232,13 @@ def _cmd_roadmap(args):
     from .roadmap import plan_stages
 
     scenario = _load(args)
-    if scenario.budget_target is None:
-        raise ValidationError("roadmap requires a target.budget scenario")
+    budget = _target(scenario, "roadmap", "budget")
     if scenario.curve is None:
         raise ValidationError("roadmap requires a [techcurve] block")
     require_cost_mode(scenario.mode)
     designations = [parse_number(x, "--stages") for x in args.stages.split(",")]
     plan = plan_stages(
-        designations, scenario.budget_target, scenario.curve,
+        designations, budget, scenario.curve,
         scenario.payload, scenario.sail, scenario.array, scenario.metrics,
     )
     columns = ("designation", "beta0", "entry_month", "a1_usd_per_W", "d_m", "P0_W", "C_T")
@@ -294,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, doc in (
         ("solve", _cmd_solve, "kinematics and costs at an explicit design point"),
-        ("optimize", _cmd_optimize, "minimum-cost design for the target speed"),
-        ("max-speed", _cmd_max_speed, "fastest design at a fixed budget"),
+        ("optimize", _cmd_design, "minimum-cost design for the target speed"),
+        ("max-speed", _cmd_design, "fastest design at a fixed budget"),
         ("energy", _cmd_energy, "per-shot energy and energy-side costs"),
     ):
         p = sub.add_parser(name, help=doc)

@@ -106,7 +106,8 @@ def launch(
 
     v0 = math.sqrt(power * eta * spot_term / (C * total_mass))
     v0 = check_positive("v0", check_finite("v0", v0))
-    t0 = check_finite("t0", math.sqrt(C * spot_term * total_mass / (power * eta)))
+    t0 = math.sqrt(C * spot_term * total_mass / (power * eta))
+    t0 = check_positive("t0", check_finite("t0", t0))
     beta = v0 / C
     check_beta(beta)
     return v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass

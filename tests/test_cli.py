@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sailcost.checks import CheckResult
 from sailcost.cli import main
+from sailcost.energy import energy_per_shot
 from sailcost.scenario import FIELDS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -348,6 +349,12 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         (("energy", EX1, "--set", "mode=strength-limited", "--set", "sail.S_y=1e-300 Pa",
           "--set", "payload.m0=1e-300 kg", "--set", "array.P0=1 GW"), 3,
          "numeric_error: D is 0.0; inputs out of numeric range"),
+        # The launch time underflows to zero while the launch speed is
+        # finite, before the mean acceleration divides by it.
+        (("solve", EX1, "--set", "mode=non-optimized", "--set", "sail.D=1e-100 m",
+          "--set", "payload.m0=1e-100 kg", "--set", "array.d=1.22e-106 m",
+          "--set", "array.P0=1.5e108 W"), 3,
+         "numeric_error: t0 is 0.0; inputs out of numeric range"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):
@@ -415,6 +422,23 @@ def test_energy_uses_the_sail_mass_of_the_mode(capsys, overrides):
     code, out, err = _run(capsys, "energy", EX1, *sets, "--set", f"target.beta0={beta!r}")
     assert code == 0 and err == ""
     assert json.loads(out)[0]["E_gamma_J"] == solved["energy"]["E_gamma_J"]
+
+
+def test_energy_warns_once_at_the_beta_limit():
+    """An ``energy`` run at beta >= 0.5 prints its document and one
+    warning, in 2 lines of stderr, like every other answer; the library's
+    ``energy_per_shot``, given the same beta, stays silent."""
+    run = subprocess.run(
+        [sys.executable, "-m", "sailcost.cli", "energy", EX1, "--set", "target.beta0=0.7"],
+        capture_output=True, text=True,
+    )
+    assert run.returncode == 0 and json.loads(run.stdout)[0]["beta0"] == 0.7
+    warning, _ = run.stderr.splitlines()
+    message = "beta = 0.7 >= 0.5: non-relativistic model is inaccurate here"
+    assert warning.endswith(f"UserWarning: {message}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energy_per_shot(0.7, 2.0, 2.0)
 
 
 @pytest.mark.parametrize(

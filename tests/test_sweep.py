@@ -583,7 +583,7 @@ def test_failure_in_one_chunk_gives_the_serial_error(
 # rows cross 0.5 and end at 0.69, and the warning names that last row; in
 # the fourth, on the fixed-aperture path, every array size holds the
 # target 0.5.  Then ``optimize`` and ``max-speed``, whose launch at the
-# design point warns no second time.
+# design point warns no second time, and ``energy``, on its target.
 _SWEEP_40 = ("--points", "40")
 WARNING_RUNS = [
     (("sweep", "example1", "--axis", "target.beta0", "--from", "0.1", "--to", "0.5", *_SWEEP_40),
@@ -601,6 +601,8 @@ WARNING_RUNS = [
      32, "beta = 0.7 >= 0.5: non-relativistic model is inaccurate here"),
     (("max-speed", "example3", "--set", "target.budget=1e12 usd"),
      32, "beta = 0.6866 >= 0.5: non-relativistic model is inaccurate here"),
+    (("energy", "example1", "--set", "target.beta0=0.7"),
+     11, "beta = 0.7 >= 0.5: non-relativistic model is inaccurate here"),
 ]
 
 
