@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: solve, optimize, max-speed, sweep, energy, roadmap,
-validate; optimize and max-speed share one handler.  Exit codes: 0 success, 1 validation/infeasibility, 2 usage,
-3 internal/numeric.  Errors go to stderr as ``error_code: message``.
+Subcommands: solve, optimize and max-speed (one handler), sweep, energy,
+roadmap, validate.  Exit codes: 0 success, 1 validation/infeasibility,
+2 usage, 3 internal/numeric.  Errors go to stderr as ``error_code: message``.
 Output is deterministic byte-for-byte unless --metadata is given.
 """
 
