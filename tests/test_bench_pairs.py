@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import subprocess
+import tempfile
 
 import pytest
 
@@ -52,31 +53,35 @@ def _commit(repo, log, side, value):
 def test_pairs_alternate_between_archived_commits(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(TOOLS)
     bench_pairs = importlib.import_module("bench_pairs")
-    repo, log = tmp_path / "repo", tmp_path / "runs.log"
+    repo, log, scratch = tmp_path / "repo", tmp_path / "runs.log", tmp_path / "tmp"
     (repo / "bench").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1}))
+    scratch.mkdir()
+    monkeypatch.setattr(bench_pairs, "REPO", repo)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     _git(repo, "init", "-q")
     parent = _commit(repo, log, "parent", 0.2)
     change = _commit(repo, log, "change", 0.1)
     # Neither side may run the working checkout's uncommitted file.
     (repo / "bench" / "run.py").write_text(FAKE_RUN.format(log=str(log), side="dirty", value=9))
 
-    out, work = tmp_path / "BENCH_1.json", tmp_path / "work"
+    out = tmp_path / "BENCH_1.json"
     assert bench_pairs.main([
-        "--repo", str(repo), "--workload", "cli-mix", "--pairs", "4", "--seeds", "1,2",
-        "--seconds", "1", "--work", str(work), "--out", str(out),
+        "--workload", "cli-mix", "--pairs", "4", "--seeds", "1,2", "--out", str(out),
     ]) == 0
     assert log.read_text().splitlines() == [
         "parent 1", "change 1", "change 2", "parent 2",
         "parent 1", "change 1", "change 2", "parent 2",
     ]
     assert not (repo / ".bench_build").exists()
-    assert sorted(os.listdir(work / "records")) == [
-        f"{side}-{i:02d}.json" for side in ("change", "parent") for i in range(1, 5)
-    ]
+    assert os.listdir(scratch) == []
     doc = json.loads(out.read_text())
     assert {label: group["commit"] for label, group in doc["groups"].items()} == {
         "parent": parent, "change": change,
     }
+    for group in doc["groups"].values():
+        run = group["workloads"]["cli-mix"]
+        assert (run["runs"], run["seconds"], run["metrics"]["op_p50_s"]["n"]) == (4, 1.0, 4)
     op = doc["pairs"]["workloads"]["cli-mix"]["op_p50_s"]
     assert (op["pairs"], op["second_better"]) == (4, 4)
 

@@ -4,20 +4,20 @@ summarize them into one BENCH_<n>.json.
     python3 tools/bench_pairs.py --workload sweep-large --pairs 10 \
         --parent HEAD~1 --change HEAD --seeds 1,2,3 --out BENCH_37.json
 
-Each side runs ``bench/run.py`` from its own fresh ``git archive`` copy
-of its revision, made under ``--work`` (a new temporary directory by
-default), never from the working checkout: uncommitted files, build
-leftovers and caches there would change what is measured.  Pair ``i``
-runs the parent first when ``i`` is even and the change first when it is
-odd, so a drift of the host's speed favours neither side, and it uses
-seed ``seeds[i % len(seeds)]``.  Each run record is copied away under
-``<work>/records/`` before the next run of that copy overwrites it, with
-its commit set to the archived revision (an archive copy has no ``.git``
-for ``bench/run.py`` to read it from).  ``tools/bench_summary.py`` then
-writes the summary, the parent as the first group.  Standard library
-only.
+Each side runs ``bench/run.py`` for ``BENCHMARK.json``'s ``run_seconds``
+from its own fresh ``git archive`` copy of its revision, never from the
+working checkout: uncommitted files, build leftovers and caches there
+would change what is measured.  Pair ``i`` runs the parent first when
+``i`` is even and the change first when it is odd, so a drift of the
+host's speed favours neither side, and it uses seed
+``seeds[i % len(seeds)]``.  Each run record is copied away before the
+next run of that copy overwrites it, with its commit set to the archived
+revision (an archive copy has no ``.git`` for ``bench/run.py`` to read it
+from).  ``tools/bench_summary.py`` then writes the summary, the parent as
+the first group; it lists every run's value, so the copies and records
+live in a temporary directory that is removed afterwards.  Standard
+library only.
 """
-
 import argparse
 import io
 import json
@@ -82,30 +82,29 @@ def main(argv=None):
     parser.add_argument("--parent", default="HEAD~1", help="revision of the first group")
     parser.add_argument("--change", default="HEAD", help="revision of the second group")
     parser.add_argument("--seeds", default="1", help="comma-separated seeds, used in turn")
-    parser.add_argument("--seconds", type=float, default=50.0, help="length of each run")
-    parser.add_argument("--work", help="directory for the copies and records (default: new)")
-    parser.add_argument("--repo", default=str(REPO), help="repository to archive from")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs: need >= 1")
     seeds = [int(seed) for seed in args.seeds.split(",")]
+    seconds = json.loads((REPO / "BENCHMARK.json").read_text())["run_seconds"]
 
-    work = Path(args.work or tempfile.mkdtemp(prefix="bench-pairs-"))
-    commits = dict(zip(LABELS, (resolve(args.repo, args.parent), resolve(args.repo, args.change))))
-    copies = {label: archive(args.repo, commits[label], work / label) for label in LABELS}
-    (work / "records").mkdir()
-    groups = {label: [] for label in LABELS}
-    for i, (seed, order) in enumerate(schedule(args.pairs, seeds)):
-        for label in order:
-            print(f"pair {i + 1}/{args.pairs}: {label} seed {seed}", file=sys.stderr, flush=True)
-            record = run_once(copies[label], args.workload, seed, args.seconds)
-            record["environment"]["commit"] = commits[label]
-            path = work / "records" / f"{label}-{i + 1:02d}.json"
-            path.write_text(json.dumps(record, indent=1) + "\n")
-            groups[label].append(str(path))
-    return bench_summary.main(
-        ["--out", args.out, *(arg for label in LABELS for arg in ("--group", label, *groups[label]))]
-    )
+    commits = dict(zip(LABELS, (resolve(REPO, args.parent), resolve(REPO, args.change))))
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        work = Path(tmp)
+        copies = {label: archive(REPO, commits[label], work / label) for label in LABELS}
+        (work / "records").mkdir()
+        groups = {label: [] for label in LABELS}
+        for i, (seed, order) in enumerate(schedule(args.pairs, seeds)):
+            for label in order:
+                print(f"pair {i + 1}/{args.pairs}: {label} seed {seed}",
+                      file=sys.stderr, flush=True)
+                record = run_once(copies[label], args.workload, seed, seconds)
+                record["environment"]["commit"] = commits[label]
+                path = work / "records" / f"{label}-{i + 1:02d}.json"
+                path.write_text(json.dumps(record, indent=1) + "\n")
+                groups[label].append(str(path))
+        grouped = (arg for label in LABELS for arg in ("--group", label, *groups[label]))
+        return bench_summary.main(["--out", args.out, *grouped])
 
 
 if __name__ == "__main__":
