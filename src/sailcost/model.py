@@ -33,10 +33,13 @@ def check_finite(name: str, value: float) -> float:
 
 
 def check_positive(name: str, value: float) -> float:
-    """``value``, a size the model derives, which must be > 0: only inputs
-    out of numeric range make it zero, negative or NaN."""
-    if not value > 0:
-        raise NumericRangeError(f"{name} is {value!r}; inputs out of numeric range")
+    """``value``, a size the model derives, which must be finite and > 0:
+    only inputs out of numeric range make it infinite, NaN, zero or
+    negative.  The error names the size, and shows its value unless that
+    is not finite."""
+    if not 0 < value < math.inf:
+        shown = repr(value) if math.isfinite(value) else "non-finite"
+        raise NumericRangeError(f"{name} is {shown}; inputs out of numeric range")
     return value
 
 
@@ -81,7 +84,7 @@ def required_power(beta, wavelength, diffraction_factor, eta, aperture, mass_ter
         raise DomainError(f"beta target must be >= 0 (got {beta!r})")
     check_beta(beta)
     p0 = beta**2 * (2 * C**3 * wavelength * diffraction_factor) / (eta * aperture) * mass_term
-    return check_finite("P0", p0)
+    return check_positive("P0", p0) if beta > 0 else check_finite("P0", p0)
 
 
 def aperture_flux(power: float, array_shape: float, aperture: float) -> float:
@@ -104,10 +107,8 @@ def launch(
     if power == 0:
         return 0.0, 0.0, None, l0, 0.0, 0.0, flux, total_mass
 
-    v0 = math.sqrt(power * eta * spot_term / (C * total_mass))
-    v0 = check_positive("v0", check_finite("v0", v0))
-    t0 = math.sqrt(C * spot_term * total_mass / (power * eta))
-    t0 = check_positive("t0", check_finite("t0", t0))
+    v0 = check_positive("v0", math.sqrt(power * eta * spot_term / (C * total_mass)))
+    t0 = check_positive("t0", math.sqrt(C * spot_term * total_mass / (power * eta)))
     beta = v0 / C
     check_beta(beta)
     return v0, beta, t0, l0, math.sqrt(2) * v0, v0 / t0, flux, total_mass
@@ -140,9 +141,11 @@ def strength_limited_geometry(power, m0, rho, eta, yield_strength, stress_factor
         raise DomainError("sail.S_y required for the strength-limited geometry")
     if power <= 0:
         raise DomainError(f"P0 must be > 0 (got {power!r})")
-    diameter = check_finite("D", 4 * m0 * C * yield_strength / (rho * stress_factor * power * eta))
-    h = stress_factor * power * eta / (math.pi * check_positive("D", diameter) * C * yield_strength)
-    return diameter, check_positive("h", check_finite("h", h))
+    diameter = check_positive(
+        "D", 4 * m0 * C * yield_strength / (rho * stress_factor * power * eta)
+    )
+    h = stress_factor * power * eta / (math.pi * diameter * C * yield_strength)
+    return diameter, check_positive("h", h)
 
 
 def beam_energy(beta: float, total_mass: float, eta: float) -> float:
@@ -227,7 +230,6 @@ def cost_optimum(
     mass = mass_term(xi, h, rho, m0)
     geom = cost_geometry(wavelength, diffraction_factor, array_shape, eta, mass)
     ratio = a1 / (beam_fraction * a2)
-    # An infinite d* reaches the checks of P0, L0 or the output, which report it.
     aperture = check_positive("d*", C * beta ** (2 / 3) * (ratio * geom) ** (1 / 3))
     power = required_power(beta, wavelength, diffraction_factor, eta, aperture, mass)
     energy = beam_energy(beta, optimized_craft_mass(m0), eta)
@@ -274,12 +276,9 @@ def budget_design(
         )
     if a1 <= 0 or a2 <= 0:
         raise DomainError("fixed-budget speed maximum needs a1 > 0 and a2 > 0")
-    aperture = budget_aperture(total_usd, a2, array_shape)
-    aperture = check_positive("d*", check_finite("d*", aperture))
+    aperture = check_positive("d*", budget_aperture(total_usd, a2, array_shape))
     optics = optics_cost(a2, array_shape, aperture)
-    power = beam_fraction * (total_usd - optics) / a1
-    if not power >= 0:
-        raise NumericRangeError(f"P0 is {power!r}; inputs out of numeric range")
+    power = check_positive("P0", beam_fraction * (total_usd - optics) / a1)
     _, beta, *_ = optimized_launch(
         power, aperture, sail_diameter, m0, h, rho, xi, coupling(reflectivity, absorptivity),
         wavelength, diffraction_factor, array_shape,
@@ -322,4 +321,4 @@ def budget_laser_metric(
         a1 = beam_fraction * a2 * aperture**3 / (C**3 * beta**2 * geom)
     except (OverflowError, ZeroDivisionError):
         a1 = math.inf
-    return check_positive(name, check_finite(name, a1))
+    return check_positive(name, a1)

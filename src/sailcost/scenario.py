@@ -210,14 +210,15 @@ def apply_overrides(
 
 
 def parse_number(raw: str, where: str) -> float:
-    """A finite bare number; ``where`` names the input in the error."""
+    """A finite bare number, a negative zero as 0.0; ``where`` names the
+    input in the error."""
     try:
         value = float(raw)
     except ValueError:
         raise ValidationError(f"{where}: expected a bare number, got {raw!r}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{where}: non-finite value {raw!r}")
-    return value
+    return value or 0.0
 
 
 def parse_sweep_value(axis: str, raw: str, where: str) -> float:

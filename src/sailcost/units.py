@@ -78,7 +78,8 @@ def to_si(value: float, unit: str) -> float:
 
 
 def parse_quantity(text: str, dimension: str, field: str = "") -> float:
-    """Parse ``"<number> <unit>"`` and return the SI value.
+    """Parse ``"<number> <unit>"`` and return the SI value, a negative
+    zero as 0.0.
 
     Dimensioned fields must carry a unit suffix; a bare number is
     rejected so a mis-scaled input can never slip through silently.
@@ -106,4 +107,4 @@ def parse_quantity(text: str, dimension: str, field: str = "") -> float:
     value = to_si(value, unit)
     if not math.isfinite(value):
         raise UnitError(f"{where}non-finite value {text!r}")
-    return value
+    return value or 0.0

@@ -355,6 +355,19 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
           "--set", "payload.m0=1e-100 kg", "--set", "array.d=1.22e-106 m",
           "--set", "array.P0=1.5e108 W"), 3,
          "numeric_error: t0 is 0.0; inputs out of numeric range"),
+        # The cost-optimal d* overflows; the spot size it would reach
+        # next is not blamed.
+        (("optimize", EX1, "--set", "metrics.a1=1e300 usd/W", "--set", "metrics.a2=1e-300 usd/m2"),
+         3, "numeric_error: d* is non-finite; inputs out of numeric range"),
+        # The mass-optimized sail diameter overflows.
+        (("optimize", EX1, "--set", "sail.h=1e-320 m"), 3,
+         "numeric_error: D is non-finite; inputs out of numeric range"),
+        # A positive target speed whose beam power underflows to zero.
+        (("optimize", EX1, "--set", "target.beta0=1e-200"), 3,
+         "numeric_error: P0 is 0.0; inputs out of numeric range"),
+        (("sweep", EX1, "--set", "target.beta0=1e-200", "--axis", "array.d", "--from", "1 km",
+          "--to", "2 km", "--points", "2"), 3,
+         "numeric_error: P0 is 0.0; inputs out of numeric range"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):
@@ -369,6 +382,21 @@ def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, li
     for extra in ((), ("-o", str(out_path))):
         assert _run(capsys, command, scenario, *rest, *extra) == (code, "", f"{line}\n")
     assert not out_path.exists()
+
+
+def test_a_negative_zero_input_is_stored_as_zero(capsys):
+    """A ``-0`` bare number or quantity parses as 0.0, so no output cell
+    prints a negative zero."""
+    for argv in (
+        ("optimize", EX1, "--set", "metrics.a3=-0 usd/J"),
+        ("energy", EX1, "--set", "metrics.a4=-0 usd/J"),
+        ("sweep", EX1, "--axis", "metrics.a3", "--from", "-0 usd/J", "--to", "1e-9 usd/J",
+         "--points", "2"),
+        ("sweep", EX1, "--axis", "sail.alpha", "--from", "-0", "--to", "0.5", "--points", "2"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert "-0.0" not in re.split(r"[\s,:\[\]{}]+", out), argv
 
 
 @pytest.mark.parametrize(
@@ -596,12 +624,15 @@ def _finite_numbers(text, fmt):
     return walk(json.loads(text))
 
 
-def _moving_when_powered(doc):
+def _moving_when_powered(command, doc):
     """Whether a design document with a positive beam power prints a
-    positive speed, time and beam energy: a zero there is an underflow,
-    not an answer."""
-    if "optimum" not in doc or not doc["optimum"]["P0_W"] > 0:
+    positive speed, time and beam energy, and an ``optimize`` document,
+    whose target speed is positive, a positive beam power: a zero there
+    is an underflow, not an answer."""
+    if "optimum" not in doc:
         return True
+    if not doc["optimum"]["P0_W"] > 0:
+        return command != "optimize"
     kin, energy = doc["kinematics"], doc["energy"]
     return all(value > 0 for value in (
         kin["beta0"], kin["v0"], kin["v_inf"], kin["t0_s"], energy["E_gamma_J"]
@@ -622,6 +653,7 @@ def _moving_when_powered(doc):
 @example(
     command="max-speed", sets=["target.budget=1e-300 usd"], axis="metrics.a1", points=3, log=False
 )
+@example(command="optimize", sets=["target.beta0=1e-200"], axis="metrics.a1", points=3, log=False)
 def test_cli_contract_holds_for_any_set_value(command, sets, axis, points, log):
     """Every run either succeeds with only finite numbers in its output,
     and a positive speed, time and beam energy wherever the beam power is
@@ -654,7 +686,7 @@ def _assert_contract(argv):
                 text = fh.read()
             assert _finite_numbers(text, fmt), argv
             if fmt == "json":
-                assert _moving_when_powered(json.loads(text)[0]), argv
+                assert _moving_when_powered(argv[0], json.loads(text)[0]), argv
         else:
             assert code in (1, 2, 3), argv
             assert re.fullmatch(r"[a-z_]+: [^\n]+\n", err.getvalue()), (argv, err.getvalue())

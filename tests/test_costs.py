@@ -180,3 +180,17 @@ def test_a1_for_budget_funds_the_laser_and_optics_from_what_energy_leaves():
     assert b.total == pytest.approx(41e9, rel=1e-12)
     with pytest.raises(InfeasibleBudgetError):
         a1_for_budget(b.energy + b.storage, 0.2, PAYLOAD, SAIL, ARRAY, metrics)
+
+
+@pytest.mark.parametrize(
+    ("value", "shown"),
+    [(math.inf, "non-finite"), (-math.inf, "non-finite"), (math.nan, "non-finite"),
+     (0.0, "0.0"), (-0.0, "-0.0"), (-1.5, "-1.5")],
+)
+def test_check_positive_names_the_size_it_refuses(value, shown):
+    """One check for a derived size: an overflow or a NaN reads as
+    non-finite, a zero or negative value shows its repr."""
+    with pytest.raises(NumericRangeError) as caught:
+        model.check_positive("d*", value)
+    assert str(caught.value) == f"d* is {shown}; inputs out of numeric range"
+    assert model.check_positive("d*", 5e-324) == 5e-324
