@@ -63,7 +63,8 @@ def mass_term(xi: float, h: float, rho: float, m0: float) -> float:
 
 def optimal_sail_diameter(xi: float, h: float, rho: float, m0: float) -> float:
     """Diameter at which sail mass equals payload mass: sqrt(m0/(xi h rho))."""
-    return math.sqrt(m0 / (xi * h * rho))
+    areal_density = xi * h * rho
+    return math.sqrt(m0 / areal_density) if areal_density else math.inf
 
 
 def sail_mass(xi: float, diameter: float, h: float, rho: float) -> float:

@@ -292,7 +292,8 @@ def load_scenario(path) -> Scenario:
 def dump_scenario(scenario: Scenario) -> str:
     """Serialize in canonical SI units, one section per record and unset
     fields left out; loading the output reproduces the scenario exactly
-    (floats round-trip through repr)."""
+    (floats round-trip through repr), but for a negative zero, written as
+    the 0.0 that loading stores."""
     lines, section = [], ""
     for key, (kind, record, attr, *_) in FIELDS.items():
         holder = scenario if record is None else getattr(scenario, record)
@@ -306,9 +307,9 @@ def dump_scenario(scenario: Scenario) -> str:
         if kind == "string":
             lines.append(f"{name} = {value}")
         elif kind == "number":
-            lines.append(f"{name} = {value!r}")
+            lines.append(f"{name} = {value or 0.0!r}")
         else:
-            lines.append(f"{name} = {value!r} {kind}")
+            lines.append(f"{name} = {value or 0.0!r} {kind}")
     return "\n".join(lines) + "\n"
 
 

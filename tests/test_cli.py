@@ -359,8 +359,12 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         # next is not blamed.
         (("optimize", EX1, "--set", "metrics.a1=1e300 usd/W", "--set", "metrics.a2=1e-300 usd/m2"),
          3, "numeric_error: d* is non-finite; inputs out of numeric range"),
-        # The mass-optimized sail diameter overflows.
+        # The mass-optimized sail diameter overflows, also where its
+        # areal density xi h rho underflows to zero.
         (("optimize", EX1, "--set", "sail.h=1e-320 m"), 3,
+         "numeric_error: D is non-finite; inputs out of numeric range"),
+        (("solve", EX1, "--set", "sail.h=1e-200 m", "--set", "sail.rho=1e-200 kg/m3",
+          "--set", "array.P0=1 GW", "--set", "array.d=1 km"), 3,
          "numeric_error: D is non-finite; inputs out of numeric range"),
         # A positive target speed whose beam power underflows to zero.
         (("optimize", EX1, "--set", "target.beta0=1e-200"), 3,
@@ -368,6 +372,9 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         (("sweep", EX1, "--set", "target.beta0=1e-200", "--axis", "array.d", "--from", "1 km",
           "--to", "2 km", "--points", "2"), 3,
          "numeric_error: P0 is 0.0; inputs out of numeric range"),
+        # A positive budget whose leftover buys a beam power that underflows.
+        (("max-speed", EX3, "--set", "target.budget=1e-320 usd", "--set", "metrics.a1=1e10 usd/W"),
+         3, "numeric_error: P0 is 0.0; inputs out of numeric range"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):
@@ -626,13 +633,13 @@ def _finite_numbers(text, fmt):
 
 def _moving_when_powered(command, doc):
     """Whether a design document with a positive beam power prints a
-    positive speed, time and beam energy, and an ``optimize`` document,
-    whose target speed is positive, a positive beam power: a zero there
-    is an underflow, not an answer."""
+    positive speed, time and beam energy, and an ``optimize`` or
+    ``max-speed`` document, whose target is positive, a positive beam
+    power: a zero there is an underflow, not an answer."""
     if "optimum" not in doc:
         return True
     if not doc["optimum"]["P0_W"] > 0:
-        return command != "optimize"
+        return command not in ("optimize", "max-speed")
     kin, energy = doc["kinematics"], doc["energy"]
     return all(value > 0 for value in (
         kin["beta0"], kin["v0"], kin["v_inf"], kin["t0_s"], energy["E_gamma_J"]
@@ -654,6 +661,10 @@ def _moving_when_powered(command, doc):
     command="max-speed", sets=["target.budget=1e-300 usd"], axis="metrics.a1", points=3, log=False
 )
 @example(command="optimize", sets=["target.beta0=1e-200"], axis="metrics.a1", points=3, log=False)
+@example(
+    command="max-speed", sets=["target.budget=1e-320 usd", "metrics.a1=1e10 usd/W"],
+    axis="metrics.a1", points=3, log=False,
+)
 def test_cli_contract_holds_for_any_set_value(command, sets, axis, points, log):
     """Every run either succeeds with only finite numbers in its output,
     and a positive speed, time and beam energy wherever the beam power is

@@ -243,6 +243,16 @@ def test_dump_load_round_trip(scenario, name):
     assert dump_scenario(again) == text
 
 
+def test_dump_writes_a_negative_zero_as_the_zero_it_loads_as():
+    scenario = _scenario().replace(
+        metrics=CostMetrics(1.0, 1000.0, energy_usd_per_joule=-0.0),
+        curve=TechCurve(1.0, reference_month=-0.0),
+    )
+    text = dump_scenario(scenario)
+    assert "a3 = 0.0 usd/J\n" in text and "reference_month = 0.0\n" in text
+    assert dump_scenario(build_scenario(parse_entries(text))) == text
+
+
 @pytest.mark.parametrize("name", ["", "0\r", "\r", "a\nb", "a#b", " a", "a\t"])
 def test_scenario_refuses_names_a_dump_cannot_hold(name):
     with pytest.raises(ValidationError, match="^name: "):
