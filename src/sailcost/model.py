@@ -16,20 +16,8 @@ from .errors import (
     DomainError,
     InfeasibleBudgetError,
     NumericRangeError,
-    ValidationError,
 )
 from .units import C
-
-
-def require(cond: bool, name: str, constraint: str, value) -> None:
-    if not cond:
-        raise ValidationError(f"{name}: must satisfy {constraint} (got {value!r})")
-
-
-def check_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise NumericRangeError(f"{name} is non-finite; inputs out of numeric range")
-    return value
 
 
 def check_positive(name: str, value: float) -> float:
@@ -80,12 +68,15 @@ def optimized_craft_mass(m0: float) -> float:
 
 def required_power(beta, wavelength, diffraction_factor, eta, aperture, mass_term) -> float:
     """Main-beam power that reaches beta in the optimized regime:
-    P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0)."""
+    P0 = beta^2 * (2 c^3 lambda alpha_d / (eta d)) * sqrt(xi h rho m0),
+    exactly 0.0 at beta = 0, where zero speed needs zero power."""
     if beta < 0:
         raise DomainError(f"beta target must be >= 0 (got {beta!r})")
     check_beta(beta)
+    if beta == 0:
+        return 0.0
     p0 = beta**2 * (2 * C**3 * wavelength * diffraction_factor) / (eta * aperture) * mass_term
-    return check_positive("P0", p0) if beta > 0 else check_finite("P0", p0)
+    return check_positive("P0", p0)
 
 
 def aperture_flux(power: float, array_shape: float, aperture: float) -> float:
@@ -103,7 +94,7 @@ def launch(
     diameter plus the payload; t0 is None at zero power."""
     total_mass = sail_mass(xi, sail_diameter, h, rho) + m0
     spot_term = aperture * sail_diameter / (wavelength * diffraction_factor)
-    l0 = check_finite("L0", spot_term / 2)
+    l0 = check_positive("L0", spot_term / 2)
     flux = aperture_flux(power, array_shape, aperture)
     if power == 0:
         return 0.0, 0.0, None, l0, 0.0, 0.0, flux, total_mass

@@ -8,7 +8,6 @@ import io
 import math
 import os
 import sys
-import warnings
 from collections.abc import Iterator
 from functools import partial
 from itertools import chain
@@ -71,10 +70,11 @@ def constrained_cost(
 ) -> CostBreakdown:
     """Cost of hitting the target speed with a given array size, along the
     physics path (power, then kinematics, then costs); the array's own
-    aperture, if any, is not used."""
-    model.require(aperture > 0, "array.d", "d > 0", aperture)
+    aperture, if any, is replaced by ``aperture``, which its ``array.d``
+    rule checks."""
+    array = array.replace(aperture=aperture)
     breakdown = CostBreakdown(*model.fixed_aperture_design(**kernel_point(
-        model.fixed_aperture_design, payload, sail, array, metrics, aperture=aperture, beta=beta
+        model.fixed_aperture_design, payload, sail, array, metrics, beta=beta
     ))[3:])
     warn_beta(beta)
     return breakdown
@@ -242,8 +242,9 @@ def sweep_lines(scenario, sweep: SweepSpec) -> Iterator[str]:
                 prefix = f"{value!r},"
             total = c1 + c2 + c3 + c4
             flux = model.aperture_flux(power, point[shape], aperture)
-            # No cost term is negative, so a finite total means finite terms.
-            if not (isfinite(total) and isfinite(flux) and isfinite(power) and isfinite(aperture)):
+            # P0 and d are finite (kernel checks, or a grid point), and no cost
+            # term is negative, so a finite total means finite terms.
+            if not (isfinite(total) and isfinite(flux)):
                 raise NumericRangeError(
                     f"sweep: the row at {axis} = {value!r} is non-finite; "
                     "inputs out of numeric range"
@@ -288,8 +289,8 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str]:
     once each chunk of ``_chunks(points)`` has written ``rows(chunk,
     spool)`` to its own spool, an anonymous UTF-8 text temp file.  Each
     chunk but the first runs in a forked child, whose spool is kept only
-    when it exited 0 after the ``_END`` marker, so its chunk raised and
-    warned nothing.  Otherwise, or with no child, this process runs the
+    when it exited 0 after the ``_END`` marker, so its chunk raised
+    nothing.  Otherwise, or with no child, this process runs the
     chunk, in grid order, so every error comes from the one serial loop;
     into memory if no spool file could be made.  A child's pid is
     recorded only in this process, where ``os.fork`` returns it, and a
@@ -343,14 +344,12 @@ def _rows_in_chunks(rows, points: int) -> Iterator[str]:
 
 def _spool_rows(rows, chunk: range, spool) -> None:
     """In a forked child: write ``rows(chunk)``, then ``_END``, to
-    ``spool`` and exit 0.  No kernel warns, so every warning is an error
-    here: at its chunk's first warning or error the child exits 1 without
-    the marker.  Touches neither stdout nor stderr, and never returns."""
+    ``spool`` and exit 0.  At its chunk's first error the child exits 1
+    without the marker.  Touches neither stdout nor stderr, and never
+    returns."""
     status = 1
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows(chunk, spool)
+        rows(chunk, spool)
         spool.flush()
         os.write(spool.fileno(), _END)
         status = 0

@@ -11,7 +11,11 @@ import operator
 
 from . import model
 from .errors import ValidationError
-from .model import require
+
+
+def require(cond: bool, name: str, constraint: str, value) -> None:
+    if not cond:
+        raise ValidationError(f"{name}: must satisfy {constraint} (got {value!r})")
 
 
 # Every scenario field, in dump order:

@@ -375,6 +375,18 @@ _DESIGN_POINT = ("--set", "array.P0=10 GW", "--set", "array.d=10 km")
         # A positive budget whose leftover buys a beam power that underflows.
         (("max-speed", EX3, "--set", "target.budget=1e-320 usd", "--set", "metrics.a1=1e10 usd/W"),
          3, "numeric_error: P0 is 0.0; inputs out of numeric range"),
+        # The spot distance L0 underflows to zero, at zero power too, where
+        # no launch speed is derived, and before a positive power's v0.
+        (("solve", EX1, "--set", "mode=non-optimized", "--set", "sail.D=1e-250 m",
+          "--set", "array.d=1e-100 m", "--set", "array.P0=0 W"), 3,
+         "numeric_error: L0 is 0.0; inputs out of numeric range"),
+        (("solve", EX1, "--set", "mode=non-optimized", "--set", "sail.D=1e-250 m",
+          "--set", "array.d=1e-100 m", "--set", "array.P0=1 W"), 3,
+         "numeric_error: L0 is 0.0; inputs out of numeric range"),
+        # L0 overflows.
+        (("solve", EX1, "--set", "mode=non-optimized", "--set", "sail.D=1e154 m",
+          "--set", "array.d=1e154 m", "--set", "array.P0=1 GW"), 3,
+         "numeric_error: L0 is non-finite; inputs out of numeric range"),
     ],
 )
 def test_rejected_run_prints_its_one_error_line(capsys, tmp_path, argv, code, line):

@@ -139,6 +139,13 @@ def test_required_power_refuses_light_speed():
         required_power(1.1, array)
 
 
+def test_required_power_is_exactly_zero_at_zero_speed():
+    """Zero speed needs zero power, even where the factor beta^2 multiplies
+    would overflow (0 * inf is NaN)."""
+    p0 = model.required_power(0.0, 1e300, 1.22, 2.0, 1e3, 1.0)
+    assert p0 == 0.0 and math.copysign(1.0, p0) == 1.0
+
+
 METRICS = CostMetrics(1.0, 1000.0)
 OPTIMAL_SAIL = SAIL.replace(diameter=optimal_sail_diameter(SAIL, PAYLOAD))
 

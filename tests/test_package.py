@@ -49,10 +49,12 @@ def test_unknown_name_is_an_attribute_error():
 
 
 # Runs the CLI as ``python -m sailcost.cli`` does, then prints its exit
-# code and the modules it loaded as the last line; ``json`` is imported
-# only after the modules are listed.
+# code, the modules loaded at its end and those loaded before it started
+# as the last line; ``json`` is imported only after the modules are listed.
 _CHILD = """
-import runpy, sys
+import sys
+before = sorted(sys.modules)
+import runpy
 try:
     runpy.run_module("sailcost.cli", run_name="__main__", alter_sys=True)
     code = None
@@ -60,7 +62,7 @@ except SystemExit as exc:
     code = exc.code
 modules = sorted(sys.modules)
 import json
-print(json.dumps([code, modules]))
+print(json.dumps([code, modules, before]))
 """
 # Modules a subcommand loads only when it runs them.  No subcommand loads
 # ``csv``: every table is written as ``repr`` cells.  Only the commands
@@ -93,10 +95,14 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, argv, needs):
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, check=True
     )
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, modules, before = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
     assert _OPTIONAL & set(modules) == needs
     assert not _NEVER & set(modules)
+    # Pure standard library at runtime (README): what site hooks loaded
+    # before the CLI started is not the CLI's.
+    loaded = {name.partition(".")[0] for name in set(modules) - set(before)}
+    assert loaded - sys.stdlib_module_names == {"sailcost"}
 
 
 def test_package_import_loads_no_submodule():
@@ -225,7 +231,18 @@ def test_model_calls_take_no_record_field_outside_the_argument_table():
 def test_params_writes_no_single_field_bound_by_hand():
     """Each single-field bound is written once, in its row of ``FIELDS``:
     no ``require`` call in ``params.py`` passes a field's dotted key.  Only
-    the cross-field rules remain, each keyed by its record."""
+    the cross-field rules remain, each keyed by its record, and no other
+    module defines or calls ``require``: a bound written there would be a
+    second copy of a ``FIELDS`` rule."""
+    elsewhere = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "sailcost").glob("*.py")) if path.name != "params.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "name", None) == "require"
+        or isinstance(node, ast.Call)
+        and "require" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert elsewhere == []
     tree = ast.parse((ROOT / "src" / "sailcost" / "params.py").read_text())
     keys = [
         call.args[1].value
@@ -263,10 +280,9 @@ def test_scenario_writes_no_single_field_bound_by_hand():
     assert "__post_init__" not in [getattr(node, "name", None) for node in curve.body]
 
 
-def test_model_neither_imports_nor_names_warnings():
-    """The kernels compute and their callers warn: ``model.py`` neither
-    imports ``warnings`` nor names it."""
-    tree = ast.parse((ROOT / "src" / "sailcost" / "model.py").read_text())
+def _names_warnings(module: str) -> bool:
+    """Whether ``sailcost/<module>.py`` imports or names ``warnings``."""
+    tree = ast.parse((ROOT / "src" / "sailcost" / f"{module}.py").read_text())
     imported = [
         alias.name
         for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -274,7 +290,20 @@ def test_model_neither_imports_nor_names_warnings():
     ]
     modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     named = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
-    assert "warnings" not in imported + modules + named
+    return "warnings" in imported + modules + named
+
+
+def test_model_neither_imports_nor_names_warnings():
+    """The kernels compute and their callers warn: ``model.py`` neither
+    imports ``warnings`` nor names it."""
+    assert not _names_warnings("model")
+
+
+def test_forked_sweep_chunks_set_no_warning_filter():
+    """A forked sweep chunk runs only kernels, which never warn, so
+    ``optimize.py`` needs no warning filter around it and names no
+    ``warnings``."""
+    assert not _names_warnings("optimize")
 
 
 def test_readme_is_at_most_250_lines():
